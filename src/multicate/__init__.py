@@ -52,6 +52,7 @@ from .simulation import (
 from .solver import (
     FitTrace,
     fit,
+    fit_batch,
     group_soft_threshold,
     objective,
     predict_cate,
@@ -76,7 +77,7 @@ __all__ = [
     "NumericalError", "PathDiagramGraph", "ScenarioSpec", "SimulatedTruth",
     "WeightVector", "assemble_design", "assign_treatment", "auc", "bias",
     "build_path_diagram", "compute_weights", "cross_validate", "cv_loss",
-    "default_cv_grid", "evaluate", "export_path_diagram", "fit",
+    "default_cv_grid", "evaluate", "export_path_diagram", "fit", "fit_batch",
     "fit_propensity_logistic", "fit_wfull", "fit_wmcm", "fit_wmcm_l1",
     "fit_wmcmrrr", "generate_covariates", "generate_gamma", "generate_outcomes",
     "generate_truth", "group_soft_threshold", "inject_outliers", "kfold_split",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import DataError, Dataset, FitConfig, NumericalError, assemble_design
-from .solver import FitTrace, _avec, _w_block, fit as _fit_factor, group_soft_threshold
+from .solver import FitTrace, _avec, _RowSweeps, fit as _fit_factor, group_soft_threshold
 
 HUBER_DELTA = 1e-4
 
@@ -66,7 +66,10 @@ def fit_wmcm(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> Ba
     Z = assemble_design(d)
     G = a[:, None] * Z
     Yw = a[:, None] * d.Y
-    gamma = np.zeros((d.n_features, d.q))
+    sweep, T0 = _RowSweeps(G.T @ G), (G.T @ Yw)[None]
+    # the sweep updates this one-problem stack in place; gamma is its view
+    stack = np.zeros((1, d.n_features, d.q))
+    gamma = stack[0]
 
     def obj(g):
         R = Yw - G @ g
@@ -78,7 +81,7 @@ def fit_wmcm(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> Ba
     n_outer = 0
     for it in range(cfg.max_outer):
         n_outer = it + 1
-        gamma, _ = _w_block(G, Yw, gamma, lambda_w, cfg.inner_tol, 1)
+        sweep(T0, stack, [lambda_w / 2.0], cfg.inner_tol, 1)
         objs.append(obj(gamma))
         if objs[-2] - objs[-1] < thresh:
             converged = True
@@ -101,8 +104,10 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
     X, Y, Z = d.X, d.Y, assemble_design(d)
     aa = a * a
     G = a[:, None] * Z
+    sweep = _RowSweeps(G.T @ G)
     H = X.T @ (X * aa[:, None])
-    gamma = np.zeros((d.n_features, d.q))
+    stack = np.zeros((1, d.n_features, d.q))
+    gamma = stack[0]
     B = np.zeros((d.n_features, d.q))
 
     def solve_b(g):
@@ -126,7 +131,7 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
         n_outer = it + 1
         B = solve_b(gamma)
         F = a[:, None] * (Y - X @ B)
-        gamma, _ = _w_block(G, F, gamma, lambda_w, cfg.inner_tol, cfg.max_inner)
+        sweep((G.T @ F)[None], stack, [lambda_w / 2.0], cfg.inner_tol, cfg.max_inner)
         objs.append(obj(B, gamma))
         if objs[-2] - objs[-1] < thresh:
             converged = True

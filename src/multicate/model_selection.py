@@ -14,7 +14,7 @@ import numpy as np
 
 from . import baselines
 from .data import DataError, Dataset, FactorModel, FitConfig, assemble_design
-from .solver import _avec, fit as _fit_factor
+from .solver import _avec, fit as _fit_factor, fit_batch
 from .weights import PROPENSITY_CLIP, WeightVector, _logistic_irls, compute_weights, rct_weights
 
 METHODS = ("wmcmr4", "wmcmrrr", "wmcml1", "wmcm", "wfull")
@@ -139,12 +139,42 @@ def _fit_gamma(method, d, a, lam, phi, rank, cfg):
     raise DataError(f"unknown method {method!r}")
 
 
+def _grid_cells(grid: CvGrid, method: str) -> dict:
+    # distinct fits of the grid, each mapped to the cells that share it:
+    # wmcmrrr ignores phi, and the other baselines ignore phi and rank
+    cells = {}
+    for i, lam in enumerate(grid.lambdas):
+        for j, phi in enumerate(grid.phis):
+            for k, rank in enumerate(grid.ranks):
+                point = (lam, phi if method == "wmcmr4" else None,
+                         rank if method in ("wmcmr4", "wmcmrrr") else None)
+                cells.setdefault(point, []).append((i, j, k))
+    return cells
+
+
+def _fold_gammas(method, d, a, points, cfg) -> dict:
+    # coefficient matrix of each point fit on one training fold; the factor
+    # methods run one lockstep batch per rank
+    if method not in ("wmcmr4", "wmcmrrr"):
+        return {pt: _fit_gamma(method, d, a, pt[0], 0.0, cfg.rank, cfg) for pt in points}
+    gammas = {}
+    for rank in dict.fromkeys(pt[2] for pt in points):
+        batch = [pt for pt in points if pt[2] == rank]
+        cfgs = [replace(cfg, rank=rank, lambda_w=lam, phi_c=phi or 0.0) for lam, phi, _ in batch]
+        models = fit_batch(d, a, cfgs, update_c=method == "wmcmr4")
+        gammas.update(zip(batch, (m.gamma for m in models)))
+    return gammas
+
+
 def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
                    propensity: str = "rct", cfg: FitConfig | None = None) -> CvResult:
     """Grid search by stratified k-fold CV; deterministic given the grid seed.
 
     Ties in the mean loss break toward smaller rank, then larger lambda,
-    then larger phi.
+    then larger phi. On each fold, the points of one rank are fit together
+    by ``fit_batch``, and a point repeated because the method ignores phi
+    (and rank) is fit once; the losses equal those of fitting every grid
+    point with ``fit`` or the baseline alone.
     """
     if method not in METHODS:
         raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -153,6 +183,7 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
     assignment = kfold_split(d.T, grid.folds, grid.seed)
     shape = (len(grid.lambdas), len(grid.phis), len(grid.ranks), grid.folds)
     per_fold = np.empty(shape)
+    cells = _grid_cells(grid, method)
 
     null_scale = 0.0
     for f in range(grid.folds):
@@ -160,11 +191,10 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
         d_tr, d_he = _subset(d, ~held), _subset(d, held)
         a_tr, a_he = _fold_weights(d_tr, d_he, propensity)
         null_scale += _gamma_loss(np.zeros((d.n_features, d.q)), d_he, a_he)
-        for i, lam in enumerate(grid.lambdas):
-            for j, phi in enumerate(grid.phis):
-                for k, rank in enumerate(grid.ranks):
-                    gamma = _fit_gamma(method, d_tr, a_tr, lam, phi, rank, cfg)
-                    per_fold[i, j, k, f] = _gamma_loss(gamma, d_he, a_he)
+        for point, gamma in _fold_gammas(method, d_tr, a_tr, list(cells), cfg).items():
+            loss = _gamma_loss(gamma, d_he, a_he)
+            for i, j, k in cells[point]:
+                per_fold[i, j, k, f] = loss
     null_scale /= grid.folds
 
     mean_loss = per_fold.mean(axis=3)

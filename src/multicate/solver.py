@@ -11,11 +11,16 @@ is an exact conditional minimizer, so the objective never increases.
 
 With z_i = T_i x_i / 2 the fidelity term is ||A (Y - Z W V^T - C)||_F^2,
 which is the form the updates below work with.
+
+``fit_batch`` solves many problems that share the data and the rank, each
+with its own penalties, in lockstep along a leading stack axis; ``fit`` is a
+batch of one. The baselines reuse the same W row sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -56,89 +61,134 @@ def group_soft_threshold(v, t: float) -> np.ndarray:
     return (1.0 - t / nv) * v
 
 
+def _row_norms(R):
+    # np.linalg.norm(R, axis=-1), the same sums without its call overhead
+    return np.sqrt(np.add.reduce(R * R, axis=-1))
+
+
 def _shrink_rows(R, thresholds):
-    # row-wise group soft threshold of R with per-row thresholds
-    norms = np.linalg.norm(R, axis=1)
+    # row-wise group soft threshold of R (..., n, q) with thresholds (..., n)
+    norms = _row_norms(R)
     scale = np.zeros_like(norms)
     pos = norms > 0
     scale[pos] = np.maximum(0.0, 1.0 - thresholds[pos] / norms[pos])
-    return scale[:, None] * R
+    return scale[..., None] * R
 
 
 # =============================================================================
 # block updates
+#
+# Each works on a stack of m problems along a leading axis. Every operation
+# acts on one problem's slice the way it would act on that problem alone
+# (elementwise arithmetic, per-slice matrix products, per-row dot products),
+# so a problem's iterates do not depend on which other problems share its
+# stack. Reshaping a stack into one wide matrix product would break this:
+# BLAS then sums in another order.
 # =============================================================================
 
 
-def _c_block(Y, Z, a, W, V, phi_c, inner_tol, max_inner, C0):
-    """Exact minimizer over C; keeps the sweep loop so convergence is measured."""
-    R = Y - Z @ (W @ V.T)
-    thr = phi_c / (2.0 * a * a)
-    C = C0
-    sweeps = 0
-    for _ in range(max_inner):
-        sweeps += 1
-        C_new = _shrink_rows(R, thr)
-        delta = np.max(np.linalg.norm(C_new - C, axis=1))
-        C = C_new
-        # change threshold is relative to the iterate scale so raw-unit
-        # outcomes do not force needless extra sweeps
-        scale = 1.0 + (np.max(np.linalg.norm(C, axis=1)) if C.size else 0.0)
-        if delta < inner_tol * scale:
-            break
-    return C, sweeps
+_ONE = np.array(1.0)  # 0-d operands cost less per call than Python floats
 
 
-def _w_block(G, FV, W, lambda_w, inner_tol, max_inner):
-    """Cyclic row updates for min ||FV - G W||_F^2 + lambda_w sum_k ||w_k||."""
-    P = G.shape[1]
-    gram = G.T @ G
-    diag = np.diag(gram).copy()
-    T0 = G.T @ FV
-    W = W.copy()
-    half = lambda_w / 2.0
-    sweeps = 0
-    for _ in range(max_inner):
-        sweeps += 1
-        M = gram @ W
-        worst = 0.0
-        for k in range(P):
-            dk = diag[k]
-            if dk <= 0.0:
-                # zero design column: row is skipped and left at zero
-                if np.any(W[k]):
-                    M -= np.outer(gram[:, k], W[k])
-                    W[k] = 0.0
-                continue
-            h = T0[k] - M[k] + dk * W[k]
-            w_new = group_soft_threshold(h, half) / dk
-            delta = w_new - W[k]
-            change = np.linalg.norm(delta)
-            if change > 0.0:
-                M += np.outer(gram[:, k], delta)
-                W[k] = w_new
-                worst = max(worst, change)
-        # relative to the iterate scale, matching the outlier block
-        scale = 1.0 + np.max(np.linalg.norm(W, axis=1))
-        if worst < inner_tol * scale:
-            break
-    return W, sweeps
+def _rows(x):
+    # views x[:, k:k+1] of a stack (m, P, r), one per row k
+    return x[:, :, None].swapaxes(0, 1)
+
+
+class _RowSweeps:
+    """Cyclic group-lasso row sweeps, in lockstep over stacks of problems
+    that share one Gram matrix gram = G^T G.
+
+    Problem j minimizes ||F_j - G W_j||_F^2 + 2 half_j sum_k ||w_jk|| given
+    its own T0_j = G^T F_j. The per-row pivots are set up once, and work
+    buffers with their per-row views once per stack shape, so that repeated
+    calls, such as one per outer iteration, pay no set-up.
+    """
+
+    def __init__(self, gram):
+        self.gram = gram
+        diag = np.diag(gram)
+        self.live = diag > 0.0
+        # zero design column: its row is skipped and left at zero
+        self.dead = np.flatnonzero(~self.live)
+        self.pivots = [(diag[k, ...], gram[:, k:k + 1]) for k in np.flatnonzero(self.live)]
+        self.work = {}
+
+    def _work(self, shape):
+        # buffers W, T0, M, delta, outer of one stack shape, and the row views
+        if shape not in self.work:
+            bufs = [np.zeros(shape) for _ in range(5)]
+            views = compress(zip(*map(_rows, bufs[:4])), self.live)
+            rows = [(dk, col, *v) for (dk, col), v in zip(self.pivots, views)]
+            self.work[shape] = (*bufs, rows)
+        return self.work[shape]
+
+    @np.errstate(divide="ignore", invalid="ignore")  # half / ||h|| at h = 0: see fmax
+    def __call__(self, T0, W, half, inner_tol, max_inner):
+        """Sweep the stack W (m, P, r) in place and return each problem's count.
+
+        A problem sweeps until its largest row change falls below inner_tol
+        relative to its iterate scale, or for max_inner sweeps; then it
+        leaves the stack, so each problem stops at the sweep where it would
+        stop alone.
+        """
+        if self.dead.size:
+            W[:, self.dead] = 0.0
+        sweeps = np.empty(len(W), dtype=int)
+        todo = np.arange(len(W))
+        Wa, T0a, half_a = W, T0, np.asarray(half, dtype=float)[:, None, None]
+        count = 0
+        while True:
+            Wb, Tb, M, delta, outer, rows = self._work(Wa.shape)
+            Wb[...], Tb[...] = Wa, T0a
+            while True:
+                count += 1
+                np.matmul(self.gram, Wb, out=M)
+                for dk, col, wk, tk, mk, dl in rows:
+                    h = tk - mk + dk * wk
+                    nv = np.sqrt(np.vecdot(h, h, keepdims=True))
+                    w_new = np.fmax(_ONE - half_a / nv, 0.0) * h / dk
+                    np.subtract(w_new, wk, out=dl)
+                    # the outer product col dl^T: a product with one term is exact
+                    M += np.matmul(col, dl, out=outer)
+                    wk[...] = w_new
+                if count == max_inner:
+                    done = None
+                    break
+                # max and sqrt commute, so this is the largest row change
+                worst = np.sqrt(np.max(np.vecdot(delta, delta), axis=1))
+                # relative to the iterate scale, matching the outlier block
+                scale = 1.0 + np.max(_row_norms(Wb), axis=1)
+                done = worst < inner_tol * scale
+                if done.any():
+                    break
+            # a row zeroed from negative entries holds -0.0; adding 0.0 makes
+            # it 0.0 and leaves every other value as it is
+            if done is None or done.all():
+                W[todo] = Wb + 0.0
+                sweeps[todo] = count
+                return sweeps
+            W[todo[done]] = Wb[done] + 0.0
+            sweeps[todo[done]] = count
+            keep = ~done
+            todo, Wa, T0a, half_a = todo[keep], Wb[keep], Tb[keep], half_a[keep]
 
 
 def _v_block(M, V_prev):
-    """Orthogonal Procrustes: maximize tr(M V) over V^T V = I, V = S U^T."""
-    if not np.any(M):
-        if V_prev is None:
-            raise DataError("cannot update V: W^T G^T F is identically zero and no fallback V given")
-        return V_prev
+    """Orthogonal Procrustes: maximize tr(M V) over V^T V = I, V = S U^T.
+
+    M is one (r, q) matrix or a stack of them; a zero M keeps its V_prev.
+    V does not depend on the signs the SVD picks: negating a left singular
+    vector and its right partner leaves every product in S U^T unchanged.
+    """
+    zero = ~M.any(axis=(-2, -1))
+    if zero.any() and V_prev is None:
+        raise DataError("cannot update V: W^T G^T F is identically zero and no fallback V given")
     U, _, St = np.linalg.svd(M, full_matrices=False)
-    # deterministic sign convention: largest-magnitude entry of each left vector positive
-    for j in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
-            St[j, :] = -St[j, :]
-    return St.T @ U.T
+    V = St.mT @ U.mT
+    if zero.any():
+        V[zero] = V_prev[zero]
+    return V
 
 
 def update_outlier_rows(C, d: Dataset, a, W, V, phi_c: float,
@@ -146,24 +196,24 @@ def update_outlier_rows(C, d: Dataset, a, W, V, phi_c: float,
     """Update the per-subject offset rows given W and V.
 
     Each row decouples: c_i = (1 - phi_c / (2 a_i^2 ||r_i||))_+ r_i with
-    r_i the i-th unweighted residual row of Y - Z W V^T.
+    r_i the i-th unweighted residual row of Y - Z W V^T. The update is exact
+    in one step, so the current C, inner_tol and max_inner do not affect it;
+    they are accepted so that existing calls keep working.
     """
     a = _avec(a)
-    Z = assemble_design(d)
-    C_new, _ = _c_block(d.Y, Z, a, np.asarray(W, float), np.asarray(V, float),
-                        phi_c, inner_tol, max_inner, np.asarray(C, float))
-    return C_new
+    D = d.Y - assemble_design(d) @ (np.asarray(W, float) @ np.asarray(V, float).T)
+    return _shrink_rows(D, phi_c / (2.0 * a * a))
 
 
 def update_loading_rows(W, d: Dataset, a, C, V, lambda_w: float,
                         inner_tol: float = 1e-8, max_inner: int = 100) -> np.ndarray:
     """Cyclic group-lasso updates of the covariate loading rows given C and V."""
     a = _avec(a)
-    Z = assemble_design(d)
-    G = a[:, None] * Z
+    G = a[:, None] * assemble_design(d)
     FV = (a[:, None] * (d.Y - np.asarray(C, float))) @ np.asarray(V, float)
-    W_new, _ = _w_block(G, FV, np.asarray(W, float), lambda_w, inner_tol, max_inner)
-    return W_new
+    W_new = np.array(W, dtype=float, ndmin=3)
+    _RowSweeps(G.T @ G)((G.T @ FV)[None], W_new, [lambda_w / 2.0], inner_tol, max_inner)
+    return W_new[0]
 
 
 def update_orthogonal_factor(W, d: Dataset, a, C, V=None) -> np.ndarray:
@@ -186,12 +236,15 @@ def update_orthogonal_factor(W, d: Dataset, a, C, V=None) -> np.ndarray:
 # =============================================================================
 
 
-def _objective_arrays(Y, Z, a, W, V, C, lambda_w, phi_c):
-    R = a[:, None] * (Y - Z @ (W @ V.T) - C)
-    fid = float(np.sum(R * R))
-    pen_c = phi_c * float(np.sum(np.linalg.norm(C, axis=1)))
-    pen_w = lambda_w * float(np.sum(np.linalg.norm(W, axis=1)))
-    return fid + pen_c + pen_w
+def _objectives(Y, Z, a, W, V, C, lambdas, phis):
+    """Penalized objective of each problem in a stack, and its residual
+    Y - Z W V^T before offsets, which the next C step reuses."""
+    D = Y - Z @ (W @ V.mT)
+    R = a[:, None] * (D - C)
+    fid = (R * R).reshape(len(R), -1).sum(axis=1)
+    pen_c = phis * _row_norms(C).sum(axis=1)
+    pen_w = lambdas * _row_norms(W).sum(axis=1)
+    return fid + pen_c + pen_w, D
 
 
 def objective(model: FactorModel, d: Dataset, a, cfg: FitConfig) -> float:
@@ -205,8 +258,9 @@ def objective(model: FactorModel, d: Dataset, a, cfg: FitConfig) -> float:
         )
     if model.V.shape[0] != d.q or model.C.shape[0] != d.n:
         raise DataError("model outcome/offset dimensions do not match the dataset")
-    Z = assemble_design(d)
-    return _objective_arrays(d.Y, Z, a, model.W, model.V, model.C, cfg.lambda_w, cfg.phi_c)
+    obj, _ = _objectives(d.Y, assemble_design(d), a, model.W[None], model.V[None],
+                         model.C[None], np.array([cfg.lambda_w]), np.array([cfg.phi_c]))
+    return float(obj[0])
 
 
 @dataclass(frozen=True)
@@ -214,7 +268,8 @@ class FitTrace:
     """Per-iteration record of a solver run.
 
     objective[0] is the value at initialization; objective[t] after outer
-    sweep t. The sequence is non-increasing.
+    sweep t. The sequence is non-increasing. c_sweeps[t] is 1 when the exact
+    C step ran (0 with C frozen); w_sweeps[t] counts the W row sweeps.
     """
 
     objective: np.ndarray
@@ -236,6 +291,87 @@ def _initialize(Y, Z, a, rank):
     return W0, V0
 
 
+def _descend(Y, Z, a, cfg: FitConfig, lambdas, phis, update_c: bool) -> list:
+    """Block descent on a stack of problems that share (Y, Z, a), the rank
+    and the tolerances of cfg, and differ in their penalties.
+
+    The Gram matrix and the initializer are computed once for the stack. Each
+    problem keeps its own inner and outer convergence state and leaves the
+    stack when it stops, so its iterates, trace and stopping point are those
+    of the same problem solved alone. Returns one FactorModel per problem.
+    """
+    m = len(lambdas)
+    G = a[:, None] * Z
+    sweep = _RowSweeps(G.T @ G)
+    W0, V0 = _initialize(Y, Z, a, cfg.rank)
+    lam = np.asarray(lambdas, dtype=float)
+    phi = np.asarray(phis, dtype=float)
+    c_thr = phi[:, None] / (2.0 * a * a)
+    W = np.repeat(W0[None], m, axis=0)
+    V = np.broadcast_to(V0, (m,) + V0.shape)
+    C = np.zeros((m,) + Y.shape)
+    obj, D = _objectives(Y, Z, a, W, V, C, lam, phi)
+    thresh = cfg.outer_tol * np.where(obj > 0, obj, 1.0)
+    objs = [[v] for v in obj.tolist()]
+    c_sweeps = [[] for _ in range(m)]
+    w_sweeps = [[] for _ in range(m)]
+    models = [None] * m
+    todo = np.arange(m)
+
+    for n_outer in range(1, cfg.max_outer + 1):
+        if update_c:
+            C = _shrink_rows(D, c_thr)
+        F = a[:, None] * (Y - C)
+        ws = sweep(G.T @ (F @ V), W, lam / 2.0, cfg.inner_tol, cfg.max_inner)
+        V = _v_block(W.mT @ (G.T @ F), V)
+        new, D = _objectives(Y, Z, a, W, V, C, lam, phi)
+        if not np.isfinite(new).all():
+            raise NumericalError(f"objective became non-finite at outer iteration {n_outer}")
+        converged = obj - new < thresh
+        last = n_outer == cfg.max_outer
+        for i, (j, o, s, c) in enumerate(zip(todo.tolist(), new.tolist(), ws.tolist(),
+                                             converged.tolist())):
+            objs[j].append(o)
+            c_sweeps[j].append(int(update_c))
+            w_sweeps[j].append(s)
+            if c or last:
+                trace = FitTrace(objective=np.asarray(objs[j]), c_sweeps=c_sweeps[j],
+                                 w_sweeps=w_sweeps[j], converged=c, n_outer=n_outer)
+                models[j] = FactorModel(W=W[i], V=V[i], C=C[i], rank=cfg.rank, trace=trace)
+        if last or converged.all():
+            return models
+        if converged.any():
+            keep = ~converged
+            todo, W, V, C, D = todo[keep], W[keep], V[keep], C[keep], D[keep]
+            lam, phi, c_thr, thresh = lam[keep], phi[keep], c_thr[keep], thresh[keep]
+            new = new[keep]
+        obj = new
+
+
+def fit_batch(d: Dataset, a, cfgs, update_c: bool = True) -> list:
+    """Fit one model per configuration, stepping all of them in lockstep.
+
+    The configurations may differ only in lambda_w and phi_c. Every model,
+    trace included, equals the one ``fit`` returns for its configuration,
+    bit for bit; the batch shares the Gram matrix and the initializer and
+    runs each row sweep once for all problems still iterating.
+    """
+    a = _avec(a)
+    if a.shape[0] != d.n:
+        raise DataError(f"weights have {a.shape[0]} entries, expected {d.n}")
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise DataError("fit_batch needs at least one configuration")
+    first = cfgs[0]
+    if any(replace(c, lambda_w=first.lambda_w, phi_c=first.phi_c) != first for c in cfgs[1:]):
+        raise DataError("configurations in one batch may differ only in lambda_w and phi_c")
+    P, q = d.n_features, d.q
+    if first.rank > min(P, q):
+        raise DataError(f"rank {first.rank} exceeds min(p+1, q) = {min(P, q)}")
+    return _descend(d.Y, assemble_design(d), a, first,
+                    [c.lambda_w for c in cfgs], [c.phi_c for c in cfgs], update_c)
+
+
 def fit(d: Dataset, a, cfg: FitConfig, update_c: bool = True) -> FactorModel:
     """Fit the penalized reduced-rank effect model by block descent.
 
@@ -253,55 +389,9 @@ def fit(d: Dataset, a, cfg: FitConfig, update_c: bool = True) -> FactorModel:
 
     Returns the fitted FactorModel with its FitTrace attached. Deterministic:
     the initializer is a ridge-regularized weighted least-squares solve and
-    no randomness is used.
+    no randomness is used. This is ``fit_batch`` with a batch of one.
     """
-    a = _avec(a)
-    if a.shape[0] != d.n:
-        raise DataError(f"weights have {a.shape[0]} entries, expected {d.n}")
-    P, q = d.n_features, d.q
-    if cfg.rank > min(P, q):
-        raise DataError(f"rank {cfg.rank} exceeds min(p+1, q) = {min(P, q)}")
-
-    Y, Z = d.Y, assemble_design(d)
-    G = a[:, None] * Z
-    W, V = _initialize(Y, Z, a, cfg.rank)
-    C = np.zeros((d.n, q))
-
-    objs = [_objective_arrays(Y, Z, a, W, V, C, cfg.lambda_w, cfg.phi_c)]
-    thresh = cfg.outer_tol * (objs[0] if objs[0] > 0 else 1.0)
-    c_sweeps, w_sweeps = [], []
-    converged = False
-    n_outer = 0
-
-    for it in range(cfg.max_outer):
-        n_outer = it + 1
-        if update_c:
-            C, cs = _c_block(Y, Z, a, W, V, cfg.phi_c, cfg.inner_tol, cfg.max_inner, C)
-        else:
-            cs = 0
-        FV = (a[:, None] * (Y - C)) @ V
-        W, ws = _w_block(G, FV, W, cfg.lambda_w, cfg.inner_tol, cfg.max_inner)
-        M = W.T @ (G.T @ (a[:, None] * (Y - C)))
-        V = _v_block(M, V)
-        obj = _objective_arrays(Y, Z, a, W, V, C, cfg.lambda_w, cfg.phi_c)
-        if not np.isfinite(obj):
-            raise NumericalError(f"objective became non-finite at outer iteration {n_outer}")
-        c_sweeps.append(cs)
-        w_sweeps.append(ws)
-        decrease = objs[-1] - obj
-        objs.append(obj)
-        if decrease < thresh:
-            converged = True
-            break
-
-    trace = FitTrace(
-        objective=np.asarray(objs),
-        c_sweeps=c_sweeps,
-        w_sweeps=w_sweeps,
-        converged=converged,
-        n_outer=n_outer,
-    )
-    return FactorModel(W=W, V=V, C=C, rank=cfg.rank, trace=trace)
+    return fit_batch(d, a, [cfg], update_c)[0]
 
 
 def predict_cate(model: FactorModel, X_new) -> CateEstimate:

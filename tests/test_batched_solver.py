@@ -1,0 +1,281 @@
+"""The lockstep batched solver against serial fits, bit for bit.
+
+``fit_batch`` steps many problems together; each must come out exactly as
+when solved alone. ``_serial_fit`` below is a plain one-problem reference of
+the block descent (a Python loop over loading rows, the C step applied once
+per outer iteration) and is the oracle for ``fit``, ``fit_batch`` and the
+squared-loss baselines.
+"""
+
+import numpy as np
+import pytest
+
+from multicate import (
+    CvGrid,
+    DataError,
+    FitConfig,
+    assemble_design,
+    cross_validate,
+    fit,
+    fit_batch,
+    fit_wfull,
+    fit_wmcm,
+    group_soft_threshold,
+    kfold_split,
+    validate_dataset,
+)
+from multicate import model_selection
+
+from conftest import make_dataset
+
+# =============================================================================
+# serial reference
+# =============================================================================
+
+
+def _ref_w_block(gram, T0, W, lam, inner_tol, max_inner):
+    W = W.copy()
+    diag = np.diag(gram)
+    sweeps = 0
+    for _ in range(max_inner):
+        sweeps += 1
+        M = gram @ W
+        worst = 0.0
+        for k in range(W.shape[0]):
+            if diag[k] <= 0.0:
+                W[k] = 0.0
+                continue
+            w_new = group_soft_threshold(T0[k] - M[k] + diag[k] * W[k], lam / 2.0) / diag[k]
+            change = np.linalg.norm(w_new - W[k])
+            if change > 0.0:
+                M += np.outer(gram[:, k], w_new - W[k])
+                W[k] = w_new
+                worst = max(worst, change)
+        if worst < inner_tol * (1.0 + np.max(np.linalg.norm(W, axis=1))):
+            break
+    return W, sweeps
+
+
+def _ref_objective(Y, Z, a, W, V, C, lam, phi):
+    R = a[:, None] * (Y - Z @ (W @ V.T) - C)
+    return (float(np.sum(R * R)) + phi * float(np.sum(np.linalg.norm(C, axis=1)))
+            + lam * float(np.sum(np.linalg.norm(W, axis=1))))
+
+
+def _serial_fit(d, a, cfg, update_c=True):
+    Y, Z = d.Y, assemble_design(d)
+    G = a[:, None] * Z
+    aa = a * a
+    H = Z.T @ (Z * aa[:, None]) + 1e-8 * np.eye(Z.shape[1])
+    gamma0 = np.linalg.solve(H, Z.T @ (Y * aa[:, None]))
+    V = np.linalg.svd(Z @ gamma0, full_matrices=False)[2][:cfg.rank].T
+    W = gamma0 @ V
+    C = np.zeros_like(Y)
+    lam, phi = cfg.lambda_w, cfg.phi_c
+    objs = [_ref_objective(Y, Z, a, W, V, C, lam, phi)]
+    thresh = cfg.outer_tol * (objs[0] if objs[0] > 0 else 1.0)
+    w_sweeps, converged = [], False
+    for _ in range(cfg.max_outer):
+        if update_c:
+            R = Y - Z @ (W @ V.T)
+            norms = np.linalg.norm(R, axis=1)
+            thr = phi / (2.0 * a * a)
+            scale = np.zeros_like(norms)
+            pos = norms > 0
+            scale[pos] = np.maximum(0.0, 1.0 - thr[pos] / norms[pos])
+            C = scale[:, None] * R
+        F = a[:, None] * (Y - C)
+        W, ws = _ref_w_block(G.T @ G, G.T @ (F @ V), W, lam, cfg.inner_tol, cfg.max_inner)
+        w_sweeps.append(ws)
+        M = W.T @ (G.T @ F)
+        if np.any(M):
+            U, _, St = np.linalg.svd(M, full_matrices=False)
+            V = St.T @ U.T
+        objs.append(_ref_objective(Y, Z, a, W, V, C, lam, phi))
+        if objs[-2] - objs[-1] < thresh:
+            converged = True
+            break
+    return W, V, C, objs, w_sweeps, converged
+
+
+def _assert_same_model(got, ref, update_c=True):
+    W, V, C, objs, w_sweeps, converged = ref
+    assert np.array_equal(got.W, W) and np.array_equal(got.V, V) and np.array_equal(got.C, C)
+    tr = got.trace
+    assert np.array_equal(tr.objective, objs)
+    assert tr.w_sweeps == w_sweeps
+    assert tr.c_sweeps == [int(update_c)] * len(w_sweeps)
+    assert tr.n_outer == len(w_sweeps)
+    assert tr.converged == converged
+
+
+def _assert_same_fit(m1, m2):
+    assert np.array_equal(m1.W, m2.W) and np.array_equal(m1.V, m2.V)
+    assert np.array_equal(m1.C, m2.C)
+    t1, t2 = m1.trace, m2.trace
+    assert np.array_equal(t1.objective, t2.objective)
+    assert (t1.w_sweeps, t1.c_sweeps, t1.n_outer, t1.converged) == \
+        (t2.w_sweeps, t2.c_sweeps, t2.n_outer, t2.converged)
+
+
+def _contaminated(n=90, p=4, q=4, seed=3):
+    d, _ = make_dataset(n, p, q, seed=seed)
+    Y = np.array(d.Y)
+    Y[:5] += 12.0
+    return validate_dataset(d.X, Y, d.T)
+
+
+def _grid_cfgs(rank, **kw):
+    return [FitConfig(rank=rank, lambda_w=lam, phi_c=phi, **kw)
+            for lam in (0.0, 1.0, 20.0) for phi in (0.0, 0.5, 20.0)]
+
+
+# =============================================================================
+# batched = serial
+# =============================================================================
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_batch_equals_serial_on_mixed_grid(rank):
+    d = _contaminated()
+    a = np.random.default_rng(rank).uniform(0.6, 1.6, d.n)
+    cfgs = _grid_cfgs(rank)
+    batch = fit_batch(d, a, cfgs)
+    alone = [fit(d, a, cfg) for cfg in cfgs]
+    for cfg, model, single in zip(cfgs, batch, alone):
+        _assert_same_fit(model, single)
+        _assert_same_model(model, _serial_fit(d, a, cfg))
+    # rows zeroed by the penalty hold 0.0, never -0.0 (model files print both)
+    zeros = np.concatenate([m.W[m.W == 0.0] for m in batch + alone])
+    assert zeros.size and not np.signbit(zeros).any()
+
+
+def test_batch_order_does_not_matter():
+    d = _contaminated(seed=8)
+    a = np.ones(d.n)
+    cfgs = _grid_cfgs(2)
+    forward = fit_batch(d, a, cfgs)
+    backward = fit_batch(d, a, cfgs[::-1])[::-1]
+    for m1, m2 in zip(forward, backward):
+        _assert_same_fit(m1, m2)
+
+
+def test_batch_mixes_converged_and_capped_problems():
+    d = _contaminated(seed=5)
+    a = np.ones(d.n)
+    cfgs = _grid_cfgs(2, max_outer=4)
+    batch = fit_batch(d, a, cfgs)
+    assert {m.trace.converged for m in batch} == {True, False}
+    for cfg, model in zip(cfgs, batch):
+        assert model.trace.n_outer <= 4
+        _assert_same_model(model, _serial_fit(d, a, cfg))
+
+
+def test_batch_with_zero_design_column():
+    d = _contaminated(seed=11)
+    X = np.array(d.X)
+    X[:, 2] = 0.0
+    d = validate_dataset(X, d.Y, d.T)
+    a = np.ones(d.n)
+    cfgs = _grid_cfgs(1)
+    for cfg, model in zip(cfgs, fit_batch(d, a, cfgs)):
+        assert not np.any(model.W[2])
+        _assert_same_model(model, _serial_fit(d, a, cfg))
+
+
+def test_batch_with_frozen_offsets():
+    d = _contaminated(seed=13)
+    a = np.random.default_rng(0).uniform(0.6, 1.6, d.n)
+    cfgs = [FitConfig(rank=2, lambda_w=lam) for lam in (0.0, 2.0, 30.0)]
+    for cfg, model in zip(cfgs, fit_batch(d, a, cfgs, update_c=False)):
+        assert not np.any(model.C)
+        _assert_same_fit(model, fit(d, a, cfg, update_c=False))
+        _assert_same_model(model, _serial_fit(d, a, cfg, update_c=False), update_c=False)
+
+
+def test_batch_rejects_configurations_that_differ_beyond_penalties():
+    d = _contaminated()
+    with pytest.raises(DataError, match="differ only"):
+        fit_batch(d, np.ones(d.n), [FitConfig(rank=1), FitConfig(rank=2)])
+    with pytest.raises(DataError, match="at least one"):
+        fit_batch(d, np.ones(d.n), [])
+
+
+# =============================================================================
+# squared-loss baselines share the row sweep
+# =============================================================================
+
+
+def _ref_baseline(d, a, lam, cfg, main_effect):
+    # wmcm: one row sweep per outer iteration on the fixed target A Y;
+    # wfull: alternate the main-effect solve with a full row-sweep block
+    X, Y, Z = d.X, d.Y, assemble_design(d)
+    G = a[:, None] * Z
+    aa = a * a
+    H = X.T @ (X * aa[:, None])
+    gamma, B = np.zeros((d.n_features, d.q)), np.zeros((d.n_features, d.q))
+
+    def obj():
+        if main_effect:
+            R = a[:, None] * (Y - X @ B - Z @ gamma)
+        else:
+            R = a[:, None] * Y - G @ gamma
+        return float(np.sum(R * R)) + lam * float(np.sum(np.linalg.norm(gamma, axis=1)))
+
+    objs = [obj()]
+    thresh = cfg.outer_tol * (objs[0] if objs[0] > 0 else 1.0)
+    for _ in range(cfg.max_outer):
+        if main_effect:
+            B = np.linalg.solve(H, X.T @ ((Y - Z @ gamma) * aa[:, None]))
+        sweeps = cfg.max_inner if main_effect else 1
+        gamma, _ = _ref_w_block(G.T @ G, G.T @ (a[:, None] * (Y - X @ B)), gamma, lam,
+                                cfg.inner_tol, sweeps)
+        objs.append(obj())
+        if objs[-2] - objs[-1] < thresh:
+            break
+    return gamma, B, objs
+
+
+def test_wmcm_and_wfull_equal_serial_reference():
+    d = _contaminated(seed=17)
+    a = np.random.default_rng(2).uniform(0.6, 1.6, d.n)
+    cfg = FitConfig(rank=1)
+    for lam in (0.0, 3.0, 40.0):
+        gamma, _, objs = _ref_baseline(d, a, lam, cfg, main_effect=False)
+        got = fit_wmcm(d, a, lam, cfg)
+        assert np.array_equal(got.gamma, gamma) and np.array_equal(got.trace.objective, objs)
+        gamma, B, objs = _ref_baseline(d, a, lam, cfg, main_effect=True)
+        got = fit_wfull(d, a, lam, cfg)
+        assert np.array_equal(got.gamma, gamma) and np.array_equal(got.B, B)
+        assert np.array_equal(got.trace.objective, objs)
+
+
+# =============================================================================
+# cross-validation: batched and deduplicated = naive loop
+# =============================================================================
+
+
+def _naive_per_fold(d, grid, method, cfg):
+    assignment = kfold_split(d.T, grid.folds, grid.seed)
+    out = np.empty((len(grid.lambdas), len(grid.phis), len(grid.ranks), grid.folds))
+    for f in range(grid.folds):
+        held = assignment == f
+        d_tr, d_he = model_selection._subset(d, ~held), model_selection._subset(d, held)
+        a_tr, a_he = model_selection._fold_weights(d_tr, d_he, "rct")
+        for i, lam in enumerate(grid.lambdas):
+            for j, phi in enumerate(grid.phis):
+                for k, rank in enumerate(grid.ranks):
+                    gamma = model_selection._fit_gamma(method, d_tr, a_tr, lam, phi, rank, cfg)
+                    out[i, j, k, f] = model_selection._gamma_loss(gamma, d_he, a_he)
+    return out
+
+
+@pytest.mark.parametrize("method", ["wmcmr4", "wmcmrrr", "wmcm"])
+def test_cross_validate_equals_naive_loop(method):
+    d = _contaminated(n=80, seed=21)
+    grid = CvGrid(lambdas=(1.0, 20.0), phis=(0.5, 20.0, 80.0), ranks=(1, 2), folds=3, seed=4)
+    cfg = FitConfig(rank=2)
+    result = cross_validate(d, grid, method, cfg=cfg)
+    naive = _naive_per_fold(d, grid, method, cfg)
+    assert np.array_equal(result.per_fold_loss, naive)
+    assert np.array_equal(result.mean_loss, naive.mean(axis=3))
