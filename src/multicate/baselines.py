@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import DataError, Dataset, FitConfig, NumericalError, assemble_design
-from .solver import FitTrace, _avec, _RowSweeps, fit as _fit_factor, group_soft_threshold
+from .solver import FitTrace, _avec, _row_norms, _RowSweeps, fit as _fit_factor
 
 HUBER_DELTA = 1e-4
 
@@ -34,10 +34,6 @@ class BaselineModel:
     method: str
     B: np.ndarray | None = None
     trace: "FitTrace | None" = field(default=None, compare=False, repr=False)
-
-
-def _row_norm_sum(M):
-    return float(np.sum(np.linalg.norm(M, axis=1)))
 
 
 def fit_wmcmrrr(d: Dataset, a, rank: int, lambda_w: float = 0.0,
@@ -73,7 +69,7 @@ def fit_wmcm(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> Ba
 
     def obj(g):
         R = Yw - G @ g
-        return float(np.sum(R * R)) + lambda_w * _row_norm_sum(g)
+        return float(np.sum(R * R)) + lambda_w * _row_norms(g).sum()
 
     objs = [obj(gamma)]
     thresh = cfg.outer_tol * (objs[0] if objs[0] > 0 else 1.0)
@@ -121,7 +117,7 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
 
     def obj(b, g):
         R = a[:, None] * (Y - X @ b - Z @ g)
-        return float(np.sum(R * R)) + lambda_w * _row_norm_sum(g)
+        return float(np.sum(R * R)) + lambda_w * _row_norms(g).sum()
 
     objs = [obj(B, gamma)]
     thresh = cfg.outer_tol * (objs[0] if objs[0] > 0 else 1.0)
@@ -166,14 +162,14 @@ def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None,
         return float(np.sum(np.where(quad, R * R / (2.0 * delta), absr - delta / 2.0)))
 
     def prox(P, t):
-        out = np.empty_like(P)
-        for k in range(P.shape[0]):
-            out[k] = group_soft_threshold(P[k], t)
-        return out
+        # group soft threshold of every row: fmax maps 0/0 to 0, + 0.0 maps -0.0 to 0.0
+        nv = np.sqrt(np.vecdot(P, P, keepdims=True))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.fmax(1.0 - t / nv, 0.0) * P + 0.0
 
     R = Yw - G @ gamma
     loss = smooth_loss(R)
-    objs = [loss + lambda_w * _row_norm_sum(gamma)]
+    objs = [loss + lambda_w * _row_norms(gamma).sum()]
     thresh = cfg.outer_tol * (objs[0] if objs[0] > 0 else 1.0)
     eta = 1.0
     for _ in range(max_iter):
@@ -190,7 +186,7 @@ def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None,
             if eta < 1e-20:
                 raise NumericalError("line search failed in absolute-loss fit")
         gamma, R, loss = cand, R_cand, lhs
-        objs.append(loss + lambda_w * _row_norm_sum(gamma))
+        objs.append(loss + lambda_w * _row_norms(gamma).sum())
         if objs[-2] - objs[-1] < thresh:
             trace = FitTrace(objective=np.asarray(objs), converged=True, n_outer=len(objs) - 1)
             return BaselineModel(gamma=gamma, method="wmcml1", trace=trace)

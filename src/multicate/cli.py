@@ -26,8 +26,8 @@ from .model_io import (
     write_replication_csv,
     write_summary_csv,
 )
-from .model_selection import CvGrid, _fit_gamma, cross_validate, default_cv_grid
-from .simulation import METHOD_ALIASES, ScenarioSpec, run_scenario
+from .model_selection import METHOD_ALIASES, METHODS, CvGrid, cross_validate, default_cv_grid
+from .simulation import ScenarioSpec, run_scenario
 from .solver import fit
 from .weights import resolve_weights
 
@@ -88,7 +88,13 @@ def _add_solver_args(p):
     p.add_argument("--inner-tol", type=float, default=1e-8)
     p.add_argument("--max-outer", type=_positive_int, default=500)
     p.add_argument("--max-inner", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_grid_args(p):
+    p.add_argument("--lambdas", type=_float_list, default=None)
+    p.add_argument("--phis", type=_float_list, default=None)
+    p.add_argument("--ranks", type=_int_list, default=None)
+    p.add_argument("--folds", type=_positive_int, default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,12 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cv = sub.add_parser("cv", help="cross-validate penalties and rank, then refit")
     _add_data_args(p_cv)
-    p_cv.add_argument("--method", choices=("wmcmr4", "wmcmrrr", "wmcml1", "wmcm", "wfull"),
-                      default="wmcmr4")
-    p_cv.add_argument("--lambdas", type=_float_list, default=None)
-    p_cv.add_argument("--phis", type=_float_list, default=None)
-    p_cv.add_argument("--ranks", type=_int_list, default=None)
-    p_cv.add_argument("--folds", type=_positive_int, default=5)
+    p_cv.add_argument("--method", choices=METHODS, default="wmcmr4")
+    _add_grid_args(p_cv)
+    p_cv.add_argument("--seed", type=int, default=0, help="seed of the fold assignment")
     _add_solver_args(p_cv)
     p_cv.add_argument("--cv-out", default=None, help="per-fold loss CSV")
     p_cv.add_argument("--model-out", default=None, help="refit best model and save here")
@@ -128,10 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--cv", action="store_true",
                        help="select hyperparameters by CV inside each replication")
-    p_sim.add_argument("--lambdas", type=_float_list, default=None)
-    p_sim.add_argument("--phis", type=_float_list, default=None)
-    p_sim.add_argument("--ranks", type=_int_list, default=None)
-    p_sim.add_argument("--folds", type=_positive_int, default=5)
+    _add_grid_args(p_sim)
     p_sim.add_argument("--out", required=True, help="replication CSV path")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -173,8 +173,18 @@ def _standardize(d: Dataset, has_intercept: bool):
 def _config_from_args(args, rank=1, lambda_w=0.0, phi_c=0.0):
     return FitConfig(rank=rank, lambda_w=lambda_w, phi_c=phi_c,
                      outer_tol=args.outer_tol, inner_tol=args.inner_tol,
-                     max_outer=args.max_outer, max_inner=args.max_inner,
-                     seed=args.seed)
+                     max_outer=args.max_outer, max_inner=args.max_inner)
+
+
+def _grid_from_args(args, seed):
+    # the CV grid given by --lambdas/--phis/--ranks, or None when none is given
+    axes = (args.lambdas, args.phis, args.ranks)
+    if all(v is None for v in axes):
+        return None
+    if any(v is None for v in axes):
+        raise UsageError("--lambdas, --phis, and --ranks must be given together")
+    return CvGrid(lambdas=args.lambdas, phis=args.phis, ranks=args.ranks,
+                  folds=args.folds, seed=seed)
 
 
 def _cmd_fit(args) -> int:
@@ -196,13 +206,8 @@ def _cmd_fit(args) -> int:
 def _cmd_cv(args) -> int:
     d, cov_names, out_names, meta = _load_dataset(args)
     a = resolve_weights(d, args.propensity)
-    axes = (args.lambdas, args.phis, args.ranks)
-    if any(v is not None for v in axes):
-        if any(v is None for v in axes):
-            raise UsageError("--lambdas, --phis, and --ranks must be given together")
-        grid = CvGrid(lambdas=args.lambdas, phis=args.phis, ranks=args.ranks,
-                      folds=args.folds, seed=args.seed)
-    else:
+    grid = _grid_from_args(args, args.seed)
+    if grid is None:
         grid = default_cv_grid(d, a, folds=args.folds, seed=args.seed)
     cfg = _config_from_args(args)
     result = cross_validate(d, grid, method=args.method,
@@ -266,14 +271,7 @@ def _cmd_simulate(args) -> int:
     for m in methods:
         if m.lower() not in METHOD_ALIASES:
             raise UsageError(f"unknown method {m!r}")
-    grid = None
-    axes = (args.lambdas, args.phis, args.ranks)
-    if any(v is not None for v in axes):
-        if any(v is None for v in axes):
-            raise UsageError("--lambdas, --phis, and --ranks must be given together")
-        grid = CvGrid(lambdas=args.lambdas, phis=args.phis, ranks=args.ranks,
-                      folds=args.folds, seed=spec.seed)
-    rows = run_scenario(spec, methods, cv=args.cv, grid=grid)
+    rows = run_scenario(spec, methods, cv=args.cv, grid=_grid_from_args(args, spec.seed))
     write_replication_csv(rows, args.out)
     print(f"simulate: {spec.scenario_id} replications={spec.replications} "
           f"rows={len(rows)} out={args.out}")

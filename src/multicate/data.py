@@ -70,7 +70,6 @@ class FitConfig:
     inner_tol: float = 1e-8
     max_outer: int = 500
     max_inner: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if int(self.rank) != self.rank or self.rank < 1:

@@ -203,7 +203,8 @@ def load_model(path) -> ModelArtifact:
         raise DataError(f"{path}: stored gamma does not match W V^T")
     cfg = None
     if doc.get("config") is not None:
-        cfg = FitConfig(**doc["config"])
+        # files written before FitConfig lost its unused seed field still hold it
+        cfg = FitConfig(**{k: v for k, v in doc["config"].items() if k != "seed"})
     return ModelArtifact(model=model, config=cfg,
                          weight_source=doc.get("weight_source"),
                          objective_trace=doc.get("objective_trace"),

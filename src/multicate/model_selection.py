@@ -9,15 +9,41 @@ to unseen subjects.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import baselines
 from .data import DataError, Dataset, FactorModel, FitConfig, assemble_design
 from .solver import _avec, fit as _fit_factor, fit_batch
-from .weights import PROPENSITY_CLIP, WeightVector, _logistic_irls, compute_weights, rct_weights
+from .weights import _logistic_irls, _propensity, compute_weights, resolve_weights
 
-METHODS = ("wmcmr4", "wmcmrrr", "wmcml1", "wmcm", "wfull")
+
+class _Estimator(NamedTuple):
+    axes: tuple     # grid axes used besides lambda: "phi" (the C penalty), "rank"
+    fit: Callable   # (d, a, cfg) -> model; cfg holds rank, lambda_w and phi_c
+
+
+# Every estimator, named once. The fits look _fit_factor and baselines.fit_* up
+# when called, so rebinding those module attributes reaches every caller.
+_ESTIMATORS = {
+    "wmcmr4": _Estimator(("phi", "rank"), lambda d, a, cfg: _fit_factor(d, a, cfg)),
+    "wmcmrrr": _Estimator(("rank",), lambda d, a, cfg: baselines.fit_wmcmrrr(
+        d, a, cfg.rank, cfg.lambda_w, cfg)),
+    "wmcml1": _Estimator((), lambda d, a, cfg: baselines.fit_wmcm_l1(d, a, cfg.lambda_w, cfg)),
+    "wmcm": _Estimator((), lambda d, a, cfg: baselines.fit_wmcm(d, a, cfg.lambda_w, cfg)),
+    "wfull": _Estimator((), lambda d, a, cfg: baselines.fit_wfull(d, a, cfg.lambda_w, cfg)),
+}
+METHODS = tuple(_ESTIMATORS)
+# names used when the design is a randomized trial (identity weights)
+METHOD_ALIASES = {**{m: m for m in METHODS},
+                  "mcmrrr": "wmcmrrr", "mcml1": "wmcml1", "mcm": "wmcm", "full": "wfull"}
+
+
+def _estimator(method) -> _Estimator:
+    if method not in _ESTIMATORS:
+        raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
+    return _ESTIMATORS[method]
 
 
 @dataclass(frozen=True)
@@ -106,62 +132,53 @@ def _subset(d: Dataset, idx) -> Dataset:
 
 
 def _fold_weights(d_train, d_held, source):
-    if source == "rct":
-        return rct_weights(d_train.n), rct_weights(d_held.n)
-    if source == "known":
-        if d_train.propensity is None:
-            raise DataError("known-propensity weights requested but dataset has none")
-        return (compute_weights(d_train.T, d_train.propensity),
-                compute_weights(d_held.T, d_held.propensity))
-    if source == "logistic":
-        # re-fit inside the training fold only; score both folds with it
-        beta = _logistic_irls(d_train.X, (d_train.T + 1.0) / 2.0)
-        lo, hi = PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP
-        pi_tr = np.clip(1.0 / (1.0 + np.exp(-(d_train.X @ beta))), lo, hi)
-        pi_he = np.clip(1.0 / (1.0 + np.exp(-(d_held.X @ beta))), lo, hi)
-        return (compute_weights(d_train.T, pi_tr, source="logistic_fit"),
-                compute_weights(d_held.T, pi_he, source="logistic_fit"))
-    raise DataError(f"unknown propensity source {source!r}")
+    if source != "logistic":
+        return resolve_weights(d_train, source), resolve_weights(d_held, source)
+    # re-fit inside the training fold only; score both folds with it
+    beta = _logistic_irls(d_train.X, (d_train.T + 1.0) / 2.0)
+    return tuple(compute_weights(part.T, _propensity(part.X, beta), source="logistic_fit")
+                 for part in (d_train, d_held))
 
 
 def _fit_gamma(method, d, a, lam, phi, rank, cfg):
-    if method == "wmcmr4":
-        model = _fit_factor(d, a, replace(cfg, rank=rank, lambda_w=lam, phi_c=phi))
-        return model.gamma
-    if method == "wmcmrrr":
-        return baselines.fit_wmcmrrr(d, a, rank, lam, cfg).gamma
-    if method == "wmcm":
-        return baselines.fit_wmcm(d, a, lam, cfg).gamma
-    if method == "wmcml1":
-        return baselines.fit_wmcm_l1(d, a, lam, cfg).gamma
-    if method == "wfull":
-        return baselines.fit_wfull(d, a, lam, cfg).gamma
-    raise DataError(f"unknown method {method!r}")
+    cfg = replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)
+    return _estimator(method).fit(d, a, cfg).gamma
+
+
+def _method_grid(grid: CvGrid, method: str) -> CvGrid:
+    # collapse the axes a method does not use
+    axes = _estimator(method).axes
+    if "phi" not in axes:
+        grid = replace(grid, phis=(0.0,))
+    if "rank" not in axes:
+        grid = replace(grid, ranks=(grid.ranks[0],))
+    return grid
 
 
 def _grid_cells(grid: CvGrid, method: str) -> dict:
-    # distinct fits of the grid, each mapped to the cells that share it:
-    # wmcmrrr ignores phi, and the other baselines ignore phi and rank
+    # distinct fits of the grid, each mapped to the cells that share it: an
+    # axis the method does not use is None in the point
+    axes = _estimator(method).axes
     cells = {}
     for i, lam in enumerate(grid.lambdas):
         for j, phi in enumerate(grid.phis):
             for k, rank in enumerate(grid.ranks):
-                point = (lam, phi if method == "wmcmr4" else None,
-                         rank if method in ("wmcmr4", "wmcmrrr") else None)
+                point = (lam, phi if "phi" in axes else None, rank if "rank" in axes else None)
                 cells.setdefault(point, []).append((i, j, k))
     return cells
 
 
 def _fold_gammas(method, d, a, points, cfg) -> dict:
-    # coefficient matrix of each point fit on one training fold; the factor
-    # methods run one lockstep batch per rank
-    if method not in ("wmcmr4", "wmcmrrr"):
+    # coefficient matrix of each point fit on one training fold; a method that
+    # uses the rank runs one lockstep batch per rank, updating C when it uses phi
+    axes = _estimator(method).axes
+    if "rank" not in axes:
         return {pt: _fit_gamma(method, d, a, pt[0], 0.0, cfg.rank, cfg) for pt in points}
     gammas = {}
     for rank in dict.fromkeys(pt[2] for pt in points):
         batch = [pt for pt in points if pt[2] == rank]
         cfgs = [replace(cfg, rank=rank, lambda_w=lam, phi_c=phi or 0.0) for lam, phi, _ in batch]
-        models = fit_batch(d, a, cfgs, update_c=method == "wmcmr4")
+        models = fit_batch(d, a, cfgs, update_c="phi" in axes)
         gammas.update(zip(batch, (m.gamma for m in models)))
     return gammas
 
@@ -176,14 +193,12 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
     (and rank) is fit once; the losses equal those of fitting every grid
     point with ``fit`` or the baseline alone.
     """
-    if method not in METHODS:
-        raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
+    cells = _grid_cells(grid, method)  # raises on an unknown method
     if cfg is None:
         cfg = FitConfig(rank=max(grid.ranks))
     assignment = kfold_split(d.T, grid.folds, grid.seed)
     shape = (len(grid.lambdas), len(grid.phis), len(grid.ranks), grid.folds)
     per_fold = np.empty(shape)
-    cells = _grid_cells(grid, method)
 
     null_scale = 0.0
     for f in range(grid.folds):

@@ -14,13 +14,20 @@ reproduced in isolation and assembly order is irrelevant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DataError, Dataset, FitConfig, NumericalError, validate_dataset
 from .metrics import evaluate
-from .model_selection import CvGrid, _fit_gamma, cross_validate, default_cv_grid
+from .model_selection import (
+    METHOD_ALIASES,
+    CvGrid,
+    _fit_gamma,
+    _method_grid,
+    cross_validate,
+    default_cv_grid,
+)
 from .weights import resolve_weights
 
 B_SMALL = 6.0 ** -0.5
@@ -28,19 +35,6 @@ B_LARGE = 3.0 ** -0.5
 
 # rank of the true coefficient matrix per pattern id
 TRUE_RANK = {1: 1, 2: 2, 3: 1, 4: 2}
-
-METHOD_ALIASES = {
-    "wmcmr4": "wmcmr4",
-    "wmcmrrr": "wmcmrrr",
-    "wmcml1": "wmcml1",
-    "wmcm": "wmcm",
-    "wfull": "wfull",
-    # names used when the design is a randomized trial (identity weights)
-    "mcmrrr": "wmcmrrr",
-    "mcml1": "wmcml1",
-    "mcm": "wmcm",
-    "full": "wfull",
-}
 
 _P_SET = (10, 50)
 _G_SET = (0.0, 1.0 / 3.0)
@@ -245,15 +239,6 @@ def generate_truth(spec: ScenarioSpec, rng) -> SimulatedTruth:
 METRIC_ORDER = ("mse", "bias", "spearman", "auc")
 
 
-def _method_grid(grid: CvGrid, method: str) -> CvGrid:
-    # collapse axes a method does not use
-    if method == "wmcmr4":
-        return grid
-    if method == "wmcmrrr":
-        return replace(grid, phis=(0.0,))
-    return replace(grid, phis=(0.0,), ranks=(grid.ranks[0],))
-
-
 def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
                  grid: CvGrid | None = None, cfg: FitConfig | None = None,
                  propensity: str | None = None) -> list:
@@ -265,15 +250,14 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
 
     Returns rows (dicts) with keys scenario_id, replication, method, metric,
     value. A failed fit yields one row with metric="error" and value=1.0 for
-    that method; other methods in the replication still run.
+    that method; other methods in the replication still run. Weights are
+    resolved once per replication; if that fails, every method gets its
+    error row.
     """
     requested = list(methods)
-    canon = {}
     for name in requested:
-        key = str(name).lower()
-        if key not in METHOD_ALIASES:
+        if str(name).lower() not in METHOD_ALIASES:
             raise DataError(f"unknown method {name!r}")
-        canon[name] = METHOD_ALIASES[key]
     if propensity is None:
         propensity = "rct" if spec.design == "rct" else "logistic"
 
@@ -283,15 +267,16 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, rep]))
         try:
             truth = generate_truth(spec, rng)
+            a = resolve_weights(truth.dataset, propensity)
         except (DataError, NumericalError):
             for name in requested:
                 rows.append({"scenario_id": sid, "replication": rep, "method": name,
                              "metric": "error", "value": 1.0})
             continue
         for name in requested:
-            method = canon[name]
+            method = METHOD_ALIASES[str(name).lower()]
             try:
-                gamma_hat = _fit_one(truth, method, cv, grid, cfg, propensity, spec)
+                gamma_hat = _fit_one(truth, a, method, cv, grid, cfg, propensity, spec)
                 report = evaluate(gamma_hat, truth.X_test, truth.gamma_true)
                 for metric in METRIC_ORDER:
                     rows.append({"scenario_id": sid, "replication": rep, "method": name,
@@ -302,9 +287,8 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
     return rows
 
 
-def _fit_one(truth, method, cv, grid, cfg, propensity, spec):
+def _fit_one(truth, a, method, cv, grid, cfg, propensity, spec):
     d = truth.dataset
-    a = resolve_weights(d, propensity)
     base = cfg if cfg is not None else FitConfig(rank=1)
     if cv:
         g = grid if grid is not None else default_cv_grid(d, a)

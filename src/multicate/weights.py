@@ -88,7 +88,11 @@ def fit_propensity_logistic(X, T, max_iter: int = 100, tol: float = 1e-10) -> np
     X = np.asarray(X, dtype=float)
     T = np.asarray(T, dtype=float).ravel()
     t = (T + 1.0) / 2.0
-    beta = _logistic_irls(X, t, max_iter=max_iter, tol=tol)
+    return _propensity(X, _logistic_irls(X, t, max_iter=max_iter, tol=tol))
+
+
+def _propensity(X, beta):
+    # expit(X beta) clipped to [PROPENSITY_CLIP, 1 - PROPENSITY_CLIP]
     pi = 1.0 / (1.0 + np.exp(-(X @ beta)))
     return np.clip(pi, PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
 

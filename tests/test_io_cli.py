@@ -21,7 +21,8 @@ from multicate import (
     write_replication_csv,
     write_summary_csv,
 )
-from multicate.cli import run_cli
+from multicate.cli import build_parser, run_cli
+from multicate.model_selection import METHODS
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 COV = os.path.join(DATA_DIR, "trial_covariates.csv")
@@ -163,6 +164,16 @@ def test_model_load_rejects_corruption(tmp_path):
         load_model(_write(tmp_path / "bad4.json", json.dumps(bad)))
     with pytest.raises(DataError, match="cannot read"):
         load_model(str(tmp_path / "absent.json"))
+
+
+def test_model_load_reads_config_with_seed(tmp_path):
+    # files written while FitConfig still had a seed field keep loading
+    art = ModelArtifact(model=_small_model(), config=FitConfig(rank=2, lambda_w=0.3))
+    p = str(tmp_path / "m.json")
+    save_model(art, p)
+    doc = json.load(open(p))
+    doc["config"]["seed"] = 0
+    assert load_model(_write(tmp_path / "old.json", json.dumps(doc))).config == art.config
 
 
 # =============================================================================
@@ -342,6 +353,8 @@ def test_cli_fit_usage_errors(tmp_path, capsys):
     assert err.startswith("error: usage:") and err.count("\n") == 1
     assert run_cli(base + ["--rank", "1", "--propensity", "known"]) == 1
     assert "propensity-column" in capsys.readouterr().err
+    assert run_cli(base + ["--rank", "1", "--seed", "3"]) == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_cli_fit_data_error_exit_two(tmp_path, capsys):
@@ -397,6 +410,11 @@ def test_cli_cv_usage_errors(tmp_path, capsys):
                            "--ranks", "1", "--folds", "2",
                            "--model-out", str(tmp_path / "m.json")]) == 1
     assert "only available for method wmcmr4" in capsys.readouterr().err
+
+
+def test_cli_cv_method_choices_are_the_method_table():
+    cv = build_parser()._subparsers._group_actions[0].choices["cv"]
+    assert next(a.choices for a in cv._actions if a.dest == "method") == METHODS
 
 
 def test_cli_simulate_then_report(tmp_path, capsys):

@@ -7,11 +7,18 @@ from multicate import (
     FactorModel,
     FitConfig,
     cross_validate,
+    ScenarioSpec,
+    compute_weights,
+    cross_validate,
     cv_loss,
     default_cv_grid,
+    generate_truth,
     kfold_split,
+    resolve_weights,
     validate_dataset,
 )
+from multicate import model_selection
+from multicate.weights import PROPENSITY_CLIP, _logistic_irls
 
 from conftest import make_dataset
 
@@ -175,7 +182,7 @@ def test_cross_validate_tie_window_zero_keeps_literal_minimum():
 def test_cross_validate_baseline_methods_run():
     d, _ = make_dataset(40, 2, 2, seed=11)
     grid = CvGrid(lambdas=(0.1,), phis=(0.1,), ranks=(1,), folds=2, seed=0)
-    for method in ("wmcmrrr", "wmcm", "wfull", "wmcml1"):
+    for method in model_selection.METHODS:
         res = cross_validate(d, grid, method=method)
         assert np.all(np.isfinite(res.mean_loss))
     with pytest.raises(DataError, match="unknown method"):
@@ -190,3 +197,39 @@ def test_cross_validate_known_propensity_requires_column():
     grid = CvGrid(lambdas=(0.1,), phis=(0.1,), ranks=(1,), folds=2, seed=0)
     with pytest.raises(DataError, match="propensity"):
         cross_validate(d, grid, propensity="known")
+
+
+@pytest.mark.parametrize("method", model_selection.METHODS)
+def test_method_grid_agrees_with_full_grid(method):
+    # an axis a method does not use collapses to one value without moving a loss
+    d, _ = make_dataset(40, 3, 2, seed=12)
+    grid = CvGrid(lambdas=(0.1, 2.0), phis=(0.5, 5.0), ranks=(1, 2), folds=2, seed=0)
+    small_grid = model_selection._method_grid(grid, method)
+    assert small_grid.lambdas == grid.lambdas
+    assert small_grid.phis in (grid.phis, (0.0,))
+    assert small_grid.ranks in (grid.ranks, grid.ranks[:1])
+    full = cross_validate(d, grid, method=method).per_fold_loss
+    small = cross_validate(d, small_grid, method=method).per_fold_loss
+    shared = full[:, :, :len(small_grid.ranks)]
+    assert np.array_equal(np.broadcast_to(small, shared.shape), shared)
+
+
+def test_fold_weights_equal_weights_module():
+    spec = ScenarioSpec(scenario=3, design="observational", n=300, n_test=10, q=4, seed=1)
+    d = generate_truth(spec, np.random.default_rng(0)).dataset
+    assignment = kfold_split(d.T, 3, seed=0)
+    for f in range(3):
+        d_tr = model_selection._subset(d, assignment != f)
+        d_he = model_selection._subset(d, assignment == f)
+        for source in ("rct", "known", "logistic"):
+            got = model_selection._fold_weights(d_tr, d_he, source)
+            want = [resolve_weights(d_tr, source), resolve_weights(d_he, source)]
+            if source == "logistic":
+                # held-out subjects are scored by the training fold's model
+                beta = _logistic_irls(d_tr.X, (d_tr.T + 1.0) / 2.0)
+                pi = np.clip(1.0 / (1.0 + np.exp(-(d_he.X @ beta))),
+                             PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
+                want[1] = compute_weights(d_he.T, pi, source="logistic_fit")
+            for g, w in zip(got, want):
+                assert g.a.tobytes() == w.a.tobytes() and g.pi.tobytes() == w.pi.tobytes()
+                assert g.source == w.source

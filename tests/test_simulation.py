@@ -3,8 +3,11 @@ import pytest
 
 from multicate import (
     B_SMALL,
+    METHOD_ALIASES,
+    CvGrid,
     DataError,
     FitConfig,
+    NumericalError,
     ScenarioSpec,
     TRUE_RANK,
     assign_treatment,
@@ -16,6 +19,7 @@ from multicate import (
     make_main_effect,
     run_scenario,
 )
+from multicate import model_selection, simulation, weights
 
 
 # =============================================================================
@@ -222,3 +226,47 @@ def test_run_scenario_error_rows():
     assert l1 == [{"scenario_id": spec.scenario_id, "replication": 0,
                    "method": "mcml1", "metric": "error", "value": 1.0}]
     assert len([r for r in rows if r["method"] == "mcm"]) == 4
+
+
+def test_run_scenario_every_name_and_alias():
+    spec = ScenarioSpec(scenario=3, seed=4, **{**_FAST, "replications": 1})
+    grid = CvGrid(lambdas=(1.0, 20.0), phis=(1.0, 30.0), ranks=(1, 2), folds=2)
+    names = list(METHOD_ALIASES)
+    for cv in (False, True):
+        rows = run_scenario(spec, names, cv=cv, grid=grid)
+        by_name = {n: [r["value"] for r in rows if r["method"] == n] for n in names}
+        for name in names:
+            assert len(by_name[name]) == 4 and all(np.isfinite(by_name[name]))
+            # an alias fits exactly what its canonical name fits
+            assert by_name[name] == by_name[METHOD_ALIASES[name]]
+
+
+def test_run_scenario_resolves_weights_once_per_replication(monkeypatch):
+    calls = []
+    irls = weights._logistic_irls
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return irls(*args, **kwargs)
+
+    monkeypatch.setattr(weights, "_logistic_irls", counted)
+    monkeypatch.setattr(model_selection, "_logistic_irls", counted)
+    spec = ScenarioSpec(scenario=3, design="observational", seed=3,
+                        **{**_FAST, "n": 120, "replications": 1})
+    grid = CvGrid(lambdas=(1.0,), phis=(1.0,), ranks=(1,), folds=3)
+    rows = run_scenario(spec, ["wmcmr4", "mcm", "full"], cv=True, grid=grid)
+    assert not any(r["metric"] == "error" for r in rows)
+    # one fit for the replication, then one per training fold of each method's CV
+    assert len(calls) == 1 + 3 * 3
+
+
+def test_run_scenario_weighting_failure_errors_every_method(monkeypatch):
+    def fail(d, source):
+        raise NumericalError("propensity model did not converge")
+
+    monkeypatch.setattr(simulation, "resolve_weights", fail)
+    spec = ScenarioSpec(scenario=3, seed=2, **_FAST)
+    rows = run_scenario(spec, ["wmcmr4", "mcm"])
+    assert rows == [{"scenario_id": spec.scenario_id, "replication": rep, "method": m,
+                     "metric": "error", "value": 1.0}
+                    for rep in range(2) for m in ("wmcmr4", "mcm")]
