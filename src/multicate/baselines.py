@@ -36,6 +36,21 @@ class BaselineModel:
     trace: "FitTrace | None" = field(default=None, compare=False, repr=False)
 
 
+def _outer_loop(step, obj, outer_tol, cap) -> FitTrace:
+    """Run step() until the decrease of obj() falls below outer_tol times the
+    initial objective, or cap times; return the objective trace."""
+    objs = [obj()]
+    thresh = outer_tol * (objs[0] if objs[0] > 0 else 1.0)
+    converged = False
+    for _ in range(cap):
+        step()
+        objs.append(obj())
+        if objs[-2] - objs[-1] < thresh:
+            converged = True
+            break
+    return FitTrace(objective=np.asarray(objs), converged=converged, n_outer=len(objs) - 1)
+
+
 def fit_wmcmrrr(d: Dataset, a, rank: int, lambda_w: float = 0.0,
                 cfg: FitConfig | None = None) -> BaselineModel:
     """Reduced-rank row-sparse fit without the outlier offsets.
@@ -67,22 +82,14 @@ def fit_wmcm(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> Ba
     stack = np.zeros((1, d.n_features, d.q))
     gamma = stack[0]
 
-    def obj(g):
-        R = Yw - G @ g
-        return float(np.sum(R * R)) + lambda_w * _row_norms(g).sum()
-
-    objs = [obj(gamma)]
-    thresh = cfg.outer_tol * (objs[0] if objs[0] > 0 else 1.0)
-    converged = False
-    n_outer = 0
-    for it in range(cfg.max_outer):
-        n_outer = it + 1
+    def step():
         sweep(T0, stack, [lambda_w / 2.0], cfg.inner_tol, 1)
-        objs.append(obj(gamma))
-        if objs[-2] - objs[-1] < thresh:
-            converged = True
-            break
-    trace = FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
+
+    def obj():
+        R = Yw - G @ gamma
+        return float(np.sum(R * R)) + lambda_w * _row_norms(gamma).sum()
+
+    trace = _outer_loop(step, obj, cfg.outer_tol, cfg.max_outer)
     return BaselineModel(gamma=gamma, method="wmcm", trace=trace)
 
 
@@ -106,50 +113,37 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
     gamma = stack[0]
     B = np.zeros((d.n_features, d.q))
 
-    def solve_b(g):
-        rhs = X.T @ ((Y - Z @ g) * aa[:, None])
+    def step():
+        rhs = X.T @ ((Y - Z @ gamma) * aa[:, None])
         try:
-            return np.linalg.solve(H, rhs)
+            B[...] = np.linalg.solve(H, rhs)
         except np.linalg.LinAlgError:
             warnings.warn("singular main-effect normal equations; ridge jitter applied",
-                          RuntimeWarning, stacklevel=2)
-            return np.linalg.solve(H + 1e-8 * np.eye(H.shape[0]), rhs)
-
-    def obj(b, g):
-        R = a[:, None] * (Y - X @ b - Z @ g)
-        return float(np.sum(R * R)) + lambda_w * _row_norms(g).sum()
-
-    objs = [obj(B, gamma)]
-    thresh = cfg.outer_tol * (objs[0] if objs[0] > 0 else 1.0)
-    converged = False
-    n_outer = 0
-    for it in range(cfg.max_outer):
-        n_outer = it + 1
-        B = solve_b(gamma)
+                          RuntimeWarning, stacklevel=3)
+            B[...] = np.linalg.solve(H + 1e-8 * np.eye(H.shape[0]), rhs)
         F = a[:, None] * (Y - X @ B)
         sweep((G.T @ F)[None], stack, [lambda_w / 2.0], cfg.inner_tol, cfg.max_inner)
-        objs.append(obj(B, gamma))
-        if objs[-2] - objs[-1] < thresh:
-            converged = True
-            break
-    trace = FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
+
+    def obj():
+        R = a[:, None] * (Y - X @ B - Z @ gamma)
+        return float(np.sum(R * R)) + lambda_w * _row_norms(gamma).sum()
+
+    trace = _outer_loop(step, obj, cfg.outer_tol, cfg.max_outer)
     return BaselineModel(gamma=gamma, method="wfull", B=B, trace=trace)
 
 
-def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None,
-                max_iter: int | None = None) -> BaselineModel:
+def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> BaselineModel:
     """Absolute-loss row-sparse fit: min ||A(Y - Z Gamma)||_{1,1} + lambda ||Gamma||_{2,1}.
 
     The elementwise absolute loss is smoothed by a narrow Huber function
     (delta = 1e-4) and minimized by proximal gradient with a backtracking
     line search; the recorded objective is the smoothed surrogate, which is
-    non-increasing. Raises NumericalError if the iteration cap is hit.
+    non-increasing. Raises NumericalError if the cap of max_outer * max_inner
+    iterations is hit.
     """
     a = _avec(a)
     if cfg is None:
         cfg = FitConfig(rank=1)
-    if max_iter is None:
-        max_iter = cfg.max_outer * cfg.max_inner
     Z = assemble_design(d)
     G = a[:, None] * Z
     Yw = a[:, None] * d.Y
@@ -169,26 +163,30 @@ def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None,
 
     R = Yw - G @ gamma
     loss = smooth_loss(R)
-    objs = [loss + lambda_w * _row_norms(gamma).sum()]
-    thresh = cfg.outer_tol * (objs[0] if objs[0] > 0 else 1.0)
     eta = 1.0
-    for _ in range(max_iter):
+
+    def step():
+        nonlocal gamma, R, loss, eta
         grad = -G.T @ np.clip(R / delta, -1.0, 1.0)
         while True:
             cand = prox(gamma - eta * grad, eta * lambda_w)
-            step = cand - gamma
+            move = cand - gamma
             R_cand = Yw - G @ cand
             lhs = smooth_loss(R_cand)
-            rhs = loss + float(np.sum(grad * step)) + float(np.sum(step * step)) / (2.0 * eta)
+            rhs = loss + float(np.sum(grad * move)) + float(np.sum(move * move)) / (2.0 * eta)
             if lhs <= rhs + 1e-12 * (1.0 + abs(loss)):
                 break
             eta *= 0.5
             if eta < 1e-20:
                 raise NumericalError("line search failed in absolute-loss fit")
         gamma, R, loss = cand, R_cand, lhs
-        objs.append(loss + lambda_w * _row_norms(gamma).sum())
-        if objs[-2] - objs[-1] < thresh:
-            trace = FitTrace(objective=np.asarray(objs), converged=True, n_outer=len(objs) - 1)
-            return BaselineModel(gamma=gamma, method="wmcml1", trace=trace)
         eta *= 1.5
-    raise NumericalError(f"absolute-loss fit did not converge in {max_iter} iterations")
+
+    def obj():
+        return loss + lambda_w * _row_norms(gamma).sum()
+
+    cap = cfg.max_outer * cfg.max_inner
+    trace = _outer_loop(step, obj, cfg.outer_tol, cap)
+    if not trace.converged:
+        raise NumericalError(f"absolute-loss fit did not converge in {cap} iterations")
+    return BaselineModel(gamma=gamma, method="wmcml1", trace=trace)

@@ -183,6 +183,8 @@ def load_model(path) -> ModelArtifact:
         raise DataError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: not valid JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: malformed model document (not a JSON object)")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DataError(
             f"{path}: unsupported schema version {doc.get('schema_version')!r}"
@@ -193,18 +195,20 @@ def load_model(path) -> ModelArtifact:
         cdoc = doc["C"]
         C = np.zeros((int(cdoc["n_rows"]), V.shape[0]))
         for i, vals in cdoc["nonzero_rows"]:
+            if not 0 <= int(i) < C.shape[0]:
+                raise ValueError(f"offset row {i} outside 0..{C.shape[0] - 1}")
             C[int(i)] = vals
         rank = int(doc["rank"])
         gamma = np.asarray(doc["gamma"], dtype=float)
-    except (KeyError, TypeError, ValueError) as e:
+        cfg = doc.get("config")
+        if cfg is not None:
+            # files written before FitConfig lost its unused seed field still hold it
+            cfg = FitConfig(**{k: v for k, v in cfg.items() if k != "seed"})
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise DataError(f"{path}: malformed model document ({e})") from e
     model = FactorModel(W=W, V=V, C=C, rank=rank)
     if gamma.shape != model.gamma.shape or np.max(np.abs(gamma - model.gamma)) > 1e-12:
         raise DataError(f"{path}: stored gamma does not match W V^T")
-    cfg = None
-    if doc.get("config") is not None:
-        # files written before FitConfig lost its unused seed field still hold it
-        cfg = FitConfig(**{k: v for k, v in doc["config"].items() if k != "seed"})
     return ModelArtifact(model=model, config=cfg,
                          weight_source=doc.get("weight_source"),
                          objective_trace=doc.get("objective_trace"),

@@ -38,6 +38,11 @@ METHODS = tuple(_ESTIMATORS)
 # names used when the design is a randomized trial (identity weights)
 METHOD_ALIASES = {**{m: m for m in METHODS},
                   "mcmrrr": "wmcmrrr", "mcml1": "wmcml1", "mcm": "wmcm", "full": "wfull"}
+# mean CV losses within this relative window of the minimum count as tied
+TIE_TOL = 1e-6
+# default_cv_grid: points per penalty axis and the largest rank
+GRID_POINTS = 8
+GRID_MAX_RANK = 5
 
 
 def _estimator(method) -> _Estimator:
@@ -55,7 +60,6 @@ class CvGrid:
     ranks: tuple
     folds: int = 5
     seed: int = 0
-    tie_tol: float = 1e-6
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
@@ -69,8 +73,6 @@ class CvGrid:
             raise DataError("ranks must be positive integers")
         if self.folds < 2:
             raise DataError("need at least two folds")
-        if not 0.0 <= self.tie_tol < 1.0:
-            raise DataError("tie_tol must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -155,32 +157,22 @@ def _method_grid(grid: CvGrid, method: str) -> CvGrid:
     return grid
 
 
-def _grid_cells(grid: CvGrid, method: str) -> dict:
-    # distinct fits of the grid, each mapped to the cells that share it: an
-    # axis the method does not use is None in the point
-    axes = _estimator(method).axes
-    cells = {}
-    for i, lam in enumerate(grid.lambdas):
-        for j, phi in enumerate(grid.phis):
-            for k, rank in enumerate(grid.ranks):
-                point = (lam, phi if "phi" in axes else None, rank if "rank" in axes else None)
-                cells.setdefault(point, []).append((i, j, k))
-    return cells
-
-
-def _fold_gammas(method, d, a, points, cfg) -> dict:
-    # coefficient matrix of each point fit on one training fold; a method that
-    # uses the rank runs one lockstep batch per rank, updating C when it uses phi
-    axes = _estimator(method).axes
-    if "rank" not in axes:
-        return {pt: _fit_gamma(method, d, a, pt[0], 0.0, cfg.rank, cfg) for pt in points}
-    gammas = {}
-    for rank in dict.fromkeys(pt[2] for pt in points):
-        batch = [pt for pt in points if pt[2] == rank]
-        cfgs = [replace(cfg, rank=rank, lambda_w=lam, phi_c=phi or 0.0) for lam, phi, _ in batch]
-        models = fit_batch(d, a, cfgs, update_c="phi" in axes)
-        gammas.update(zip(batch, (m.gamma for m in models)))
-    return gammas
+def _fold_losses(method, grid: CvGrid, d_tr, a_tr, d_he, a_he, cfg) -> np.ndarray:
+    # held-out loss of every point of the grid fit on one training fold; a
+    # method that uses the rank runs one lockstep batch per rank, updating C
+    # when it uses phi, and any other method runs its own fit per point
+    est = _estimator(method)
+    losses = np.empty((len(grid.lambdas), len(grid.phis), len(grid.ranks)))
+    for k, rank in enumerate(grid.ranks):
+        cfgs = [replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)
+                for lam in grid.lambdas for phi in grid.phis]
+        if "rank" in est.axes:
+            models = fit_batch(d_tr, a_tr, cfgs, update_c="phi" in est.axes)
+        else:
+            models = [est.fit(d_tr, a_tr, c) for c in cfgs]
+        losses[:, :, k] = np.reshape([_gamma_loss(m.gamma, d_he, a_he) for m in models],
+                                     losses.shape[:2])
+    return losses
 
 
 def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
@@ -188,12 +180,12 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
     """Grid search by stratified k-fold CV; deterministic given the grid seed.
 
     Ties in the mean loss break toward smaller rank, then larger lambda,
-    then larger phi. On each fold, the points of one rank are fit together
-    by ``fit_batch``, and a point repeated because the method ignores phi
-    (and rank) is fit once; the losses equal those of fitting every grid
-    point with ``fit`` or the baseline alone.
+    then larger phi. On each fold, the method's own grid (``_method_grid``)
+    is fit, the points of one rank together by ``fit_batch``, and its losses
+    are broadcast over the axes the method ignores; the losses equal those
+    of fitting every grid point with ``fit`` or the baseline alone.
     """
-    cells = _grid_cells(grid, method)  # raises on an unknown method
+    fit_grid = _method_grid(grid, method)  # raises on an unknown method
     if cfg is None:
         cfg = FitConfig(rank=max(grid.ranks))
     assignment = kfold_split(d.T, grid.folds, grid.seed)
@@ -206,17 +198,14 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
         d_tr, d_he = _subset(d, ~held), _subset(d, held)
         a_tr, a_he = _fold_weights(d_tr, d_he, propensity)
         null_scale += _gamma_loss(np.zeros((d.n_features, d.q)), d_he, a_he)
-        for point, gamma in _fold_gammas(method, d_tr, a_tr, list(cells), cfg).items():
-            loss = _gamma_loss(gamma, d_he, a_he)
-            for i, j, k in cells[point]:
-                per_fold[i, j, k, f] = loss
+        per_fold[..., f] = _fold_losses(method, fit_grid, d_tr, a_tr, d_he, a_he, cfg)
     null_scale /= grid.folds
 
     mean_loss = per_fold.mean(axis=3)
-    # losses within tie_tol of the minimum count as tied, measured against the
+    # losses within TIE_TOL of the minimum count as tied, measured against the
     # held-out outcome energy so near-zero losses still tie; parsimony
     # (smaller rank, then larger lambda, then larger phi) then decides
-    cutoff = float(mean_loss.min()) * (1.0 + grid.tie_tol) + grid.tie_tol * null_scale
+    cutoff = float(mean_loss.min()) * (1.0 + TIE_TOL) + TIE_TOL * null_scale
     best_key, best_idx = None, None
     for i, lam in enumerate(grid.lambdas):
         for j, phi in enumerate(grid.phis):
@@ -232,10 +221,10 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
                     best=best, best_index=best_idx, fold_assignment=assignment)
 
 
-def default_cv_grid(d: Dataset, a, folds: int = 5, seed: int = 0,
-                    n_points: int = 8, max_rank: int = 5) -> CvGrid:
-    """Data-driven grid: penalties log-spaced over [1e-3, 1e1] times the
-    smallest value that zeroes every row of the corresponding block."""
+def default_cv_grid(d: Dataset, a, folds: int = 5, seed: int = 0) -> CvGrid:
+    """Data-driven grid: GRID_POINTS penalties per axis, log-spaced over
+    [1e-3, 1e1] times the smallest value that zeroes every row of the
+    corresponding block, and ranks up to GRID_MAX_RANK."""
     a = _avec(a)
     Z = assemble_design(d)
     G = a[:, None] * Z
@@ -244,8 +233,8 @@ def default_cv_grid(d: Dataset, a, folds: int = 5, seed: int = 0,
     phi_max = 2.0 * float(np.max(a * a * np.linalg.norm(d.Y, axis=1)))
     lam_max = lam_max if lam_max > 0 else 1.0
     phi_max = phi_max if phi_max > 0 else 1.0
-    lambdas = np.geomspace(1e-3 * lam_max, 1e1 * lam_max, n_points)
-    phis = np.geomspace(1e-3 * phi_max, 1e1 * phi_max, n_points)
-    ranks = tuple(range(1, min(d.n_features, d.q, max_rank) + 1))
+    lambdas = np.geomspace(1e-3 * lam_max, 1e1 * lam_max, GRID_POINTS)
+    phis = np.geomspace(1e-3 * phi_max, 1e1 * phi_max, GRID_POINTS)
+    ranks = tuple(range(1, min(d.n_features, d.q, GRID_MAX_RANK) + 1))
     return CvGrid(lambdas=tuple(lambdas), phis=tuple(phis), ranks=ranks,
                   folds=folds, seed=seed)

@@ -191,14 +191,13 @@ def _v_block(M, V_prev):
     return V
 
 
-def update_outlier_rows(C, d: Dataset, a, W, V, phi_c: float,
-                        inner_tol: float = 1e-8, max_inner: int = 100) -> np.ndarray:
+def update_outlier_rows(C, d: Dataset, a, W, V, phi_c: float) -> np.ndarray:
     """Update the per-subject offset rows given W and V.
 
     Each row decouples: c_i = (1 - phi_c / (2 a_i^2 ||r_i||))_+ r_i with
     r_i the i-th unweighted residual row of Y - Z W V^T. The update is exact
-    in one step, so the current C, inner_tol and max_inner do not affect it;
-    they are accepted so that existing calls keep working.
+    in one step, so the current C does not affect it; it is accepted so that
+    existing calls keep working.
     """
     a = _avec(a)
     D = d.Y - assemble_design(d) @ (np.asarray(W, float) @ np.asarray(V, float).T)

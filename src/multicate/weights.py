@@ -16,6 +16,8 @@ import numpy as np
 from .data import DataError, Dataset, NumericalError
 
 PROPENSITY_CLIP = 1e-6
+IRLS_MAX_ITER = 100
+IRLS_TOL = 1e-10
 SOURCES = ("known", "rct_half", "logistic_fit")
 
 
@@ -53,7 +55,7 @@ def rct_weights(n: int) -> WeightVector:
     return WeightVector(a=np.full(n, np.sqrt(2.0)), pi=pi, source="rct_half")
 
 
-def _logistic_irls(X, t, max_iter=100, tol=1e-10):
+def _logistic_irls(X, t):
     """IRLS for P(t=1|x) = expit(x beta); returns the coefficient vector.
 
     Normal equations get a 1e-8 ridge jitter; probabilities are clipped away
@@ -62,24 +64,24 @@ def _logistic_irls(X, t, max_iter=100, tol=1e-10):
     n, k = X.shape
     beta = np.zeros(k)
     dev = np.inf
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         eta = X @ beta
         mu = 1.0 / (1.0 + np.exp(-eta))
         mu = np.clip(mu, 1e-10, 1.0 - 1e-10)
         grad = X.T @ (t - mu)
         new_dev = -2.0 * np.sum(t * np.log(mu) + (1.0 - t) * np.log(1.0 - mu))
-        if np.max(np.abs(grad)) < 1e-6 or abs(dev - new_dev) < tol * (1.0 + new_dev):
+        if np.max(np.abs(grad)) < 1e-6 or abs(dev - new_dev) < IRLS_TOL * (1.0 + new_dev):
             return beta
         dev = new_dev
         s = mu * (1.0 - mu)
         H = X.T @ (X * s[:, None]) + 1e-8 * np.eye(k)
         beta = beta + np.linalg.solve(H, grad)
     raise NumericalError(
-        f"propensity model did not converge in {max_iter} iterations (deviance {dev:.6g})"
+        f"propensity model did not converge in {IRLS_MAX_ITER} iterations (deviance {dev:.6g})"
     )
 
 
-def fit_propensity_logistic(X, T, max_iter: int = 100, tol: float = 1e-10) -> np.ndarray:
+def fit_propensity_logistic(X, T) -> np.ndarray:
     """Estimate P(T=+1|x) by logistic regression on the design matrix X.
 
     X should include its intercept column. Returns probabilities clipped to
@@ -88,7 +90,7 @@ def fit_propensity_logistic(X, T, max_iter: int = 100, tol: float = 1e-10) -> np
     X = np.asarray(X, dtype=float)
     T = np.asarray(T, dtype=float).ravel()
     t = (T + 1.0) / 2.0
-    return _propensity(X, _logistic_irls(X, t, max_iter=max_iter, tol=tol))
+    return _propensity(X, _logistic_irls(X, t))
 
 
 def _propensity(X, beta):

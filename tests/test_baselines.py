@@ -152,7 +152,7 @@ def test_wmcm_l1_resists_outliers_better_than_squared_loss():
 def test_wmcm_l1_iteration_cap_raises():
     d, _ = make_dataset(50, 3, 2, seed=10)
     with pytest.raises(NumericalError, match="did not converge"):
-        fit_wmcm_l1(d, np.ones(50), 0.1, max_iter=2)
+        fit_wmcm_l1(d, np.ones(50), 0.1, cfg=FitConfig(rank=1, max_outer=1, max_inner=2))
 
 
 def test_wmcm_l1_surrogate_trace_monotone():

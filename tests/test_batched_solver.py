@@ -251,7 +251,7 @@ def test_wmcm_and_wfull_equal_serial_reference():
 
 
 # =============================================================================
-# cross-validation: batched and deduplicated = naive loop
+# cross-validation: batched and broadcast = naive loop
 # =============================================================================
 
 
@@ -270,7 +270,7 @@ def _naive_per_fold(d, grid, method, cfg):
     return out
 
 
-@pytest.mark.parametrize("method", ["wmcmr4", "wmcmrrr", "wmcm"])
+@pytest.mark.parametrize("method", ["wmcmr4", "wmcmrrr", "wmcm", "wfull", "wmcml1"])
 def test_cross_validate_equals_naive_loop(method):
     d = _contaminated(n=80, seed=21)
     grid = CvGrid(lambdas=(1.0, 20.0), phis=(0.5, 20.0, 80.0), ranks=(1, 2), folds=3, seed=4)

@@ -162,6 +162,17 @@ def test_model_load_rejects_corruption(tmp_path):
     del bad["W"]
     with pytest.raises(DataError, match="malformed"):
         load_model(_write(tmp_path / "bad4.json", json.dumps(bad)))
+    # an unknown key, a non-numeric rank, a config or document that is no object
+    for k, config in enumerate(({"rank": 1, "colour": 2}, {"rank": "x"}, [1])):
+        with pytest.raises(DataError, match="malformed"):
+            load_model(_write(tmp_path / f"cfg{k}.json", json.dumps(dict(doc, config=config))))
+    with pytest.raises(DataError, match="malformed"):
+        load_model(_write(tmp_path / "bad5.json", "[1, 2]"))
+    # an offset row index outside the stored row count, above or below
+    for k, i in enumerate((6, -1)):
+        bad = dict(doc, C=dict(doc["C"], nonzero_rows=[[i, [1.0, 2.0, 3.0]]]))
+        with pytest.raises(DataError, match="malformed"):
+            load_model(_write(tmp_path / f"row{k}.json", json.dumps(bad)))
     with pytest.raises(DataError, match="cannot read"):
         load_model(str(tmp_path / "absent.json"))
 

@@ -127,7 +127,7 @@ def test_cv_grid_validation():
 def test_default_grid_shapes_and_scale():
     d, _ = make_dataset(40, 6, 4, seed=7)
     a = np.full(40, np.sqrt(2.0))
-    grid = default_cv_grid(d, a, n_points=8)
+    grid = default_cv_grid(d, a)
     assert len(grid.lambdas) == 8 and len(grid.phis) == 8
     assert grid.ranks == (1, 2, 3, 4)  # min(p + 1, q, 5) with q = 4
     assert all(x > 0 for x in grid.lambdas)
@@ -171,10 +171,10 @@ def test_cross_validate_prefers_parsimonious_rank_on_ties():
     assert res.best[2] == 1
 
 
-def test_cross_validate_tie_window_zero_keeps_literal_minimum():
+def test_cross_validate_tie_window_zero_keeps_literal_minimum(monkeypatch):
+    monkeypatch.setattr(model_selection, "TIE_TOL", 0.0)
     d, _ = make_dataset(40, 2, 2, seed=10)
-    grid = CvGrid(lambdas=(0.01, 0.5), phis=(1e8,), ranks=(1, 2), folds=2,
-                  seed=0, tie_tol=0.0)
+    grid = CvGrid(lambdas=(0.01, 0.5), phis=(1e8,), ranks=(1, 2), folds=2, seed=0)
     res = cross_validate(d, grid)
     assert res.mean_loss[res.best_index] == res.mean_loss.min()
 
