@@ -77,13 +77,14 @@ def fit_wmcm(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> Ba
     Z = assemble_design(d)
     G = a[:, None] * Z
     Yw = a[:, None] * d.Y
-    sweep, T0 = _RowSweeps(G.T @ G), (G.T @ Yw)[None]
+    gram, T0 = (G.T @ G)[None], (G.T @ Yw)[None]
+    sweep = _RowSweeps(np.diag(gram[0]) > 0.0)
     # the sweep updates this one-problem stack in place; gamma is its view
     stack = np.zeros((1, d.n_features, d.q))
     gamma = stack[0]
 
     def step():
-        sweep(T0, stack, [lambda_w / 2.0], cfg.inner_tol, 1)
+        sweep(gram, T0, stack, [lambda_w / 2.0], cfg.inner_tol, 1)
 
     def obj():
         R = Yw - G @ gamma
@@ -107,7 +108,8 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
     X, Y, Z = d.X, d.Y, assemble_design(d)
     aa = a * a
     G = a[:, None] * Z
-    sweep = _RowSweeps(G.T @ G)
+    gram = (G.T @ G)[None]
+    sweep = _RowSweeps(np.diag(gram[0]) > 0.0)
     H = X.T @ (X * aa[:, None])
     stack = np.zeros((1, d.n_features, d.q))
     gamma = stack[0]
@@ -122,7 +124,7 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
                           RuntimeWarning, stacklevel=3)
             B[...] = np.linalg.solve(H + 1e-8 * np.eye(H.shape[0]), rhs)
         F = a[:, None] * (Y - X @ B)
-        sweep((G.T @ F)[None], stack, [lambda_w / 2.0], cfg.inner_tol, cfg.max_inner)
+        sweep(gram, (G.T @ F)[None], stack, [lambda_w / 2.0], cfg.inner_tol, cfg.max_inner)
 
     def obj():
         R = a[:, None] * (Y - X @ B - Z @ gamma)

@@ -204,6 +204,9 @@ def load_model(path) -> ModelArtifact:
         if cfg is not None:
             # files written before FitConfig lost its unused seed field still hold it
             cfg = FitConfig(**{k: v for k, v in cfg.items() if k != "seed"})
+        metadata = doc.get("metadata") or {}
+        if not isinstance(metadata, dict):
+            raise ValueError("metadata is not a JSON object")
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise DataError(f"{path}: malformed model document ({e})") from e
     model = FactorModel(W=W, V=V, C=C, rank=rank)
@@ -212,7 +215,7 @@ def load_model(path) -> ModelArtifact:
     return ModelArtifact(model=model, config=cfg,
                          weight_source=doc.get("weight_source"),
                          objective_trace=doc.get("objective_trace"),
-                         metadata=doc.get("metadata") or {})
+                         metadata=metadata)
 
 
 # =============================================================================

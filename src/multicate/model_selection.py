@@ -8,6 +8,8 @@ to unseen subjects.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -15,8 +17,8 @@ import numpy as np
 
 from . import baselines
 from .data import DataError, Dataset, FactorModel, FitConfig, assemble_design
-from .solver import _avec, fit as _fit_factor, fit_batch
-from .weights import _logistic_irls, _propensity, compute_weights, resolve_weights
+from .solver import _avec, _fit_groups, fit as _fit_factor
+from .weights import WeightVector, _logistic_irls, _propensity, compute_weights, resolve_weights
 
 
 class _Estimator(NamedTuple):
@@ -77,10 +79,13 @@ class CvGrid:
 
 @dataclass(frozen=True)
 class CvResult:
-    """Mean and per-fold losses over the grid, the winner, and the fold layout.
+    """Mean and per-fold losses over the grid, the winner, the fold layout,
+    and how each fit stopped.
 
     mean_loss has shape (len(lambdas), len(phis), len(ranks));
-    per_fold_loss appends a fold axis.
+    per_fold_loss appends a fold axis. n_outer and converged, shaped like
+    per_fold_loss, give each fit's outer iteration count and whether it
+    converged before the max_outer cap.
     """
 
     grid: CvGrid
@@ -89,6 +94,8 @@ class CvResult:
     best: tuple
     best_index: tuple
     fold_assignment: np.ndarray
+    n_outer: np.ndarray
+    converged: np.ndarray
 
 
 def kfold_split(T, folds: int, seed: int) -> np.ndarray:
@@ -157,22 +164,75 @@ def _method_grid(grid: CvGrid, method: str) -> CvGrid:
     return grid
 
 
-def _fold_losses(method, grid: CvGrid, d_tr, a_tr, d_he, a_he, cfg) -> np.ndarray:
-    # held-out loss of every point of the grid fit on one training fold; a
-    # method that uses the rank runs one lockstep batch per rank, updating C
-    # when it uses phi, and any other method runs its own fit per point
+class _Fold(NamedTuple):
+    d_tr: Dataset
+    a_tr: WeightVector
+    d_he: Dataset
+    a_he: WeightVector
+
+
+# While _shared_folds() is active, the fold parts built for a dataset, keyed
+# by (id of the dataset, folds, seed, propensity); each entry holds its
+# dataset, so the id cannot be reused within the block.
+_FOLD_MEMO: ContextVar = ContextVar("_FOLD_MEMO", default=None)
+
+
+@contextmanager
+def _shared_folds():
+    """Within the block, cross_validate builds the folds and fold weights of
+    each dataset once per (folds, seed, propensity) and reuses them, as when
+    several methods are cross-validated on one replication."""
+    token = _FOLD_MEMO.set({})
+    try:
+        yield
+    finally:
+        _FOLD_MEMO.reset(token)
+
+
+def _fold_parts(d: Dataset, grid: CvGrid, propensity: str):
+    """The fold assignment and, per fold, the training and held-out subsets
+    with their weights; built once per block of ``_shared_folds``."""
+    memo = _FOLD_MEMO.get()
+    key = (id(d), grid.folds, grid.seed, propensity)
+    if memo is not None and key in memo:
+        return memo[key][1]
+    assignment = kfold_split(d.T, grid.folds, grid.seed)
+    folds = []
+    for f in range(grid.folds):
+        held = assignment == f
+        d_tr, d_he = _subset(d, ~held), _subset(d, held)
+        a_tr, a_he = _fold_weights(d_tr, d_he, propensity)
+        folds.append(_Fold(d_tr, a_tr, d_he, a_he))
+    if memo is not None:
+        memo[key] = (d, (assignment, folds))
+    return assignment, folds
+
+
+def _grid_fits(method, grid: CvGrid, folds, cfg):
+    """Held-out loss, outer iterations and convergence of every point of the
+    grid fit on every training fold, each shaped (lambdas, phis, ranks, folds).
+
+    A method that uses the rank runs one lockstep descent per rank over all
+    folds, updating C when it uses phi; any other method runs its own fit
+    per point and fold. Each model is scored as it arrives.
+    """
     est = _estimator(method)
-    losses = np.empty((len(grid.lambdas), len(grid.phis), len(grid.ranks)))
+    shape = (len(grid.lambdas), len(grid.phis), len(grid.ranks), len(folds))
+    loss, n_outer, converged = np.empty(shape), np.empty(shape, int), np.empty(shape, bool)
     for k, rank in enumerate(grid.ranks):
         cfgs = [replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)
                 for lam in grid.lambdas for phi in grid.phis]
         if "rank" in est.axes:
-            models = fit_batch(d_tr, a_tr, cfgs, update_c="phi" in est.axes)
+            fits = _fit_groups([(p.d_tr, p.a_tr) for p in folds], cfgs,
+                               update_c="phi" in est.axes)
         else:
-            models = [est.fit(d_tr, a_tr, c) for c in cfgs]
-        losses[:, :, k] = np.reshape([_gamma_loss(m.gamma, d_he, a_he) for m in models],
-                                     losses.shape[:2])
-    return losses
+            fits = ((f, j, est.fit(p.d_tr, p.a_tr, c))
+                    for f, p in enumerate(folds) for j, c in enumerate(cfgs))
+        for f, j, model in fits:
+            at = (*divmod(j, len(grid.phis)), k, f)
+            loss[at] = _gamma_loss(model.gamma, folds[f].d_he, folds[f].a_he)
+            n_outer[at], converged[at] = model.trace.n_outer, model.trace.converged
+    return loss, n_outer, converged
 
 
 def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
@@ -180,25 +240,22 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
     """Grid search by stratified k-fold CV; deterministic given the grid seed.
 
     Ties in the mean loss break toward smaller rank, then larger lambda,
-    then larger phi. On each fold, the method's own grid (``_method_grid``)
-    is fit, the points of one rank together by ``fit_batch``, and its losses
-    are broadcast over the axes the method ignores; the losses equal those
-    of fitting every grid point with ``fit`` or the baseline alone.
+    then larger phi. The method's own grid (``_method_grid``) is fit, the
+    points of one rank on all folds together by one lockstep descent, and
+    its results are broadcast over the axes the method ignores; the losses
+    equal those of fitting every grid point with ``fit`` or the baseline
+    alone.
     """
     fit_grid = _method_grid(grid, method)  # raises on an unknown method
     if cfg is None:
         cfg = FitConfig(rank=max(grid.ranks))
-    assignment = kfold_split(d.T, grid.folds, grid.seed)
+    assignment, folds = _fold_parts(d, grid, propensity)
     shape = (len(grid.lambdas), len(grid.phis), len(grid.ranks), grid.folds)
-    per_fold = np.empty(shape)
-
+    per_fold, n_outer, converged = (np.broadcast_to(v, shape).copy()
+                                    for v in _grid_fits(method, fit_grid, folds, cfg))
     null_scale = 0.0
-    for f in range(grid.folds):
-        held = assignment == f
-        d_tr, d_he = _subset(d, ~held), _subset(d, held)
-        a_tr, a_he = _fold_weights(d_tr, d_he, propensity)
-        null_scale += _gamma_loss(np.zeros((d.n_features, d.q)), d_he, a_he)
-        per_fold[..., f] = _fold_losses(method, fit_grid, d_tr, a_tr, d_he, a_he, cfg)
+    for part in folds:
+        null_scale += _gamma_loss(np.zeros((d.n_features, d.q)), part.d_he, part.a_he)
     null_scale /= grid.folds
 
     mean_loss = per_fold.mean(axis=3)
@@ -218,7 +275,8 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
     i, j, k = best_idx
     best = (grid.lambdas[i], grid.phis[j], grid.ranks[k])
     return CvResult(grid=grid, mean_loss=mean_loss, per_fold_loss=per_fold,
-                    best=best, best_index=best_idx, fold_assignment=assignment)
+                    best=best, best_index=best_idx, fold_assignment=assignment,
+                    n_outer=n_outer, converged=converged)
 
 
 def default_cv_grid(d: Dataset, a, folds: int = 5, seed: int = 0) -> CvGrid:

@@ -25,6 +25,7 @@ from .model_selection import (
     CvGrid,
     _fit_gamma,
     _method_grid,
+    _shared_folds,
     cross_validate,
     default_cv_grid,
 )
@@ -252,7 +253,8 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
     value. A failed fit yields one row with metric="error" and value=1.0 for
     that method; other methods in the replication still run. Weights are
     resolved once per replication; if that fails, every method gets its
-    error row.
+    error row. With CV, the methods of a replication share its folds and
+    fold weights.
     """
     requested = list(methods)
     for name in requested:
@@ -273,17 +275,18 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
                 rows.append({"scenario_id": sid, "replication": rep, "method": name,
                              "metric": "error", "value": 1.0})
             continue
-        for name in requested:
-            method = METHOD_ALIASES[str(name).lower()]
-            try:
-                gamma_hat = _fit_one(truth, a, method, cv, grid, cfg, propensity, spec)
-                report = evaluate(gamma_hat, truth.X_test, truth.gamma_true)
-                for metric in METRIC_ORDER:
+        with _shared_folds():  # every method's CV uses the same folds
+            for name in requested:
+                method = METHOD_ALIASES[str(name).lower()]
+                try:
+                    gamma_hat = _fit_one(truth, a, method, cv, grid, cfg, propensity, spec)
+                    report = evaluate(gamma_hat, truth.X_test, truth.gamma_true)
+                    for metric in METRIC_ORDER:
+                        rows.append({"scenario_id": sid, "replication": rep, "method": name,
+                                     "metric": metric, "value": getattr(report, metric)})
+                except (DataError, NumericalError):
                     rows.append({"scenario_id": sid, "replication": rep, "method": name,
-                                 "metric": metric, "value": getattr(report, metric)})
-            except (DataError, NumericalError):
-                rows.append({"scenario_id": sid, "replication": rep, "method": name,
-                             "metric": "error", "value": 1.0})
+                                 "metric": "error", "value": 1.0})
     return rows
 
 

@@ -12,15 +12,16 @@ is an exact conditional minimizer, so the objective never increases.
 With z_i = T_i x_i / 2 the fidelity term is ||A (Y - Z W V^T - C)||_F^2,
 which is the form the updates below work with.
 
-``fit_batch`` solves many problems that share the data and the rank, each
-with its own penalties, in lockstep along a leading stack axis; ``fit`` is a
-batch of one. The baselines reuse the same W row sweep.
+``_descend`` solves many problems in lockstep along a leading stack axis: all
+share the rank, each has its own penalties, and each group of them shares
+one dataset (in cross-validation, one group per training fold).
+``fit_batch`` is one group and ``fit`` a batch of one. The baselines reuse
+the same W row sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import compress
 
 import numpy as np
 
@@ -90,60 +91,64 @@ def _shrink_rows(R, thresholds):
 _ONE = np.array(1.0)  # 0-d operands cost less per call than Python floats
 
 
-def _rows(x):
-    # views x[:, k:k+1] of a stack (m, P, r), one per row k
-    return x[:, :, None].swapaxes(0, 1)
-
-
 class _RowSweeps:
-    """Cyclic group-lasso row sweeps, in lockstep over stacks of problems
-    that share one Gram matrix gram = G^T G.
+    """Cyclic group-lasso row sweeps, in lockstep over a stack of problems,
+    each with its own Gram matrix.
 
-    Problem j minimizes ||F_j - G W_j||_F^2 + 2 half_j sum_k ||w_jk|| given
-    its own T0_j = G^T F_j. The per-row pivots are set up once, and work
-    buffers with their per-row views once per stack shape, so that repeated
-    calls, such as one per outer iteration, pay no set-up.
+    Problem j minimizes ||F_j - G_j W_j||_F^2 + 2 half_j sum_k ||w_jk|| given
+    gram_j = G_j^T G_j and T0_j = G_j^T F_j. The problems of one instance
+    share their live rows (the nonzero design columns); every other row is
+    skipped and held at zero. Work buffers, the Gram stack among them, and
+    their per-row views are kept for the current stack shape only, so calls
+    with an unchanged shape, such as one per outer iteration, pay no set-up.
     """
 
-    def __init__(self, gram):
-        self.gram = gram
-        diag = np.diag(gram)
-        self.live = diag > 0.0
-        # zero design column: its row is skipped and left at zero
-        self.dead = np.flatnonzero(~self.live)
-        self.pivots = [(diag[k, ...], gram[:, k:k + 1]) for k in np.flatnonzero(self.live)]
-        self.work = {}
+    def __init__(self, live):
+        self.live = np.flatnonzero(live)
+        self.dead = np.flatnonzero(~live)
+        self.shape = None
 
-    def _work(self, shape):
-        # buffers W, T0, M, delta, outer of one stack shape, and the row views
-        if shape not in self.work:
-            bufs = [np.zeros(shape) for _ in range(5)]
-            views = compress(zip(*map(_rows, bufs[:4])), self.live)
-            rows = [(dk, col, *v) for (dk, col), v in zip(self.pivots, views)]
-            self.work[shape] = (*bufs, rows)
-        return self.work[shape]
+    def _load(self, gram, W, T0):
+        # the buffers gram, W, T0, M, delta, outer and the row views, holding
+        # the given stack
+        if W.shape != self.shape:
+            self.shape = W.shape
+            Gb = np.zeros(W.shape[:2] + W.shape[1:2])
+            Wb, Tb, M, delta, outer = (np.zeros(W.shape) for _ in range(5))
+            # pivot (m, 1, 1) and column (m, P, 1) of each live row; with one
+            # problem, a 0-d pivot and a (P, 1) column, which cost less per
+            # operation and broadcast to the same values
+            if len(W) == 1:
+                pivots = [(Gb[0, k, k, ...], Gb[0, :, k:k + 1]) for k in self.live]
+            else:
+                pivots = [(Gb[:, k:k + 1, k:k + 1], Gb[:, :, k:k + 1]) for k in self.live]
+            rows = [(dk, col, Wb[:, k:k + 1], Tb[:, k:k + 1], M[:, k:k + 1], delta[:, k:k + 1])
+                    for (dk, col), k in zip(pivots, self.live)]
+            self.bufs = (Gb, Wb, Tb, M, delta, outer, rows)
+        Gb, Wb, Tb = self.bufs[:3]
+        Gb[...], Wb[...], Tb[...] = gram, W, T0
+        return self.bufs
 
     @np.errstate(divide="ignore", invalid="ignore")  # half / ||h|| at h = 0: see fmax
-    def __call__(self, T0, W, half, inner_tol, max_inner):
+    def __call__(self, gram, T0, W, half, inner_tol, max_inner):
         """Sweep the stack W (m, P, r) in place and return each problem's count.
 
-        A problem sweeps until its largest row change falls below inner_tol
-        relative to its iterate scale, or for max_inner sweeps; then it
-        leaves the stack, so each problem stops at the sweep where it would
-        stop alone.
+        gram is (m, P, P). A problem sweeps until its largest row change falls
+        below inner_tol relative to its iterate scale, or for max_inner
+        sweeps; then it leaves the stack, so each problem stops at the sweep
+        where it would stop alone.
         """
         if self.dead.size:
             W[:, self.dead] = 0.0
         sweeps = np.empty(len(W), dtype=int)
         todo = np.arange(len(W))
-        Wa, T0a, half_a = W, T0, np.asarray(half, dtype=float)[:, None, None]
+        Ga, Wa, T0a, half_a = gram, W, T0, np.asarray(half, dtype=float)[:, None, None]
         count = 0
         while True:
-            Wb, Tb, M, delta, outer, rows = self._work(Wa.shape)
-            Wb[...], Tb[...] = Wa, T0a
+            Gb, Wb, Tb, M, delta, outer, rows = self._load(Ga, Wa, T0a)
             while True:
                 count += 1
-                np.matmul(self.gram, Wb, out=M)
+                np.matmul(Gb, Wb, out=M)
                 for dk, col, wk, tk, mk, dl in rows:
                     h = tk - mk + dk * wk
                     nv = np.sqrt(np.vecdot(h, h, keepdims=True))
@@ -171,7 +176,8 @@ class _RowSweeps:
             W[todo[done]] = Wb[done] + 0.0
             sweeps[todo[done]] = count
             keep = ~done
-            todo, Wa, T0a, half_a = todo[keep], Wb[keep], Tb[keep], half_a[keep]
+            todo, Ga, Wa, T0a = todo[keep], Gb[keep], Wb[keep], Tb[keep]
+            half_a = half_a[keep]
 
 
 def _v_block(M, V_prev):
@@ -210,8 +216,10 @@ def update_loading_rows(W, d: Dataset, a, C, V, lambda_w: float,
     a = _avec(a)
     G = a[:, None] * assemble_design(d)
     FV = (a[:, None] * (d.Y - np.asarray(C, float))) @ np.asarray(V, float)
+    gram = G.T @ G
     W_new = np.array(W, dtype=float, ndmin=3)
-    _RowSweeps(G.T @ G)((G.T @ FV)[None], W_new, [lambda_w / 2.0], inner_tol, max_inner)
+    _RowSweeps(np.diag(gram) > 0.0)(gram[None], (G.T @ FV)[None], W_new, [lambda_w / 2.0],
+                                    inner_tol, max_inner)
     return W_new[0]
 
 
@@ -290,61 +298,126 @@ def _initialize(Y, Z, a, rank):
     return W0, V0
 
 
-def _descend(Y, Z, a, cfg: FitConfig, lambdas, phis, update_c: bool) -> list:
-    """Block descent on a stack of problems that share (Y, Z, a), the rank
-    and the tolerances of cfg, and differ in their penalties.
+def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
+    """Block descent on the problems (g, j): the data (Y, Z, a) of groups[g]
+    with the penalties lambdas[j] and phis[j], all at the rank and the
+    tolerances of cfg.
 
-    The Gram matrix and the initializer are computed once for the stack. Each
-    problem keeps its own inner and outer convergence state and leaves the
-    stack when it stops, so its iterates, trace and stopping point are those
-    of the same problem solved alone. Returns one FactorModel per problem.
+    Each group's Gram matrix and initializer are computed once. One W sweep
+    steps every problem still iterating, each with its group's Gram matrix;
+    the n-sized work (the C step, the sweep targets, the objectives) runs
+    per group on its own data. Each problem keeps its own inner and outer
+    convergence state and leaves the stack when it stops, so its iterates,
+    trace and stopping point are those of the same problem solved alone.
+    Yields (g, j, model) as each problem stops.
     """
     m = len(lambdas)
-    G = a[:, None] * Z
-    sweep = _RowSweeps(G.T @ G)
-    W0, V0 = _initialize(Y, Z, a, cfg.rank)
-    lam = np.asarray(lambdas, dtype=float)
-    phi = np.asarray(phis, dtype=float)
-    c_thr = phi[:, None] / (2.0 * a * a)
-    W = np.repeat(W0[None], m, axis=0)
-    V = np.broadcast_to(V0, (m,) + V0.shape)
-    C = np.zeros((m,) + Y.shape)
-    obj, D = _objectives(Y, Z, a, W, V, C, lam, phi)
+    lam = np.tile(np.asarray(lambdas, dtype=float), len(groups))
+    phi = np.tile(np.asarray(phis, dtype=float), len(groups))
+    # per group: its data, and the C thresholds and next C of its problems
+    # still iterating; the residual is turned into the next C at once
+    data, c_thr, C = [], [], []
+    W, V, gram, obj, kind = [], [], [], [], []
+    sweeps = {}  # one sweep stack per set of live rows
+    for g, (Y, Z, a) in enumerate(groups):
+        G = a[:, None] * Z
+        gg = G.T @ G
+        live = np.diag(gg) > 0.0
+        kind.append(sweeps.setdefault(live.tobytes(), (len(sweeps), _RowSweeps(live)))[0])
+        W0, V0 = _initialize(Y, Z, a, cfg.rank)
+        data.append((Y, Z, a, G))
+        W.append(np.repeat(W0[None], m, axis=0))
+        V.append(np.broadcast_to(V0, (m,) + V0.shape))
+        gram.append(np.broadcast_to(gg, (m,) + gg.shape))
+        c_thr.append(np.asarray(phis, dtype=float)[:, None] / (2.0 * a * a))
+        C.append(np.zeros((m,) + Y.shape))
+        o, D = _objectives(Y, Z, a, W[g], V[g], C[g], lam[:m], phi[:m])
+        obj.append(o)
+        if update_c:
+            C[g] = _shrink_rows(D, c_thr[g])
+    W, V, gram, obj = map(np.concatenate, (W, V, gram, obj))
+    kind = np.repeat(kind, m)
+    sweeps = [sw for _, sw in sweeps.values()]
     thresh = cfg.outer_tol * np.where(obj > 0, obj, 1.0)
     objs = [[v] for v in obj.tolist()]
-    c_sweeps = [[] for _ in range(m)]
-    w_sweeps = [[] for _ in range(m)]
-    models = [None] * m
-    todo = np.arange(m)
+    w_sweeps = [[] for _ in objs]
+    todo = np.arange(len(objs))
+    counts = [m] * len(groups)
 
     for n_outer in range(1, cfg.max_outer + 1):
-        if update_c:
-            C = _shrink_rows(D, c_thr)
-        F = a[:, None] * (Y - C)
-        ws = sweep(G.T @ (F @ V), W, lam / 2.0, cfg.inner_tol, cfg.max_inner)
-        V = _v_block(W.mT @ (G.T @ F), V)
-        new, D = _objectives(Y, Z, a, W, V, C, lam, phi)
-        if not np.isfinite(new).all():
-            raise NumericalError(f"objective became non-finite at outer iteration {n_outer}")
-        converged = obj - new < thresh
+        bounds = np.cumsum([0] + counts).tolist()
+        spans = [(g, slice(*b)) for g, b in enumerate(zip(bounds, bounds[1:])) if counts[g]]
+        T0 = np.empty(W.shape)
+        GF = np.empty(W.shape[:2] + V.shape[1:2])
+        for g, s in spans:
+            Y, _, a, G = data[g]
+            F = a[:, None] * (Y - C[g])
+            T0[s] = G.T @ (F @ V[s])
+            GF[s] = G.T @ F
+        ws = np.empty(len(W), dtype=int)
+        for k, sweep in enumerate(sweeps):
+            sel = np.flatnonzero(kind == k)
+            Wk = W[sel]
+            ws[sel] = sweep(gram[sel], T0[sel], Wk, lam[sel] / 2.0, cfg.inner_tol, cfg.max_inner)
+            W[sel] = Wk
+        V = _v_block(W.mT @ GF, V)
         last = n_outer == cfg.max_outer
-        for i, (j, o, s, c) in enumerate(zip(todo.tolist(), new.tolist(), ws.tolist(),
-                                             converged.tolist())):
-            objs[j].append(o)
-            c_sweeps[j].append(int(update_c))
-            w_sweeps[j].append(s)
-            if c or last:
-                trace = FitTrace(objective=np.asarray(objs[j]), c_sweeps=c_sweeps[j],
-                                 w_sweeps=w_sweeps[j], converged=c, n_outer=n_outer)
-                models[j] = FactorModel(W=W[i], V=V[i], C=C[i], rank=cfg.rank, trace=trace)
-        if last or converged.all():
-            return models
-        if converged.any():
-            keep = ~converged
-            todo, W, V, C, D = todo[keep], W[keep], V[keep], C[keep], D[keep]
-            lam, phi, c_thr, thresh = lam[keep], phi[keep], c_thr[keep], thresh[keep]
-            new = new[keep]
+        new = np.empty(len(W))
+        keep = np.empty(len(W), dtype=bool)
+        for g, s in spans:
+            Y, Z, a, _ = data[g]
+            new[s], D = _objectives(Y, Z, a, W[s], V[s], C[g], lam[s], phi[s])
+            if not np.isfinite(new[s]).all():
+                raise NumericalError(f"objective became non-finite at outer iteration {n_outer}")
+            keep[s] = obj[s] - new[s] >= thresh[s]
+            for i, p, o, w, k in zip(range(s.start, s.stop), todo[s].tolist(),
+                                     new[s].tolist(), ws[s].tolist(), keep[s].tolist()):
+                objs[p].append(o)
+                w_sweeps[p].append(w)
+                if last or not k:
+                    trace = FitTrace(objective=np.asarray(objs[p]), w_sweeps=w_sweeps[p],
+                                     c_sweeps=[int(update_c)] * n_outer,
+                                     converged=not k, n_outer=n_outer)
+                    yield g, p % m, FactorModel(W=W[i], V=V[i], C=C[g][i - s.start],
+                                                rank=cfg.rank, trace=trace)
+            if last:
+                continue
+            kg = keep[s]
+            c_thr[g], counts[g] = c_thr[g][kg], int(kg.sum())
+            C[g] = _shrink_rows(D[kg], c_thr[g]) if update_c else C[g][kg]
+        if last or not keep.any():
+            return
+        if not keep.all():
+            todo, W, V, gram, kind = todo[keep], W[keep], V[keep], gram[keep], kind[keep]
+            lam, phi, thresh, new = lam[keep], phi[keep], thresh[keep], new[keep]
         obj = new
+
+
+def _fit_groups(parts, cfgs, update_c: bool = True):
+    """Fit every configuration to every (d, a) of parts in one lockstep
+    descent; an iterator of (g, j, model) for cfgs[j] fit to parts[g], in
+    the order the problems stop.
+
+    The configurations may differ only in lambda_w and phi_c. Every model,
+    trace included, equals the one ``fit`` returns for its data and
+    configuration, bit for bit.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise DataError("fit_batch needs at least one configuration")
+    first = cfgs[0]
+    if any(replace(c, lambda_w=first.lambda_w, phi_c=first.phi_c) != first for c in cfgs[1:]):
+        raise DataError("configurations in one batch may differ only in lambda_w and phi_c")
+    groups = []
+    for d, a in parts:
+        a = _avec(a)
+        if a.shape[0] != d.n:
+            raise DataError(f"weights have {a.shape[0]} entries, expected {d.n}")
+        if first.rank > min(d.n_features, d.q):
+            raise DataError(f"rank {first.rank} exceeds min(p+1, q) = {min(d.n_features, d.q)}")
+        groups.append((d.Y, assemble_design(d), a))
+    return _descend(groups, first, [c.lambda_w for c in cfgs], [c.phi_c for c in cfgs],
+                    update_c)
 
 
 def fit_batch(d: Dataset, a, cfgs, update_c: bool = True) -> list:
@@ -355,20 +428,8 @@ def fit_batch(d: Dataset, a, cfgs, update_c: bool = True) -> list:
     bit for bit; the batch shares the Gram matrix and the initializer and
     runs each row sweep once for all problems still iterating.
     """
-    a = _avec(a)
-    if a.shape[0] != d.n:
-        raise DataError(f"weights have {a.shape[0]} entries, expected {d.n}")
-    cfgs = list(cfgs)
-    if not cfgs:
-        raise DataError("fit_batch needs at least one configuration")
-    first = cfgs[0]
-    if any(replace(c, lambda_w=first.lambda_w, phi_c=first.phi_c) != first for c in cfgs[1:]):
-        raise DataError("configurations in one batch may differ only in lambda_w and phi_c")
-    P, q = d.n_features, d.q
-    if first.rank > min(P, q):
-        raise DataError(f"rank {first.rank} exceeds min(p+1, q) = {min(P, q)}")
-    return _descend(d.Y, assemble_design(d), a, first,
-                    [c.lambda_w for c in cfgs], [c.phi_c for c in cfgs], update_c)
+    models = {j: model for _, j, model in _fit_groups([(d, a)], cfgs, update_c)}
+    return [models[j] for j in range(len(models))]
 
 
 def fit(d: Dataset, a, cfg: FitConfig, update_c: bool = True) -> FactorModel:

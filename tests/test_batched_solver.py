@@ -1,11 +1,15 @@
 """The lockstep batched solver against serial fits, bit for bit.
 
-``fit_batch`` steps many problems together; each must come out exactly as
-when solved alone. ``_serial_fit`` below is a plain one-problem reference of
-the block descent (a Python loop over loading rows, the C step applied once
-per outer iteration) and is the oracle for ``fit``, ``fit_batch`` and the
-squared-loss baselines.
+``fit_batch`` steps many problems together, and ``solver._fit_groups`` steps
+them across several datasets (the training folds of CV) with one W sweep;
+each problem must come out exactly as when solved alone. ``_serial_fit``
+below is a plain one-problem reference of the block descent (a Python loop
+over loading rows, the C step applied once per outer iteration) and is the
+oracle for ``fit``, ``fit_batch``, ``_fit_groups`` and the squared-loss
+baselines.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from multicate import (
     kfold_split,
     validate_dataset,
 )
-from multicate import model_selection
+from multicate import model_selection, solver
 
 from conftest import make_dataset
 
@@ -202,6 +206,53 @@ def test_batch_rejects_configurations_that_differ_beyond_penalties():
 
 
 # =============================================================================
+# several datasets in one descent: the training folds of CV
+# =============================================================================
+
+
+def _training_folds(d, folds, seed):
+    assignment = kfold_split(d.T, folds, seed)
+    return [model_selection._subset(d, assignment != f) for f in range(folds)]
+
+
+def _fold_stack(parts, cfgs, update_c=True):
+    return {(g, j): model for g, j, model in solver._fit_groups(parts, cfgs, update_c)}
+
+
+@pytest.mark.parametrize("update_c", [True, False])
+def test_fold_stack_equals_per_fold_batches(update_c):
+    d = _contaminated(n=80, seed=5)
+    parts = [(d_tr, np.random.default_rng(f).uniform(0.6, 1.6, d_tr.n))
+             for f, d_tr in enumerate(_training_folds(d, 3, seed=1))]
+    assert len({d_tr.n for d_tr, _ in parts}) > 1  # ragged folds
+    cfgs = _grid_cfgs(2, max_outer=4)
+    stacked = _fold_stack(parts, cfgs, update_c)
+    assert {m.trace.converged for m in stacked.values()} == {True, False}
+    for g, (d_tr, a) in enumerate(parts):
+        for j, (cfg, model) in enumerate(zip(cfgs, fit_batch(d_tr, a, cfgs, update_c))):
+            _assert_same_fit(stacked[g, j], model)
+            _assert_same_model(stacked[g, j], _serial_fit(d_tr, a, cfg, update_c), update_c)
+
+
+def test_fold_stack_with_column_zero_in_one_training_fold():
+    d = _contaminated(n=80, seed=29)
+    assignment = kfold_split(d.T, 3, 2)
+    X = np.array(d.X)
+    X[assignment != 0, 2] = 0.0  # nonzero only on fold 0, so zero when fold 0 is held out
+    d = validate_dataset(X, d.Y, d.T)
+    parts = [(d_tr, np.ones(d_tr.n)) for d_tr in _training_folds(d, 3, seed=2)]
+    cfgs = _grid_cfgs(1)
+    stacked = _fold_stack(parts, cfgs)
+    for g, (d_tr, a) in enumerate(parts):
+        for j, cfg in enumerate(cfgs):
+            W = stacked[g, j].W
+            if g == 0:
+                assert not np.any(W[2]) and not np.signbit(W[2]).any()
+            _assert_same_model(stacked[g, j], _serial_fit(d_tr, a, cfg))
+    assert any(np.any(stacked[g, j].W[2]) for g in (1, 2) for j in range(len(cfgs)))
+
+
+# =============================================================================
 # squared-loss baselines share the row sweep
 # =============================================================================
 
@@ -279,3 +330,23 @@ def test_cross_validate_equals_naive_loop(method):
     naive = _naive_per_fold(d, grid, method, cfg)
     assert np.array_equal(result.per_fold_loss, naive)
     assert np.array_equal(result.mean_loss, naive.mean(axis=3))
+
+
+# each cap stops some fits of the method's grid and not others
+@pytest.mark.parametrize("method, max_outer", [("wmcmr4", 10), ("wmcmrrr", 3), ("wfull", 6)])
+def test_cross_validate_reports_each_fit_convergence(method, max_outer):
+    d = _contaminated(n=80, seed=21)
+    grid = CvGrid(lambdas=(1.0, 20.0), phis=(0.5, 20.0), ranks=(1, 2), folds=3, seed=4)
+    cfg = FitConfig(rank=2, max_outer=max_outer)
+    result = cross_validate(d, grid, method, cfg=cfg)
+    assert result.n_outer.shape == result.converged.shape == result.per_fold_loss.shape
+    assignment = kfold_split(d.T, grid.folds, grid.seed)
+    for i, j, k, f in np.ndindex(result.n_outer.shape):
+        held = assignment == f
+        d_tr, d_he = model_selection._subset(d, ~held), model_selection._subset(d, held)
+        a_tr, _ = model_selection._fold_weights(d_tr, d_he, "rct")
+        point = replace(cfg, lambda_w=grid.lambdas[i], phi_c=grid.phis[j], rank=grid.ranks[k])
+        trace = model_selection._ESTIMATORS[method].fit(d_tr, a_tr, point).trace
+        assert result.n_outer[i, j, k, f] == trace.n_outer
+        assert result.converged[i, j, k, f] == trace.converged
+    assert result.converged.any() and not result.converged.all()

@@ -168,6 +168,8 @@ def test_model_load_rejects_corruption(tmp_path):
             load_model(_write(tmp_path / f"cfg{k}.json", json.dumps(dict(doc, config=config))))
     with pytest.raises(DataError, match="malformed"):
         load_model(_write(tmp_path / "bad5.json", "[1, 2]"))
+    with pytest.raises(DataError, match="metadata is not a JSON object"):
+        load_model(_write(tmp_path / "bad6.json", json.dumps(dict(doc, metadata=[1]))))
     # an offset row index outside the stored row count, above or below
     for k, i in enumerate((6, -1)):
         bad = dict(doc, C=dict(doc["C"], nonzero_rows=[[i, [1.0, 2.0, 3.0]]]))

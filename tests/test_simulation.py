@@ -256,8 +256,8 @@ def test_run_scenario_resolves_weights_once_per_replication(monkeypatch):
     grid = CvGrid(lambdas=(1.0,), phis=(1.0,), ranks=(1,), folds=3)
     rows = run_scenario(spec, ["wmcmr4", "mcm", "full"], cv=True, grid=grid)
     assert not any(r["metric"] == "error" for r in rows)
-    # one fit for the replication, then one per training fold of each method's CV
-    assert len(calls) == 1 + 3 * 3
+    # one fit for the replication, then one per training fold, shared by the methods' CV
+    assert len(calls) == 1 + 3
 
 
 def test_run_scenario_weighting_failure_errors_every_method(monkeypatch):
