@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import DataError, Dataset, FitConfig, NumericalError, assemble_design
-from .solver import FitTrace, _avec, _row_norms, _RowSweeps, fit as _fit_factor
+from .solver import FitTrace, _avec, _row_norms, _sweep_rows, fit as _fit_factor
 
 HUBER_DELTA = 1e-4
 
@@ -71,20 +71,19 @@ def fit_wmcm(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> Ba
 
     Cyclic exact row updates; the recorded objective is non-increasing.
     """
-    a = _avec(a)
+    a = _avec(a, d.n)
     if cfg is None:
         cfg = FitConfig(rank=1)
     Z = assemble_design(d)
     G = a[:, None] * Z
     Yw = a[:, None] * d.Y
     gram, T0 = (G.T @ G)[None], (G.T @ Yw)[None]
-    sweep = _RowSweeps(np.diag(gram[0]) > 0.0)
     # the sweep updates this one-problem stack in place; gamma is its view
     stack = np.zeros((1, d.n_features, d.q))
     gamma = stack[0]
 
     def step():
-        sweep(gram, T0, stack, [lambda_w / 2.0], cfg.inner_tol, 1)
+        _sweep_rows(gram, T0, stack, [lambda_w / 2.0], cfg.inner_tol, 1)
 
     def obj():
         R = Yw - G @ gamma
@@ -102,14 +101,13 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
     alternating an exact weighted least-squares solve for B with cyclic row
     updates for Gamma.
     """
-    a = _avec(a)
+    a = _avec(a, d.n)
     if cfg is None:
         cfg = FitConfig(rank=1)
     X, Y, Z = d.X, d.Y, assemble_design(d)
     aa = a * a
     G = a[:, None] * Z
     gram = (G.T @ G)[None]
-    sweep = _RowSweeps(np.diag(gram[0]) > 0.0)
     H = X.T @ (X * aa[:, None])
     stack = np.zeros((1, d.n_features, d.q))
     gamma = stack[0]
@@ -123,8 +121,8 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
             warnings.warn("singular main-effect normal equations; ridge jitter applied",
                           RuntimeWarning, stacklevel=3)
             B[...] = np.linalg.solve(H + 1e-8 * np.eye(H.shape[0]), rhs)
-        F = a[:, None] * (Y - X @ B)
-        sweep(gram, (G.T @ F)[None], stack, [lambda_w / 2.0], cfg.inner_tol, cfg.max_inner)
+        T0 = G.T @ (a[:, None] * (Y - X @ B))
+        _sweep_rows(gram, T0[None], stack, [lambda_w / 2.0], cfg.inner_tol, cfg.max_inner)
 
     def obj():
         R = a[:, None] * (Y - X @ B - Z @ gamma)
@@ -143,7 +141,7 @@ def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) ->
     non-increasing. Raises NumericalError if the cap of max_outer * max_inner
     iterations is hit.
     """
-    a = _avec(a)
+    a = _avec(a, d.n)
     if cfg is None:
         cfg = FitConfig(rank=1)
     Z = assemble_design(d)

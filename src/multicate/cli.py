@@ -204,6 +204,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_cv(args) -> int:
+    if args.model_out and args.method != "wmcmr4":
+        raise UsageError("--model-out is only available for method wmcmr4 "
+                         "(baselines have no factor-model artifact)")
     d, cov_names, out_names, meta = _load_dataset(args)
     a = resolve_weights(d, args.propensity)
     grid = _grid_from_args(args, args.seed)
@@ -225,15 +228,11 @@ def _cmd_cv(args) -> int:
                                              repr(float(result.per_fold_loss[i, j, k, f]))))
     if args.model_out:
         gamma_cfg = replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)
-        if args.method == "wmcmr4":
-            model = fit(d, a, gamma_cfg)
-            art = ModelArtifact(model=model, config=gamma_cfg, weight_source=a.source,
-                                metadata={**meta, "cv_best": [lam, phi, rank],
-                                          "cv_method": args.method})
-            save_model(art, args.model_out)
-        else:
-            raise UsageError("--model-out is only available for method wmcmr4 "
-                             "(baselines have no factor-model artifact)")
+        model = fit(d, a, gamma_cfg)
+        art = ModelArtifact(model=model, config=gamma_cfg, weight_source=a.source,
+                            metadata={**meta, "cv_best": [lam, phi, rank],
+                                      "cv_method": args.method})
+        save_model(art, args.model_out)
     best_idx = result.best_index
     print(f"cv: method={args.method} best_lambda={lam:.6g} best_phi={phi:.6g} "
           f"best_rank={rank} mean_loss={result.mean_loss[best_idx]:.6g}")

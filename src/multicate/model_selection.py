@@ -126,7 +126,7 @@ def kfold_split(T, folds: int, seed: int) -> np.ndarray:
 
 
 def _gamma_loss(gamma, d: Dataset, a) -> float:
-    R = _avec(a)[:, None] * (d.Y - assemble_design(d) @ gamma)
+    R = _avec(a, d.n)[:, None] * (d.Y - assemble_design(d) @ gamma)
     return float(np.sum(R * R))
 
 
@@ -283,7 +283,7 @@ def default_cv_grid(d: Dataset, a, folds: int = 5, seed: int = 0) -> CvGrid:
     """Data-driven grid: GRID_POINTS penalties per axis, log-spaced over
     [1e-3, 1e1] times the smallest value that zeroes every row of the
     corresponding block, and ranks up to GRID_MAX_RANK."""
-    a = _avec(a)
+    a = _avec(a, d.n)
     Z = assemble_design(d)
     G = a[:, None] * Z
     Yw = a[:, None] * d.Y

@@ -15,13 +15,16 @@ which is the form the updates below work with.
 ``_descend`` solves many problems in lockstep along a leading stack axis: all
 share the rank, each has its own penalties, and each group of them shares
 one dataset (in cross-validation, one group per training fold).
-``fit_batch`` is one group and ``fit`` a batch of one. The baselines reuse
-the same W row sweep.
+``fit_batch`` is one group and ``fit`` a batch of one. The W row sweep,
+``_sweep_rows``, is one stateless function, which the baselines reuse; a
+design column that is zero in some problems of a stack gets a unit pivot
+there, so one sweep serves problems with different zero columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -37,10 +40,12 @@ from .data import (
 from .weights import WeightVector
 
 
-def _avec(a) -> np.ndarray:
+def _avec(a, n: int) -> np.ndarray:
     if isinstance(a, WeightVector):
         a = a.a
     a = np.asarray(a, dtype=float).ravel()
+    if a.shape[0] != n:
+        raise DataError(f"weights have {a.shape[0]} entries, expected {n}")
     if (a <= 0).any() or not np.isfinite(a).all():
         raise DataError("weights must be finite and strictly positive")
     return a
@@ -91,93 +96,77 @@ def _shrink_rows(R, thresholds):
 _ONE = np.array(1.0)  # 0-d operands cost less per call than Python floats
 
 
-class _RowSweeps:
-    """Cyclic group-lasso row sweeps, in lockstep over a stack of problems,
-    each with its own Gram matrix.
+@np.errstate(divide="ignore", invalid="ignore")  # half / ||h|| at h = 0: see fmax
+def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
+    """Cyclic group-lasso row sweeps, in lockstep over a stack of problems.
 
     Problem j minimizes ||F_j - G_j W_j||_F^2 + 2 half_j sum_k ||w_jk|| given
-    gram_j = G_j^T G_j and T0_j = G_j^T F_j. The problems of one instance
-    share their live rows (the nonzero design columns); every other row is
-    skipped and held at zero. Work buffers, the Gram stack among them, and
-    their per-row views are kept for the current stack shape only, so calls
-    with an unchanged shape, such as one per outer iteration, pay no set-up.
+    gram_j = G_j^T G_j (the stack gram is (m, P, P)) and T0_j = G_j^T F_j.
+    Sweeps the stack W (m, P, r) in place and returns each problem's count.
+    A problem sweeps until its largest row change falls below inner_tol
+    relative to its iterate scale, or for max_inner sweeps; then it leaves
+    the stack, so each problem stops at the sweep where it would stop alone.
+
+    A design column that is zero in a problem holds its row at 0.0: the row
+    gets a unit pivot, so its update is exactly 0.0 and no other row moves.
+    Rows that are zero in every problem are skipped.
     """
-
-    def __init__(self, live):
-        self.live = np.flatnonzero(live)
-        self.dead = np.flatnonzero(~live)
-        self.shape = None
-
-    def _load(self, gram, W, T0):
-        # the buffers gram, W, T0, M, delta, outer and the row views, holding
-        # the given stack
-        if W.shape != self.shape:
-            self.shape = W.shape
-            Gb = np.zeros(W.shape[:2] + W.shape[1:2])
-            Wb, Tb, M, delta, outer = (np.zeros(W.shape) for _ in range(5))
-            # pivot (m, 1, 1) and column (m, P, 1) of each live row; with one
-            # problem, a 0-d pivot and a (P, 1) column, which cost less per
-            # operation and broadcast to the same values
-            if len(W) == 1:
-                pivots = [(Gb[0, k, k, ...], Gb[0, :, k:k + 1]) for k in self.live]
-            else:
-                pivots = [(Gb[:, k:k + 1, k:k + 1], Gb[:, :, k:k + 1]) for k in self.live]
-            rows = [(dk, col, Wb[:, k:k + 1], Tb[:, k:k + 1], M[:, k:k + 1], delta[:, k:k + 1])
-                    for (dk, col), k in zip(pivots, self.live)]
-            self.bufs = (Gb, Wb, Tb, M, delta, outer, rows)
-        Gb, Wb, Tb = self.bufs[:3]
-        Gb[...], Wb[...], Tb[...] = gram, W, T0
-        return self.bufs
-
-    @np.errstate(divide="ignore", invalid="ignore")  # half / ||h|| at h = 0: see fmax
-    def __call__(self, gram, T0, W, half, inner_tol, max_inner):
-        """Sweep the stack W (m, P, r) in place and return each problem's count.
-
-        gram is (m, P, P). A problem sweeps until its largest row change falls
-        below inner_tol relative to its iterate scale, or for max_inner
-        sweeps; then it leaves the stack, so each problem stops at the sweep
-        where it would stop alone.
-        """
-        if self.dead.size:
-            W[:, self.dead] = 0.0
-        sweeps = np.empty(len(W), dtype=int)
-        todo = np.arange(len(W))
-        Ga, Wa, T0a, half_a = gram, W, T0, np.asarray(half, dtype=float)[:, None, None]
-        count = 0
+    sweeps = np.empty(len(W), dtype=int)
+    todo = np.arange(len(W))
+    Ga, Wa, T0a, half_a = gram, W, T0, np.asarray(half, dtype=float)[:, None, None]
+    count = 0
+    while True:
+        # work buffers, C-contiguous whatever the inputs' layout (BLAS sums
+        # another layout in another order), and per-row views of this stack
+        Gb, Wb, Tb = (np.array(v, order="C") for v in (Ga, Wa, T0a))
+        M, delta, outer = np.zeros((3,) + Wb.shape)
+        diag = Gb.reshape(len(Gb), -1)[:, ::Gb.shape[1] + 1]
+        dead = diag == 0.0  # (m, P): the zero design columns
+        Wb[dead] = 0.0
+        piv = np.where(dead, 1.0, diag)
+        # each row's pivot (m, 1, 1) and column (m, P, 1), views taken by
+        # iterating over transposed buffers; with one problem, a 0-d pivot
+        # and a (P, 1) column, which cost less per operation and broadcast to
+        # the same values
+        if len(Gb) == 1:
+            pivots = [piv[0, k, ...] for k in range(Gb.shape[1])]
+            cols = Gb[0, :, :, None].swapaxes(0, 1)
+        else:
+            pivots, cols = piv.T[:, :, None, None], Gb[..., None].transpose(2, 0, 1, 3)
+        views = (v[:, :, None].swapaxes(0, 1) for v in (Wb, Tb, M, delta))
+        rows = list(compress(zip(pivots, cols, *views), ~dead.all(axis=0)))
         while True:
-            Gb, Wb, Tb, M, delta, outer, rows = self._load(Ga, Wa, T0a)
-            while True:
-                count += 1
-                np.matmul(Gb, Wb, out=M)
-                for dk, col, wk, tk, mk, dl in rows:
-                    h = tk - mk + dk * wk
-                    nv = np.sqrt(np.vecdot(h, h, keepdims=True))
-                    w_new = np.fmax(_ONE - half_a / nv, 0.0) * h / dk
-                    np.subtract(w_new, wk, out=dl)
-                    # the outer product col dl^T: a product with one term is exact
-                    M += np.matmul(col, dl, out=outer)
-                    wk[...] = w_new
-                if count == max_inner:
-                    done = None
-                    break
-                # max and sqrt commute, so this is the largest row change
-                worst = np.sqrt(np.max(np.vecdot(delta, delta), axis=1))
-                # relative to the iterate scale, matching the outlier block
-                scale = 1.0 + np.max(_row_norms(Wb), axis=1)
-                done = worst < inner_tol * scale
-                if done.any():
-                    break
-            # a row zeroed from negative entries holds -0.0; adding 0.0 makes
-            # it 0.0 and leaves every other value as it is
-            if done is None or done.all():
-                W[todo] = Wb + 0.0
-                sweeps[todo] = count
-                return sweeps
-            W[todo[done]] = Wb[done] + 0.0
-            sweeps[todo[done]] = count
-            keep = ~done
-            todo, Ga, Wa, T0a = todo[keep], Gb[keep], Wb[keep], Tb[keep]
-            half_a = half_a[keep]
+            count += 1
+            np.matmul(Gb, Wb, out=M)
+            for dk, col, wk, tk, mk, dl in rows:
+                h = tk - mk + dk * wk
+                nv = np.sqrt(np.vecdot(h, h, keepdims=True))
+                w_new = np.fmax(_ONE - half_a / nv, 0.0) * h / dk
+                np.subtract(w_new, wk, out=dl)
+                # the outer product col dl^T: a product with one term is exact
+                M += np.matmul(col, dl, out=outer)
+                wk[...] = w_new
+            if count == max_inner:
+                done = None
+                break
+            # max and sqrt commute, so this is the largest row change
+            worst = np.sqrt(np.max(np.vecdot(delta, delta), axis=1))
+            # relative to the iterate scale, matching the outlier block
+            scale = 1.0 + np.max(_row_norms(Wb), axis=1)
+            done = worst < inner_tol * scale
+            if done.any():
+                break
+        # a row zeroed from negative entries holds -0.0; adding 0.0 makes
+        # it 0.0 and leaves every other value as it is
+        if done is None or done.all():
+            W[todo] = Wb + 0.0
+            sweeps[todo] = count
+            return sweeps
+        W[todo[done]] = Wb[done] + 0.0
+        sweeps[todo[done]] = count
+        keep = ~done
+        todo, Ga, Wa, T0a = todo[keep], Gb[keep], Wb[keep], Tb[keep]
+        half_a = half_a[keep]
 
 
 def _v_block(M, V_prev):
@@ -205,7 +194,7 @@ def update_outlier_rows(C, d: Dataset, a, W, V, phi_c: float) -> np.ndarray:
     in one step, so the current C does not affect it; it is accepted so that
     existing calls keep working.
     """
-    a = _avec(a)
+    a = _avec(a, d.n)
     D = d.Y - assemble_design(d) @ (np.asarray(W, float) @ np.asarray(V, float).T)
     return _shrink_rows(D, phi_c / (2.0 * a * a))
 
@@ -213,13 +202,11 @@ def update_outlier_rows(C, d: Dataset, a, W, V, phi_c: float) -> np.ndarray:
 def update_loading_rows(W, d: Dataset, a, C, V, lambda_w: float,
                         inner_tol: float = 1e-8, max_inner: int = 100) -> np.ndarray:
     """Cyclic group-lasso updates of the covariate loading rows given C and V."""
-    a = _avec(a)
+    a = _avec(a, d.n)
     G = a[:, None] * assemble_design(d)
     FV = (a[:, None] * (d.Y - np.asarray(C, float))) @ np.asarray(V, float)
-    gram = G.T @ G
     W_new = np.array(W, dtype=float, ndmin=3)
-    _RowSweeps(np.diag(gram) > 0.0)(gram[None], (G.T @ FV)[None], W_new, [lambda_w / 2.0],
-                                    inner_tol, max_inner)
+    _sweep_rows((G.T @ G)[None], (G.T @ FV)[None], W_new, [lambda_w / 2.0], inner_tol, max_inner)
     return W_new[0]
 
 
@@ -230,7 +217,7 @@ def update_orthogonal_factor(W, d: Dataset, a, C, V=None) -> np.ndarray:
     V = S U^T from the SVD M = U D S^T. When M is identically zero the
     problem is degenerate and the supplied V is returned unchanged.
     """
-    a = _avec(a)
+    a = _avec(a, d.n)
     Z = assemble_design(d)
     G = a[:, None] * Z
     F = a[:, None] * (d.Y - np.asarray(C, float))
@@ -256,9 +243,7 @@ def _objectives(Y, Z, a, W, V, C, lambdas, phis):
 
 def objective(model: FactorModel, d: Dataset, a, cfg: FitConfig) -> float:
     """Penalized weighted objective value of a model on a dataset."""
-    a = _avec(a)
-    if a.shape[0] != d.n:
-        raise DataError(f"weights have {a.shape[0]} entries, expected {d.n}")
+    a = _avec(a, d.n)
     if model.W.shape[0] != d.n_features:
         raise DataError(
             f"model has {model.W.shape[0]} covariate rows, dataset has {d.n_features}"
@@ -317,13 +302,10 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
     # per group: its data, and the C thresholds and next C of its problems
     # still iterating; the residual is turned into the next C at once
     data, c_thr, C = [], [], []
-    W, V, gram, obj, kind = [], [], [], [], []
-    sweeps = {}  # one sweep stack per set of live rows
+    W, V, gram, obj = [], [], [], []
     for g, (Y, Z, a) in enumerate(groups):
         G = a[:, None] * Z
         gg = G.T @ G
-        live = np.diag(gg) > 0.0
-        kind.append(sweeps.setdefault(live.tobytes(), (len(sweeps), _RowSweeps(live)))[0])
         W0, V0 = _initialize(Y, Z, a, cfg.rank)
         data.append((Y, Z, a, G))
         W.append(np.repeat(W0[None], m, axis=0))
@@ -336,8 +318,6 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
         if update_c:
             C[g] = _shrink_rows(D, c_thr[g])
     W, V, gram, obj = map(np.concatenate, (W, V, gram, obj))
-    kind = np.repeat(kind, m)
-    sweeps = [sw for _, sw in sweeps.values()]
     thresh = cfg.outer_tol * np.where(obj > 0, obj, 1.0)
     objs = [[v] for v in obj.tolist()]
     w_sweeps = [[] for _ in objs]
@@ -354,12 +334,7 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
             F = a[:, None] * (Y - C[g])
             T0[s] = G.T @ (F @ V[s])
             GF[s] = G.T @ F
-        ws = np.empty(len(W), dtype=int)
-        for k, sweep in enumerate(sweeps):
-            sel = np.flatnonzero(kind == k)
-            Wk = W[sel]
-            ws[sel] = sweep(gram[sel], T0[sel], Wk, lam[sel] / 2.0, cfg.inner_tol, cfg.max_inner)
-            W[sel] = Wk
+        ws = _sweep_rows(gram, T0, W, lam / 2.0, cfg.inner_tol, cfg.max_inner)
         V = _v_block(W.mT @ GF, V)
         last = n_outer == cfg.max_outer
         new = np.empty(len(W))
@@ -388,7 +363,7 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
         if last or not keep.any():
             return
         if not keep.all():
-            todo, W, V, gram, kind = todo[keep], W[keep], V[keep], gram[keep], kind[keep]
+            todo, W, V, gram = todo[keep], W[keep], V[keep], gram[keep]
             lam, phi, thresh, new = lam[keep], phi[keep], thresh[keep], new[keep]
         obj = new
 
@@ -410,9 +385,7 @@ def _fit_groups(parts, cfgs, update_c: bool = True):
         raise DataError("configurations in one batch may differ only in lambda_w and phi_c")
     groups = []
     for d, a in parts:
-        a = _avec(a)
-        if a.shape[0] != d.n:
-            raise DataError(f"weights have {a.shape[0]} entries, expected {d.n}")
+        a = _avec(a, d.n)
         if first.rank > min(d.n_features, d.q):
             raise DataError(f"rank {first.rank} exceeds min(p+1, q) = {min(d.n_features, d.q)}")
         groups.append((d.Y, assemble_design(d), a))

@@ -26,6 +26,7 @@ from multicate import (
     fit_wmcm,
     group_soft_threshold,
     kfold_split,
+    update_loading_rows,
     validate_dataset,
 )
 from multicate import model_selection, solver
@@ -253,7 +254,7 @@ def test_fold_stack_with_column_zero_in_one_training_fold():
 
 
 # =============================================================================
-# squared-loss baselines share the row sweep
+# the baselines and the loading-row update share the row sweep
 # =============================================================================
 
 
@@ -299,6 +300,36 @@ def test_wmcm_and_wfull_equal_serial_reference():
         got = fit_wfull(d, a, lam, cfg)
         assert np.array_equal(got.gamma, gamma) and np.array_equal(got.B, B)
         assert np.array_equal(got.trace.objective, objs)
+    # a zero design column, for wmcm only: the reference cannot solve wfull's
+    # singular main-effect normal equations
+    X = np.array(d.X)
+    X[:, 2] = 0.0
+    d = validate_dataset(X, d.Y, d.T)
+    for lam in (0.0, 3.0, 40.0):
+        gamma, _, objs = _ref_baseline(d, a, lam, cfg, main_effect=False)
+        got = fit_wmcm(d, a, lam, cfg)
+        assert np.array_equal(got.gamma, gamma) and np.array_equal(got.trace.objective, objs)
+        assert not got.gamma[2].any() and not np.signbit(got.gamma[2]).any()
+
+
+def test_loading_rows_with_zero_design_column_equal_reference():
+    d = _contaminated(seed=19)
+    X = np.array(d.X)
+    X[:, 2] = 0.0
+    d = validate_dataset(X, d.Y, d.T)
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.6, 1.6, d.n)
+    W = rng.standard_normal((d.n_features, 2))  # nonzero on the zero column's row too
+    V = np.linalg.qr(rng.standard_normal((d.q, 2)))[0]
+    C = 0.1 * rng.standard_normal((d.n, d.q))
+    G = a[:, None] * assemble_design(d)
+    T0 = G.T @ ((a[:, None] * (d.Y - C)) @ V)
+    for lam in (0.0, 3.0, 40.0):
+        for max_inner in (1, 100):
+            got = update_loading_rows(W, d, a, C, V, lam, max_inner=max_inner)
+            ref, _ = _ref_w_block(G.T @ G, T0, W, lam, 1e-8, max_inner)
+            assert np.array_equal(got, ref)
+            assert not got[2].any() and not np.signbit(got[2]).any()
 
 
 # =============================================================================

@@ -419,10 +419,13 @@ def test_cli_cv_usage_errors(tmp_path, capsys):
             "--treatment-column", "arm", "--coding", "zero_one"]
     assert run_cli(base + ["--lambdas", "0.1"]) == 1
     assert "must be given together" in capsys.readouterr().err
+    # refused before any data is loaded or any fit runs: no CV output is written
+    cv_out = tmp_path / "cv.csv"
     assert run_cli(base + ["--method", "wmcm", "--lambdas", "0.1", "--phis", "0",
-                           "--ranks", "1", "--folds", "2",
+                           "--ranks", "1", "--folds", "2", "--cv-out", str(cv_out),
                            "--model-out", str(tmp_path / "m.json")]) == 1
     assert "only available for method wmcmr4" in capsys.readouterr().err
+    assert not cv_out.exists()
 
 
 def test_cli_cv_method_choices_are_the_method_table():

@@ -3,12 +3,27 @@ import pytest
 
 from multicate import (
     DataError,
+    FactorModel,
+    FitConfig,
     compute_weights,
+    cv_loss,
+    default_cv_grid,
+    fit,
     fit_propensity_logistic,
+    fit_wfull,
+    fit_wmcm,
+    fit_wmcm_l1,
+    fit_wmcmrrr,
+    objective,
     rct_weights,
     resolve_weights,
+    update_loading_rows,
+    update_orthogonal_factor,
+    update_outlier_rows,
     validate_dataset,
 )
+
+from conftest import make_dataset
 
 
 def test_weight_formula_frozen_values():
@@ -70,3 +85,35 @@ def test_resolve_weights_sources():
         resolve_weights(d2, "known")
     with pytest.raises(DataError, match="unknown"):
         resolve_weights(d, "sieve")
+
+
+def _model(d):
+    return FactorModel(W=np.ones((d.n_features, 1)), V=np.eye(d.q)[:, :1],
+                       C=np.zeros((d.n, d.q)), rank=1)
+
+
+# every entry point that takes per-subject weights, as (dataset, weights) -> result
+WEIGHTED_CALLS = {
+    "fit": lambda d, a: fit(d, a, FitConfig(rank=1)),
+    "fit_wmcmrrr": lambda d, a: fit_wmcmrrr(d, a, 1),
+    "fit_wmcm": lambda d, a: fit_wmcm(d, a, 1.0),
+    "fit_wfull": lambda d, a: fit_wfull(d, a, 1.0),
+    "fit_wmcm_l1": lambda d, a: fit_wmcm_l1(d, a, 1.0),
+    "objective": lambda d, a: objective(_model(d), d, a, FitConfig(rank=1)),
+    "default_cv_grid": lambda d, a: default_cv_grid(d, a),
+    "cv_loss": lambda d, a: cv_loss(_model(d), d, a),
+    "update_outlier_rows": lambda d, a: update_outlier_rows(
+        _model(d).C, d, a, _model(d).W, _model(d).V, 1.0),
+    "update_loading_rows": lambda d, a: update_loading_rows(
+        _model(d).W, d, a, _model(d).C, _model(d).V, 1.0),
+    "update_orthogonal_factor": lambda d, a: update_orthogonal_factor(
+        _model(d).W, d, a, _model(d).C),
+}
+
+
+@pytest.mark.parametrize("call", WEIGHTED_CALLS.values(), ids=WEIGHTED_CALLS.keys())
+def test_weight_count_must_match_rows(call):
+    d, _ = make_dataset(40, 3, 2, seed=9)
+    call(d, np.ones(d.n))
+    with pytest.raises(DataError, match="weights have 39 entries, expected 40"):
+        call(d, np.ones(39))
