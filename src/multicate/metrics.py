@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import DataError
 
@@ -37,6 +36,20 @@ def bias(X_test, gamma_hat, gamma_true) -> float:
     return abs(float(np.sum(D))) / D.size
 
 
+def _average_ranks(v) -> np.ndarray:
+    """1-based ranks of v, ties sharing the mean of their positions; all NaN if any v is NaN."""
+    v = np.asarray(v, dtype=float).ravel()
+    if np.isnan(v).any():
+        return np.full(v.shape, np.nan)
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    start = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+    end = np.r_[start[1:], sv.size]
+    ranks = np.empty(v.shape)
+    ranks[order] = np.repeat((start + 1 + end) / 2.0, end - start)
+    return ranks
+
+
 def spearman(score_hat, score_true) -> float:
     """Rank correlation of estimated vs true per-subject scores.
 
@@ -54,8 +67,8 @@ def spearman(score_hat, score_true) -> float:
         raise DataError("need at least two subjects for a rank correlation")
     if not np.any(sh):
         return 0.0
-    rh = rankdata(-sh, method="average")
-    rt = rankdata(-st, method="average")
+    rh = _average_ranks(-sh)
+    rt = _average_ranks(-st)
     d = rh - rt
     return 1.0 - 6.0 * float(np.sum(d * d)) / (m * (m * m - 1.0))
 
@@ -75,7 +88,7 @@ def auc(score_hat, score_true) -> float:
     n_neg = sh.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    ranks = rankdata(sh, method="average")
+    ranks = _average_ranks(sh)
     return (float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

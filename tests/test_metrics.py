@@ -1,9 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import multicate
 from multicate import DataError, auc, bias, evaluate, mse, spearman
+from multicate.metrics import _average_ranks
+
+# Ties within both vectors, -0.0 tied with 0.0, and infinite scores. The
+# expected metric values below were recorded when ranks came from
+# scipy.stats.rankdata(method="average").
+TIED_HAT = [2.0, -0.0, 0.0, 2.0, math.inf, -1.0, 0.0, -math.inf]
+TIED_TRUE = [1.0, 3.0, 3.0, -2.0, 5.0, -1.0, 0.5, -1.0]
 
 
 # =============================================================================
@@ -69,7 +82,8 @@ def test_spearman_monotone_transform_invariant(rng):
 
 def test_spearman_tied_frozen_value():
     # midranks (1.5, 1.5, 3) vs (1, 2, 3): sum d^2 = 0.5, 1 - 3/24
-    assert spearman([1.0, 1.0, 0.0], [2.0, 1.0, 0.0]) == pytest.approx(0.875)
+    assert spearman([1.0, 1.0, 0.0], [2.0, 1.0, 0.0]) == 0.875
+    assert spearman(TIED_HAT, TIED_TRUE) == 0.43452380952380953
 
 
 def test_spearman_zero_estimate_convention():
@@ -107,12 +121,58 @@ def test_auc_uninformative_constant_score():
 
 def test_auc_tied_frozen_value():
     # one positive with score 2 tied against a negative: rank 2.5 of 3
-    assert auc([2.0, 2.0, 1.0], [1.0, -1.0, -1.0]) == pytest.approx(0.75)
+    assert auc([2.0, 2.0, 1.0], [1.0, -1.0, -1.0]) == 0.75
+    assert auc(TIED_HAT, TIED_TRUE) == 0.7666666666666667
 
 
 def test_auc_single_class_is_nan():
     assert math.isnan(auc([1.0, 2.0], [1.0, 2.0]))
     assert math.isnan(auc([1.0, 2.0], [-1.0, -2.0]))
+
+
+def test_nan_scores_propagate():
+    assert np.isnan(_average_ranks([1.0, math.nan, 0.0])).all()
+    assert math.isnan(spearman([1.0, math.nan, 0.0], [1.0, 2.0, 3.0]))
+    assert math.isnan(auc([1.0, math.nan, 0.0], [1.0, -2.0, 3.0]))
+
+
+# =============================================================================
+# average ranks
+# =============================================================================
+
+
+def _oracle_ranks(v):
+    """rank_i = #{v_j < v_i} + (#{v_j == v_i} + 1) / 2, by brute force."""
+    return np.array([np.sum(v < x) + (np.sum(v == x) + 1) / 2.0 for x in v], dtype=float)
+
+
+@st.composite
+def _tied_vectors(draw):
+    # a small pool of values, then a vector of repeated picks from it, so ties are common
+    pool = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]), st.floats(allow_nan=False)),
+        min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    return np.array([pool[i] for i in picks], dtype=float)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_tied_vectors())
+def test_average_ranks_equal_brute_force(v):
+    ranks = _average_ranks(v)
+    assert ranks.dtype == np.float64
+    assert np.array_equal(ranks, _oracle_ranks(v))
+
+
+def test_import_loads_no_scipy():
+    # metrics ranks with NumPy alone; SciPy is needed only by the benchmark harness
+    src = os.path.dirname(os.path.dirname(multicate.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, multicate, multicate.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 # =============================================================================
