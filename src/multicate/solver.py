@@ -18,13 +18,14 @@ one dataset (in cross-validation, one group per training fold).
 ``fit_batch`` is one group and ``fit`` a batch of one. The W row sweep,
 ``_sweep_rows``, is one stateless function, which the baselines reuse; a
 design column that is zero in some problems of a stack gets a unit pivot
-there, so one sweep serves problems with different zero columns.
+there, so one sweep serves problems with different zero columns. One
+problem is stepped with Python floats: the same IEEE operations, fewer calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from itertools import compress
 
 import numpy as np
 
@@ -110,6 +111,12 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
     A design column that is zero in a problem holds its row at 0.0: the row
     gets a unit pivot, so its update is exactly 0.0 and no other row moves.
     Rows that are zero in every problem are skipped.
+
+    Both branches give the same bits: one problem steps 1-D rows with
+    Python-float pivots and 1 - half/nv if nv > half else 0, the IEEE
+    operations of the stack's fmax(1 - half/nv, 0) at nv = 0, half = 0 and
+    NaN too; row k's outer product (exact: one term) goes only to the rows
+    of M after k, the only ones read before the next sweep recomputes M.
     """
     sweeps = np.empty(len(W), dtype=int)
     todo = np.arange(len(W))
@@ -119,33 +126,45 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
         # work buffers, C-contiguous whatever the inputs' layout (BLAS sums
         # another layout in another order), and per-row views of this stack
         Gb, Wb, Tb = (np.array(v, order="C") for v in (Ga, Wa, T0a))
-        M, delta, outer = np.zeros((3,) + Wb.shape)
+        # M = G W, the outer products and the row changes, stored row-major
+        # over the stack: the rows after k of all problems are one block
+        M, outer, delta = np.zeros((3, Wb.shape[1], len(Wb), Wb.shape[2])).swapaxes(1, 2)
         diag = Gb.reshape(len(Gb), -1)[:, ::Gb.shape[1] + 1]
         dead = diag == 0.0  # (m, P): the zero design columns
         Wb[dead] = 0.0
         piv = np.where(dead, 1.0, diag)
-        # each row's pivot (m, 1, 1) and column (m, P, 1), views taken by
-        # iterating over transposed buffers; with one problem, a 0-d pivot
-        # and a (P, 1) column, which cost less per operation and broadcast to
-        # the same values
-        if len(Gb) == 1:
-            pivots = [piv[0, k, ...] for k in range(Gb.shape[1])]
-            cols = Gb[0, :, :, None].swapaxes(0, 1)
+        # per-row views, by iterating over transposed buffers: (m, 1, 1) pivots
+        # and (m, 1, r) rows; for one problem, Python-float pivots and 1-D rows
+        one = len(Gb) == 1
+        if one:
+            half1 = float(half_a[0, 0, 0])
+            pivots, cols = piv[0].tolist(), Gb[0, :, :, None].swapaxes(0, 1)
+            Ms, Os, views = M[0], outer[0], (v[0] for v in (Wb, Tb, M, delta))
         else:
             pivots, cols = piv.T[:, :, None, None], Gb[..., None].transpose(2, 0, 1, 3)
-        views = (v[:, :, None].swapaxes(0, 1) for v in (Wb, Tb, M, delta))
-        rows = list(compress(zip(pivots, cols, *views), ~dead.all(axis=0)))
+            Ms, Os, views = M, outer, (v[:, :, None].swapaxes(0, 1) for v in (Wb, Tb, M, delta))
+        live = (~dead.all(axis=0)).tolist()
+        rows = [(dk, col[..., k + 1:, :], wk, tk, mk, dl, Ms[..., k + 1:, :], Os[..., k + 1:, :])
+                for k, (dk, col, wk, tk, mk, dl) in enumerate(zip(pivots, cols, *views)) if live[k]]
         while True:
             count += 1
             np.matmul(Gb, Wb, out=M)
-            for dk, col, wk, tk, mk, dl in rows:
-                h = tk - mk + dk * wk
-                nv = np.sqrt(np.vecdot(h, h, keepdims=True))
-                w_new = np.fmax(_ONE - half_a / nv, 0.0) * h / dk
-                np.subtract(w_new, wk, out=dl)
-                # the outer product col dl^T: a product with one term is exact
-                M += np.matmul(col, dl, out=outer)
-                wk[...] = w_new
+            if one:
+                for dk, col, wk, tk, mk, dl, m_rest, o_rest in rows:
+                    h = tk - mk + dk * wk
+                    nv = math.sqrt(np.vecdot(h, h))
+                    w_new = (1.0 - half1 / nv if nv > half1 else 0.0) * h / dk
+                    np.subtract(w_new, wk, out=dl)
+                    m_rest += np.multiply(col, dl, out=o_rest)
+                    wk[...] = w_new
+            else:
+                for dk, col, wk, tk, mk, dl, m_rest, o_rest in rows:
+                    h = tk - mk + dk * wk
+                    nv = np.sqrt(np.vecdot(h, h, keepdims=True))
+                    w_new = np.fmax(_ONE - half_a / nv, 0.0) * h / dk
+                    np.subtract(w_new, wk, out=dl)
+                    m_rest += np.matmul(col, dl, out=o_rest)
+                    wk[...] = w_new
             if count == max_inner:
                 done = None
                 break

@@ -33,6 +33,23 @@ class WeightVector:
         if self.source not in SOURCES:
             raise DataError(f"unknown weight source {self.source!r}")
 
+    @property
+    def ess(self) -> float:
+        """Kish effective sample size of the fitting weights a^2:
+        (sum a^2)^2 / sum a^4, which is n when all weights are equal."""
+        w = self.a * self.a
+        return float(w.sum() ** 2 / np.sum(w * w))
+
+    @property
+    def min(self) -> float:
+        """Smallest weight a_i."""
+        return float(self.a.min())
+
+    @property
+    def max(self) -> float:
+        """Largest weight a_i."""
+        return float(self.a.max())
+
 
 def compute_weights(T, pi, source: str = "known") -> WeightVector:
     """Weights from given propensities P(T=+1|x)."""

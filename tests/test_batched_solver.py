@@ -333,6 +333,63 @@ def test_loading_rows_with_zero_design_column_equal_reference():
 
 
 # =============================================================================
+# the one-problem branch of the row sweep at the shrinkage boundaries
+# =============================================================================
+
+
+def _sweep_problem(rng, P=6, r=2, n=40):
+    G = rng.standard_normal((n, P))
+    return G.T @ G, G.T @ rng.standard_normal((n, r)), rng.standard_normal((P, r))
+
+
+def _isolate(gram, k, pivot):
+    # design column k orthogonal to the others, with squared norm pivot
+    gram[k, :] = gram[:, k] = 0.0
+    gram[k, k] = pivot
+
+
+def _boundary_case(case):
+    # (gram, T0, W0, half) of one problem whose row 2 sits at a boundary of
+    # the shrink factor (1 - half/||h||)_+ at every sweep
+    gram, T0, W0 = _sweep_problem(np.random.default_rng(31))
+    half = 5.0
+    if case == "zero target, no penalty":
+        half = 0.0  # h = 0 and half = 0: the stacked step meets 0/0
+        _isolate(gram, 2, 3.0)
+        T0[2] = W0[2] = 0.0
+    elif case in ("norm at threshold", "norm one ulp above threshold"):
+        _isolate(gram, 2, 3.0)
+        T0[2], W0[2] = (3.0, 4.0), 0.0  # h = (3, 4) at every sweep, ||h|| = 5
+        if case == "norm one ulp above threshold":
+            half = np.nextafter(5.0, 0.0)
+    elif case == "zero design column":
+        _isolate(gram, 2, 0.0)
+        T0[2] = 0.0  # W0[2] stays nonzero: the sweep must zero it
+    return gram, T0, W0, half
+
+
+@pytest.mark.parametrize("max_inner", [1, 100])
+@pytest.mark.parametrize("case", ["zero target, no penalty", "norm at threshold",
+                                  "norm one ulp above threshold", "zero design column"])
+def test_one_problem_sweep_equals_stack_and_reference_at_boundaries(case, max_inner):
+    gram, T0, W0, half = _boundary_case(case)
+    one = W0[None].copy()
+    n_one = solver._sweep_rows(gram[None], T0[None], one, [half], 1e-8, max_inner)
+    # the same problem between two others, which the stacked branch sweeps
+    rng = np.random.default_rng(32)
+    (g0, t0, w0), (g2, t2, w2) = _sweep_problem(rng), _sweep_problem(rng)
+    stack = np.stack([w0, W0, w2])
+    n_stack = solver._sweep_rows(np.stack([g0, gram, g2]), np.stack([t0, T0, t2]), stack,
+                                 [1.0, half, 40.0], 1e-8, max_inner)
+    ref, n_ref = _ref_w_block(gram, T0, W0, 2.0 * half, 1e-8, max_inner)
+    # byte for byte, so signed zeros count
+    assert one[0].tobytes() == stack[1].tobytes() == ref.tobytes()
+    assert n_one[0] == n_stack[1] == n_ref
+    # row 2 is +0.0 except just above the threshold, where it barely survives
+    assert (one[0, 2].tobytes() == bytes(16)) == (case != "norm one ulp above threshold")
+
+
+# =============================================================================
 # cross-validation: batched and broadcast = naive loop
 # =============================================================================
 

@@ -43,6 +43,32 @@ def test_rct_weights_are_sqrt2():
     assert np.allclose(v.a, np.sqrt(2.0), atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_rct_weights_have_full_effective_sample_size(n):
+    w = rct_weights(n)
+    # equal weights: (n a^2)^2 / (n a^4) = n, up to the rounding of sqrt(2)^2
+    assert w.ess == pytest.approx(n, rel=1e-14)
+    assert w.min == w.max == np.sqrt(2.0)
+
+
+def test_logistic_weight_summaries_hand_computed():
+    # a saturated propensity model (intercept + one binary covariate): the
+    # fit reproduces each group's treated share, 1/4 at x=0 and 3/4 at x=1.
+    # Two subjects get a^2 = 1/(1/4) = 4 and six get a^2 = 1/(3/4) = 4/3,
+    # so ESS = (2*4 + 6*4/3)^2 / (2*16 + 6*16/9) = 256 / (128/3) = 6.
+    x = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=float)
+    T = np.array([1, -1, -1, -1, 1, 1, 1, -1], dtype=float)
+    X = np.column_stack([np.ones(8), x])
+    d = validate_dataset(X, np.arange(8.0)[:, None], T)
+    w = resolve_weights(d, "logistic")
+    assert w.source == "logistic_fit"
+    assert w.ess == pytest.approx(6.0, rel=1e-6)
+    assert w.min == pytest.approx(2.0 / np.sqrt(3.0), rel=1e-6)
+    assert w.max == pytest.approx(2.0, rel=1e-6)
+    with pytest.raises(AttributeError):
+        w.ess = 8.0
+
+
 def test_compute_weights_validates():
     with pytest.raises(DataError):
         compute_weights([1, -1], [0.5, 1.0])
