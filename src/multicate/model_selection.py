@@ -17,7 +17,7 @@ import numpy as np
 
 from . import baselines
 from .data import DataError, Dataset, FactorModel, FitConfig, assemble_design
-from .solver import _avec, _fit_groups, fit as _fit_factor
+from .solver import _avec, _check_rank, _fit_groups, fit as _fit_factor
 from .weights import WeightVector, _logistic_irls, _propensity, compute_weights, resolve_weights
 
 
@@ -247,6 +247,8 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
     alone.
     """
     fit_grid = _method_grid(grid, method)  # raises on an unknown method
+    if "rank" in _estimator(method).axes:  # before any fit; the folds share d's shape
+        _check_rank(d, max(fit_grid.ranks))
     if cfg is None:
         cfg = FitConfig(rank=max(grid.ranks))
     assignment, folds = _fold_parts(d, grid, propensity)

@@ -18,8 +18,10 @@ one dataset (in cross-validation, one group per training fold).
 ``fit_batch`` is one group and ``fit`` a batch of one. The W row sweep,
 ``_sweep_rows``, is one stateless function, which the baselines reuse; a
 design column that is zero in some problems of a stack gets a unit pivot
-there, so one sweep serves problems with different zero columns. One
-problem is stepped with Python floats: the same IEEE operations, fewer calls.
+there, so one sweep serves problems with different zero columns. The shape
+picks its path: NumPy rows for a stack, 1-D rows for one problem, Python
+floats for one problem whose W has one column; the same IEEE operations,
+fewer calls.
 """
 
 from __future__ import annotations
@@ -50,6 +52,19 @@ def _avec(a, n: int) -> np.ndarray:
     if (a <= 0).any() or not np.isfinite(a).all():
         raise DataError("weights must be finite and strictly positive")
     return a
+
+
+def _block_inputs(d: Dataset, W, V=None, C=None) -> list:
+    """W (p+1, r), V (q, r) and C (n, q) as float arrays, checked against d."""
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[0] != d.n_features:
+        raise DataError(f"W has shape {W.shape}, expected ({d.n_features}, rank)")
+    out = [W]
+    for name, v, shape in (("V", V, (d.q, W.shape[1])), ("C", C, (d.n, d.q))):
+        if v is not None and np.shape(v) != shape:
+            raise DataError(f"{name} has shape {np.shape(v)}, expected {shape}")
+        out.append(None if v is None else np.asarray(v, dtype=float))
+    return out
 
 
 # =============================================================================
@@ -112,11 +127,16 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
     gets a unit pivot, so its update is exactly 0.0 and no other row moves.
     Rows that are zero in every problem are skipped.
 
-    Both branches give the same bits: one problem steps 1-D rows with
-    Python-float pivots and 1 - half/nv if nv > half else 0, the IEEE
-    operations of the stack's fmax(1 - half/nv, 0) at nv = 0, half = 0 and
-    NaN too; row k's outer product (exact: one term) goes only to the rows
-    of M after k, the only ones read before the next sweep recomputes M.
+    Three paths, chosen by shape at each buffer build (at entry and after a
+    problem leaves), give the same bits. A stack steps (m, 1, r) NumPy rows.
+    One problem steps 1-D rows with Python-float pivots and 1 - half/nv if
+    nv > half else 0, the IEEE operations of the stack's fmax(1 - half/nv, 0)
+    at nv = 0, half = 0 and NaN too. One problem with one column steps
+    Python floats: each vector operation is then one IEEE operation, and a
+    one-element vecdot is fl(h*h). All paths share the matmul for M = G W and
+    the NumPy stop test (np.max keeps a NaN, Python's max does not); row k's
+    outer product (exact: one term) goes only to the rows of M after k, the
+    only ones read before the next sweep recomputes M.
     """
     sweeps = np.empty(len(W), dtype=int)
     todo = np.arange(len(W))
@@ -133,23 +153,43 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
         dead = diag == 0.0  # (m, P): the zero design columns
         Wb[dead] = 0.0
         piv = np.where(dead, 1.0, diag)
+        one, P = len(Gb) == 1, Gb.shape[1]
+        live = (~dead.all(axis=0)).tolist()
+        scalar = one and Wb.shape[2] == 1
         # per-row views, by iterating over transposed buffers: (m, 1, 1) pivots
-        # and (m, 1, r) rows; for one problem, Python-float pivots and 1-D rows
-        one = len(Gb) == 1
-        if one:
+        # and (m, 1, r) rows; for one problem, Python-float pivots and 1-D rows;
+        # for one problem with one column, Python floats and G by columns
+        if scalar:
+            half1, tl, dls = float(half_a[0, 0, 0]), Tb[0, :, 0].tolist(), [0.0] * P
+            wv, mv, dv = Wb[0, :, 0], M[0, :, 0], delta[0, :, 0]
+            rows = [(k, dk, tl[k], col, range(k + 1, P)) for k, (dk, col)
+                    in enumerate(zip(piv[0].tolist(), Gb[0].T.tolist())) if live[k]]
+        elif one:
             half1 = float(half_a[0, 0, 0])
             pivots, cols = piv[0].tolist(), Gb[0, :, :, None].swapaxes(0, 1)
             Ms, Os, views = M[0], outer[0], (v[0] for v in (Wb, Tb, M, delta))
         else:
             pivots, cols = piv.T[:, :, None, None], Gb[..., None].transpose(2, 0, 1, 3)
             Ms, Os, views = M, outer, (v[:, :, None].swapaxes(0, 1) for v in (Wb, Tb, M, delta))
-        live = (~dead.all(axis=0)).tolist()
-        rows = [(dk, col[..., k + 1:, :], wk, tk, mk, dl, Ms[..., k + 1:, :], Os[..., k + 1:, :])
-                for k, (dk, col, wk, tk, mk, dl) in enumerate(zip(pivots, cols, *views)) if live[k]]
+        if not scalar:
+            rows = [(dk, col[..., k + 1:, :], wk, tk, mk, dl, Ms[..., k + 1:, :],
+                     Os[..., k + 1:, :]) for k, (dk, col, wk, tk, mk, dl)
+                    in enumerate(zip(pivots, cols, *views)) if live[k]]
         while True:
             count += 1
             np.matmul(Gb, Wb, out=M)
-            if one:
+            if scalar:
+                w, m = wv.tolist(), mv.tolist()
+                for k, dk, tk, col, rest in rows:
+                    wk = w[k]
+                    h = tk - m[k] + dk * wk
+                    nv = math.sqrt(h * h)
+                    w[k] = w_new = (1.0 - half1 / nv if nv > half1 else 0.0) * h / dk
+                    dls[k] = dl = w_new - wk
+                    for j in rest:
+                        m[j] += col[j] * dl
+                wv[:], dv[:] = w, dls
+            elif one:
                 for dk, col, wk, tk, mk, dl, m_rest, o_rest in rows:
                     h = tk - mk + dk * wk
                     nv = math.sqrt(np.vecdot(h, h))
@@ -214,7 +254,8 @@ def update_outlier_rows(C, d: Dataset, a, W, V, phi_c: float) -> np.ndarray:
     existing calls keep working.
     """
     a = _avec(a, d.n)
-    D = d.Y - assemble_design(d) @ (np.asarray(W, float) @ np.asarray(V, float).T)
+    W, V, _ = _block_inputs(d, W, V, C)
+    D = d.Y - assemble_design(d) @ (W @ V.T)
     return _shrink_rows(D, phi_c / (2.0 * a * a))
 
 
@@ -222,9 +263,12 @@ def update_loading_rows(W, d: Dataset, a, C, V, lambda_w: float,
                         inner_tol: float = 1e-8, max_inner: int = 100) -> np.ndarray:
     """Cyclic group-lasso updates of the covariate loading rows given C and V."""
     a = _avec(a, d.n)
+    W, V, C = _block_inputs(d, W, V, C)
+    if not np.isfinite(lambda_w) or lambda_w < 0:
+        raise DataError(f"lambda_w must be finite and nonnegative, got {lambda_w}")
     G = a[:, None] * assemble_design(d)
-    FV = (a[:, None] * (d.Y - np.asarray(C, float))) @ np.asarray(V, float)
-    W_new = np.array(W, dtype=float, ndmin=3)
+    FV = (a[:, None] * (d.Y - C)) @ V
+    W_new = W[None].copy()
     _sweep_rows((G.T @ G)[None], (G.T @ FV)[None], W_new, [lambda_w / 2.0], inner_tol, max_inner)
     return W_new[0]
 
@@ -237,11 +281,10 @@ def update_orthogonal_factor(W, d: Dataset, a, C, V=None) -> np.ndarray:
     problem is degenerate and the supplied V is returned unchanged.
     """
     a = _avec(a, d.n)
-    Z = assemble_design(d)
-    G = a[:, None] * Z
-    F = a[:, None] * (d.Y - np.asarray(C, float))
-    M = np.asarray(W, float).T @ (G.T @ F)
-    return _v_block(M, None if V is None else np.asarray(V, float))
+    W, V, C = _block_inputs(d, W, V, C)
+    G = a[:, None] * assemble_design(d)
+    M = W.T @ (G.T @ (a[:, None] * (d.Y - C)))
+    return _v_block(M, V)
 
 
 # =============================================================================
@@ -387,6 +430,11 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
         obj = new
 
 
+def _check_rank(d: Dataset, rank: int) -> None:
+    if rank > min(d.n_features, d.q):
+        raise DataError(f"rank {rank} exceeds min(p+1, q) = {min(d.n_features, d.q)}")
+
+
 def _fit_groups(parts, cfgs, update_c: bool = True):
     """Fit every configuration to every (d, a) of parts in one lockstep
     descent; an iterator of (g, j, model) for cfgs[j] fit to parts[g], in
@@ -405,8 +453,7 @@ def _fit_groups(parts, cfgs, update_c: bool = True):
     groups = []
     for d, a in parts:
         a = _avec(a, d.n)
-        if first.rank > min(d.n_features, d.q):
-            raise DataError(f"rank {first.rank} exceeds min(p+1, q) = {min(d.n_features, d.q)}")
+        _check_rank(d, first.rank)
         groups.append((d.Y, assemble_design(d), a))
     return _descend(groups, first, [c.lambda_w for c in cfgs], [c.phi_c for c in cfgs],
                     update_c)

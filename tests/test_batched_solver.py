@@ -289,27 +289,30 @@ def _ref_baseline(d, a, lam, cfg, main_effect):
 
 
 def test_wmcm_and_wfull_equal_serial_reference():
-    d = _contaminated(seed=17)
-    a = np.random.default_rng(2).uniform(0.6, 1.6, d.n)
     cfg = FitConfig(rank=1)
-    for lam in (0.0, 3.0, 40.0):
-        gamma, _, objs = _ref_baseline(d, a, lam, cfg, main_effect=False)
-        got = fit_wmcm(d, a, lam, cfg)
-        assert np.array_equal(got.gamma, gamma) and np.array_equal(got.trace.objective, objs)
-        gamma, B, objs = _ref_baseline(d, a, lam, cfg, main_effect=True)
-        got = fit_wfull(d, a, lam, cfg)
-        assert np.array_equal(got.gamma, gamma) and np.array_equal(got.B, B)
-        assert np.array_equal(got.trace.objective, objs)
-    # a zero design column, for wmcm only: the reference cannot solve wfull's
-    # singular main-effect normal equations
-    X = np.array(d.X)
-    X[:, 2] = 0.0
-    d = validate_dataset(X, d.Y, d.T)
-    for lam in (0.0, 3.0, 40.0):
-        gamma, _, objs = _ref_baseline(d, a, lam, cfg, main_effect=False)
-        got = fit_wmcm(d, a, lam, cfg)
-        assert np.array_equal(got.gamma, gamma) and np.array_equal(got.trace.objective, objs)
-        assert not got.gamma[2].any() and not np.signbit(got.gamma[2]).any()
+    # with q = 1, Gamma has one column, and the sweep steps Python floats
+    for q in (4, 1):
+        d = _contaminated(q=q, seed=17)
+        a = np.random.default_rng(2).uniform(0.6, 1.6, d.n)
+        for lam in (0.0, 3.0, 40.0):
+            gamma, _, objs = _ref_baseline(d, a, lam, cfg, main_effect=False)
+            got = fit_wmcm(d, a, lam, cfg)
+            assert np.array_equal(got.gamma, gamma) and np.array_equal(got.trace.objective, objs)
+            gamma, B, objs = _ref_baseline(d, a, lam, cfg, main_effect=True)
+            got = fit_wfull(d, a, lam, cfg)
+            assert np.array_equal(got.gamma, gamma) and np.array_equal(got.B, B)
+            assert np.array_equal(got.trace.objective, objs)
+        assert got.gamma.shape == (d.n_features, q)
+        # a zero design column, for wmcm only: the reference cannot solve wfull's
+        # singular main-effect normal equations
+        X = np.array(d.X)
+        X[:, 2] = 0.0
+        d = validate_dataset(X, d.Y, d.T)
+        for lam in (0.0, 3.0, 40.0):
+            gamma, _, objs = _ref_baseline(d, a, lam, cfg, main_effect=False)
+            got = fit_wmcm(d, a, lam, cfg)
+            assert np.array_equal(got.gamma, gamma) and np.array_equal(got.trace.objective, objs)
+            assert not got.gamma[2].any() and not np.signbit(got.gamma[2]).any()
 
 
 def test_loading_rows_with_zero_design_column_equal_reference():
@@ -333,7 +336,7 @@ def test_loading_rows_with_zero_design_column_equal_reference():
 
 
 # =============================================================================
-# the one-problem branch of the row sweep at the shrinkage boundaries
+# the one-problem branches of the row sweep at the shrinkage boundaries
 # =============================================================================
 
 
@@ -348,10 +351,10 @@ def _isolate(gram, k, pivot):
     gram[k, k] = pivot
 
 
-def _boundary_case(case):
-    # (gram, T0, W0, half) of one problem whose row 2 sits at a boundary of
-    # the shrink factor (1 - half/||h||)_+ at every sweep
-    gram, T0, W0 = _sweep_problem(np.random.default_rng(31))
+def _boundary_case(case, r):
+    # (gram, T0, W0, half) of one problem with r columns whose row 2 sits at
+    # a boundary of the shrink factor (1 - half/||h||)_+ at every sweep
+    gram, T0, W0 = _sweep_problem(np.random.default_rng(31), r=r)
     half = 5.0
     if case == "zero target, no penalty":
         half = 0.0  # h = 0 and half = 0: the stacked step meets 0/0
@@ -359,7 +362,7 @@ def _boundary_case(case):
         T0[2] = W0[2] = 0.0
     elif case in ("norm at threshold", "norm one ulp above threshold"):
         _isolate(gram, 2, 3.0)
-        T0[2], W0[2] = (3.0, 4.0), 0.0  # h = (3, 4) at every sweep, ||h|| = 5
+        T0[2], W0[2] = (3.0, 4.0) if r == 2 else 5.0, 0.0  # ||h|| = 5 at every sweep
         if case == "norm one ulp above threshold":
             half = np.nextafter(5.0, 0.0)
     elif case == "zero design column":
@@ -368,25 +371,64 @@ def _boundary_case(case):
     return gram, T0, W0, half
 
 
-@pytest.mark.parametrize("max_inner", [1, 100])
-@pytest.mark.parametrize("case", ["zero target, no penalty", "norm at threshold",
-                                  "norm one ulp above threshold", "zero design column"])
-def test_one_problem_sweep_equals_stack_and_reference_at_boundaries(case, max_inner):
-    gram, T0, W0, half = _boundary_case(case)
+def _check_boundary(case, max_inner, r):
+    # the problem alone, between two others, and in the serial reference
+    gram, T0, W0, half = _boundary_case(case, r)
     one = W0[None].copy()
     n_one = solver._sweep_rows(gram[None], T0[None], one, [half], 1e-8, max_inner)
-    # the same problem between two others, which the stacked branch sweeps
     rng = np.random.default_rng(32)
-    (g0, t0, w0), (g2, t2, w2) = _sweep_problem(rng), _sweep_problem(rng)
+    # the first neighbour (7 rows for 6 columns) is ill-conditioned: it sweeps to
+    # the cap, so the stacked branch steps the problem throughout
+    (g0, t0, w0), (g2, t2, w2) = _sweep_problem(rng, r=r, n=7), _sweep_problem(rng, r=r)
     stack = np.stack([w0, W0, w2])
     n_stack = solver._sweep_rows(np.stack([g0, gram, g2]), np.stack([t0, T0, t2]), stack,
-                                 [1.0, half, 40.0], 1e-8, max_inner)
+                                 [0.1, half, 40.0], 1e-8, max_inner)
+    assert n_stack[0] == max_inner
     ref, n_ref = _ref_w_block(gram, T0, W0, 2.0 * half, 1e-8, max_inner)
     # byte for byte, so signed zeros count
     assert one[0].tobytes() == stack[1].tobytes() == ref.tobytes()
     assert n_one[0] == n_stack[1] == n_ref
     # row 2 is +0.0 except just above the threshold, where it barely survives
-    assert (one[0, 2].tobytes() == bytes(16)) == (case != "norm one ulp above threshold")
+    assert (one[0, 2].tobytes() == bytes(8 * r)) == (case != "norm one ulp above threshold")
+
+
+BOUNDARY_CASES = ["zero target, no penalty", "norm at threshold",
+                  "norm one ulp above threshold", "zero design column"]
+
+
+@pytest.mark.parametrize("max_inner", [1, 100])
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_one_problem_sweep_equals_stack_and_reference_at_boundaries(case, max_inner):
+    _check_boundary(case, max_inner, r=2)
+
+
+@pytest.mark.parametrize("max_inner", [1, 100])
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_scalar_sweep_equals_stack_and_reference_at_boundaries(case, max_inner):
+    # one problem with one column: the sweep steps Python floats
+    _check_boundary(case, max_inner, r=1)
+
+
+def test_rank_one_fold_stack_compacting_to_one_problem_equals_serial(monkeypatch):
+    d = _contaminated(n=80, q=3, seed=37)
+    parts = [(d_tr, np.ones(d_tr.n)) for d_tr in _training_folds(d, 3, seed=5)]
+    cfgs = [FitConfig(rank=1, lambda_w=lam, phi_c=4.0) for lam in (0.5, 30.0)]
+    calls = []
+    sweep = solver._sweep_rows
+
+    def recording(gram, T0, W, *args):
+        counts = sweep(gram, T0, W, *args)
+        calls.append(counts.tolist())
+        return counts
+
+    monkeypatch.setattr(solver, "_sweep_rows", recording)
+    stacked = _fold_stack(parts, cfgs)
+    # in some call one problem outlasts the others, so its last sweeps run alone
+    assert any(len(c) > 1 and sorted(c)[-1] > sorted(c)[-2] for c in calls)
+    for g, (d_tr, a) in enumerate(parts):
+        for j, cfg in enumerate(cfgs):
+            _assert_same_fit(stacked[g, j], fit(d_tr, a, cfg))
+            _assert_same_model(stacked[g, j], _serial_fit(d_tr, a, cfg))
 
 
 # =============================================================================

@@ -21,6 +21,7 @@ from multicate import (
     write_replication_csv,
     write_summary_csv,
 )
+from multicate import model_selection
 from multicate.cli import build_parser, run_cli
 from multicate.model_selection import METHODS
 
@@ -412,6 +413,19 @@ def test_cli_cv_fit_and_surface(tmp_path, capsys):
     art = load_model(model_out)
     assert art.metadata["cv_method"] == "wmcmr4"
     assert len(art.metadata["cv_best"]) == 3
+
+
+def test_cli_cv_rank_above_limit_fails_before_any_fit(monkeypatch, capsys):
+    fits = []
+    monkeypatch.setattr(model_selection, "_fit_groups", lambda *args, **kw: fits.append(args))
+    code = run_cli([
+        "cv", "--covariates", COV, "--outcomes", OUT, "--treatment-column", "arm",
+        "--coding", "zero_one", "--lambdas", "1", "--phis", "500", "--ranks", "1,3",
+        "--folds", "2",
+    ])
+    assert code == 2
+    assert "rank 3 exceeds min(p+1, q) = 2" in capsys.readouterr().err
+    assert not fits
 
 
 def test_cli_cv_usage_errors(tmp_path, capsys):

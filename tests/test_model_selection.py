@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,28 @@ def test_cross_validate_baseline_methods_run():
         assert np.all(np.isfinite(res.mean_loss))
     with pytest.raises(DataError, match="unknown method"):
         cross_validate(d, grid, method="ols")
+
+
+@pytest.mark.parametrize("method", ["wmcmr4", "wmcmrrr"])
+def test_cross_validate_rejects_rank_above_limit_before_any_fit(method, monkeypatch):
+    fits = []
+    fit_groups = model_selection._fit_groups
+
+    def counting(*args, **kwargs):
+        fits.append(args)
+        return fit_groups(*args, **kwargs)
+
+    monkeypatch.setattr(model_selection, "_fit_groups", counting)
+    d, _ = make_dataset(40, 3, 2, seed=13)
+    grid = CvGrid(lambdas=(0.1,), phis=(0.1,), ranks=(1, 3), folds=2, seed=0)
+    with pytest.raises(DataError, match=r"rank 3 exceeds min\(p\+1, q\) = 2"):
+        cross_validate(d, grid, method=method)
+    assert not fits
+    # the rank-1 points alone run
+    cross_validate(d, replace(grid, ranks=(1,)), method=method)
+    assert len(fits) == 1
+    # a method that ignores the rank fits only the first rank of the grid
+    assert np.isfinite(cross_validate(d, grid, method="wmcm").mean_loss).all()
 
 
 def test_cross_validate_known_propensity_requires_column():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,42 @@ def test_orthogonal_factor_degenerate_keeps_previous():
     assert np.array_equal(out, V_prev)
     with pytest.raises(DataError, match="identically zero"):
         update_orthogonal_factor(W, d, np.ones(10), np.zeros((10, 2)))
+
+
+# each block update with one bad argument, mostly of the wrong shape: W is
+# (p+1, r) = (4, 1), V is (q, r) = (2, 1), C is (n, q) = (20, 2), and the
+# weights A are right
+A = np.ones(20)
+SHAPE_ERRORS = {
+    "loading rows, 1-D W": (lambda d, W, V, C: update_loading_rows(W[:, 0], d, A, C, V, 1.0),
+                            "W has shape (4,), expected (4, rank)"),
+    "loading rows, V of rank 2": (lambda d, W, V, C: update_loading_rows(
+        W, d, A, C, np.eye(2), 1.0), "V has shape (2, 2), expected (2, 1)"),
+    "loading rows, short C": (lambda d, W, V, C: update_loading_rows(W, d, A, C[1:], V, 1.0),
+                              "C has shape (19, 2), expected (20, 2)"),
+    "loading rows, negative penalty": (lambda d, W, V, C: update_loading_rows(
+        W, d, A, C, V, -1.0), "lambda_w must be finite and nonnegative, got -1.0"),
+    "outlier rows, short W": (lambda d, W, V, C: update_outlier_rows(C, d, A, W[1:], V, 1.0),
+                              "W has shape (3, 1), expected (4, rank)"),
+    "outlier rows, 1-D V": (lambda d, W, V, C: update_outlier_rows(C, d, A, W, V[:, 0], 1.0),
+                            "V has shape (2,), expected (2, 1)"),
+    "outlier rows, wide C": (lambda d, W, V, C: update_outlier_rows(
+        np.zeros((20, 3)), d, A, W, V, 1.0), "C has shape (20, 3), expected (20, 2)"),
+    "orthogonal factor, 1-D W": (lambda d, W, V, C: update_orthogonal_factor(W[:, 0], d, A, C),
+                                 "W has shape (4,), expected (4, rank)"),
+    "orthogonal factor, wide C": (lambda d, W, V, C: update_orthogonal_factor(
+        W, d, A, np.zeros((20, 3))), "C has shape (20, 3), expected (20, 2)"),
+    "orthogonal factor, fallback V of rank 2": (lambda d, W, V, C: update_orthogonal_factor(
+        W, d, A, C, V=np.eye(2)), "V has shape (2, 2), expected (2, 1)"),
+}
+
+
+@pytest.mark.parametrize("call, message", SHAPE_ERRORS.values(), ids=SHAPE_ERRORS.keys())
+def test_block_updates_name_the_expected_shape(call, message):
+    d, _ = make_dataset(20, 3, 2, seed=4)
+    W, V, C = np.ones((4, 1)), np.array([[1.0], [0.0]]), np.zeros((20, 2))
+    with pytest.raises(DataError, match=re.escape(message)):
+        call(d, W, V, C)
 
 
 # =============================================================================
