@@ -17,7 +17,7 @@ from .data import (
     assemble_design,
     validate_dataset,
 )
-from .metrics import MetricsReport, auc, bias, evaluate, mse, spearman
+from .metrics import METRIC_ORDER, MetricsReport, auc, bias, evaluate, mse, spearman
 from .model_io import (
     ModelArtifact,
     PathDiagramGraph,
@@ -36,7 +36,6 @@ from .simulation import (
     B_LARGE,
     B_SMALL,
     METHOD_ALIASES,
-    METRIC_ORDER,
     TRUE_RANK,
     ScenarioSpec,
     SimulatedTruth,

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import DataError, Dataset, FitConfig, NumericalError, assemble_design
-from .solver import FitTrace, _avec, _row_norms, _sweep_rows, fit as _fit_factor
+from .data import Dataset, FitConfig, NumericalError, assemble_design
+from .solver import FitTrace, _avec, _row_norms, _sweep_rows, _weighted, fit as _fit_factor
 
 HUBER_DELTA = 1e-4
 
@@ -58,10 +58,7 @@ def fit_wmcmrrr(d: Dataset, a, rank: int, lambda_w: float = 0.0,
     Same alternating solver as the main method with the C block frozen at
     zero and no offset penalty.
     """
-    if cfg is None:
-        cfg = FitConfig(rank=rank, lambda_w=lambda_w)
-    else:
-        cfg = replace(cfg, rank=rank, lambda_w=lambda_w, phi_c=0.0)
+    cfg = replace(cfg or FitConfig(rank=rank), rank=rank, lambda_w=lambda_w, phi_c=0.0)
     model = _fit_factor(d, a, cfg, update_c=False)
     return BaselineModel(gamma=model.gamma, method="wmcmrrr", trace=model.trace)
 
@@ -71,12 +68,8 @@ def fit_wmcm(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> Ba
 
     Cyclic exact row updates; the recorded objective is non-increasing.
     """
-    a = _avec(a, d.n)
-    if cfg is None:
-        cfg = FitConfig(rank=1)
-    Z = assemble_design(d)
-    G = a[:, None] * Z
-    Yw = a[:, None] * d.Y
+    cfg = replace(cfg or FitConfig(rank=1), lambda_w=lambda_w)
+    _, G, Yw = _weighted(d, a)
     gram, T0 = (G.T @ G)[None], (G.T @ Yw)[None]
     # the sweep updates this one-problem stack in place; gamma is its view
     stack = np.zeros((1, d.n_features, d.q))
@@ -102,8 +95,7 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
     updates for Gamma.
     """
     a = _avec(a, d.n)
-    if cfg is None:
-        cfg = FitConfig(rank=1)
+    cfg = replace(cfg or FitConfig(rank=1), lambda_w=lambda_w)
     X, Y, Z = d.X, d.Y, assemble_design(d)
     aa = a * a
     G = a[:, None] * Z
@@ -141,12 +133,8 @@ def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) ->
     non-increasing. Raises NumericalError if the cap of max_outer * max_inner
     iterations is hit.
     """
-    a = _avec(a, d.n)
-    if cfg is None:
-        cfg = FitConfig(rank=1)
-    Z = assemble_design(d)
-    G = a[:, None] * Z
-    Yw = a[:, None] * d.Y
+    cfg = replace(cfg or FitConfig(rank=1), lambda_w=lambda_w)
+    _, G, Yw = _weighted(d, a)
     gamma = np.zeros((d.n_features, d.q))
     delta = HUBER_DELTA
 

@@ -72,20 +72,23 @@ class FitConfig:
     max_inner: int = 100
 
     def __post_init__(self):
-        if int(self.rank) != self.rank or self.rank < 1:
-            raise DataError(f"rank must be a positive integer, got {self.rank}")
-        for name in ("lambda_w", "phi_c"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise DataError(f"{name} must be finite and nonnegative, got {v}")
-        for name in ("outer_tol", "inner_tol"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise DataError(f"{name} must be finite and positive, got {v}")
-        for name in ("max_outer", "max_inner"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise DataError(f"{name} must be a positive integer, got {v}")
+        _check_settings(**vars(self))
+
+
+def _check_settings(**settings) -> None:
+    """The one rule for settings, by name: a tolerance (*_tol) is finite and
+    positive, a penalty or threshold finite and nonnegative, and any other
+    setting (a rank, a cap, a size) a positive integer. Raises DataError
+    naming the first setting that breaks it."""
+    for name, v in settings.items():
+        if name.endswith("_tol"):
+            ok, rule = np.isfinite(v) and v > 0, "finite and positive"
+        elif name in ("lambda_w", "phi_c", "threshold"):
+            ok, rule = np.isfinite(v) and v >= 0, "finite and nonnegative"
+        else:
+            ok, rule = np.isfinite(v) and int(v) == v and v >= 1, "a positive integer"
+        if not ok:
+            raise DataError(f"{name} must be {rule}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -112,9 +115,8 @@ class FactorModel:
         object.__setattr__(self, "C", C)
         if W.ndim != 2 or V.ndim != 2 or C.ndim != 2:
             raise DataError("W, V, C must all be matrices")
+        _check_settings(rank=self.rank)
         r = self.rank
-        if int(r) != r or r < 1:
-            raise DataError(f"rank must be a positive integer, got {r}")
         if W.shape[1] != r or V.shape[1] != r:
             raise DataError(
                 f"W has {W.shape[1]} and V has {V.shape[1]} columns; both must equal rank {r}"

@@ -7,7 +7,7 @@ sum across outcomes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,6 +20,10 @@ class MetricsReport:
     bias: float
     spearman: float
     auc: float
+
+
+# the metric order of reports and replication rows
+METRIC_ORDER = tuple(f.name for f in fields(MetricsReport))
 
 
 def mse(X_test, gamma_hat, gamma_true) -> float:

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import DataError, Dataset, FactorModel, FitConfig, validate_dataset
+from .metrics import METRIC_ORDER
 
 SCHEMA_VERSION = 1
 REPLICATION_HEADER = ("scenario_id", "replication", "method", "metric", "value")
@@ -332,7 +333,8 @@ def read_replication_csv(path) -> list:
     return rows
 
 
-_METRIC_RANK = {"mse": 0, "bias": 1, "spearman": 2, "auc": 3, "error": 4}
+# summary order within a method: the metrics, then "error", then other names
+_METRIC_RANK = {m: i for i, m in enumerate(METRIC_ORDER + ("error",))}
 
 
 def summarize_replications(rows) -> list:

@@ -16,8 +16,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import baselines
-from .data import DataError, Dataset, FactorModel, FitConfig, assemble_design
-from .solver import _avec, _check_rank, _fit_groups, fit as _fit_factor
+from .data import DataError, Dataset, FactorModel, FitConfig, _check_settings, assemble_design
+from .solver import _avec, _check_rank, _fit_groups, _weighted, fit as _fit_factor
 from .weights import WeightVector, _logistic_irls, _propensity, compute_weights, resolve_weights
 
 
@@ -66,13 +66,13 @@ class CvGrid:
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         object.__setattr__(self, "phis", tuple(float(v) for v in self.phis))
-        object.__setattr__(self, "ranks", tuple(int(v) for v in self.ranks))
-        if not self.lambdas or not self.phis or not self.ranks:
+        ranks = tuple(self.ranks)
+        if not self.lambdas or not self.phis or not ranks:
             raise DataError("grid axes must be non-empty")
-        if any(not np.isfinite(v) or v < 0 for v in self.lambdas + self.phis):
-            raise DataError("lambda and phi grid values must be finite and nonnegative")
-        if any(r < 1 for r in self.ranks):
-            raise DataError("ranks must be positive integers")
+        for name, values in (("lambda_w", self.lambdas), ("phi_c", self.phis), ("rank", ranks)):
+            for v in values:
+                _check_settings(**{name: v})
+        object.__setattr__(self, "ranks", tuple(int(v) for v in ranks))
         if self.folds < 2:
             raise DataError("need at least two folds")
 
@@ -285,10 +285,7 @@ def default_cv_grid(d: Dataset, a, folds: int = 5, seed: int = 0) -> CvGrid:
     """Data-driven grid: GRID_POINTS penalties per axis, log-spaced over
     [1e-3, 1e1] times the smallest value that zeroes every row of the
     corresponding block, and ranks up to GRID_MAX_RANK."""
-    a = _avec(a, d.n)
-    Z = assemble_design(d)
-    G = a[:, None] * Z
-    Yw = a[:, None] * d.Y
+    a, G, Yw = _weighted(d, a)
     lam_max = 2.0 * float(np.max(np.linalg.norm(G.T @ Yw, axis=1)))
     phi_max = 2.0 * float(np.max(a * a * np.linalg.norm(d.Y, axis=1)))
     lam_max = lam_max if lam_max > 0 else 1.0

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, FitConfig, NumericalError, validate_dataset
-from .metrics import evaluate
+from .data import DataError, Dataset, FitConfig, NumericalError, _check_settings, validate_dataset
+from .metrics import METRIC_ORDER, evaluate
 from .model_selection import (
     METHOD_ALIASES,
     CvGrid,
@@ -76,10 +76,8 @@ class ScenarioSpec:
             raise DataError(f"unknown coefficient pattern {self.scenario}")
         if self.design not in ("rct", "observational"):
             raise DataError(f"design must be 'rct' or 'observational', got {self.design!r}")
-        for fname, v in (("n", self.n), ("n_test", self.n_test), ("q", self.q),
-                         ("p", self.p), ("replications", self.replications)):
-            if int(v) != v or v < 1:
-                raise DataError(f"{fname} must be a positive integer, got {v}")
+        _check_settings(n=self.n, n_test=self.n_test, q=self.q, p=self.p,
+                        replications=self.replications)
         if not self.allow_nonstandard:
             checks = (
                 ("p", self.p in _P_SET),
@@ -235,9 +233,6 @@ def generate_truth(spec: ScenarioSpec, rng) -> SimulatedTruth:
     d = validate_dataset(X, Y, T, propensity=pi)
     return SimulatedTruth(dataset=d, gamma_true=gamma, B_true=B, outlier_rows=rows,
                           X_test=X_test, cate_test=X_test @ gamma)
-
-
-METRIC_ORDER = ("mse", "bias", "spearman", "auc")
 
 
 def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,

@@ -38,6 +38,7 @@ from .data import (
     FactorModel,
     FitConfig,
     NumericalError,
+    _check_settings,
     assemble_design,
 )
 from .weights import WeightVector
@@ -67,6 +68,13 @@ def _block_inputs(d: Dataset, W, V=None, C=None) -> list:
     return out
 
 
+def _weighted(d: Dataset, a, C=None):
+    """The checked weights a, the weighted design A Z and the weighted
+    target A (Y - C), or A Y without C."""
+    a = _avec(a, d.n)
+    return a, a[:, None] * assemble_design(d), a[:, None] * (d.Y if C is None else d.Y - C)
+
+
 # =============================================================================
 # proximal pieces
 # =============================================================================
@@ -75,8 +83,7 @@ def _block_inputs(d: Dataset, W, V=None, C=None) -> list:
 def group_soft_threshold(v, t: float) -> np.ndarray:
     """Shrink the vector v toward zero: (1 - t/||v||)_+ v, with 0 at ||v|| = 0."""
     v = np.asarray(v, dtype=float)
-    if t < 0:
-        raise DataError(f"threshold must be nonnegative, got {t}")
+    _check_settings(threshold=t)
     nv = np.linalg.norm(v)
     if nv == 0.0 or nv <= t:
         return np.zeros_like(v)
@@ -255,6 +262,7 @@ def update_outlier_rows(C, d: Dataset, a, W, V, phi_c: float) -> np.ndarray:
     """
     a = _avec(a, d.n)
     W, V, _ = _block_inputs(d, W, V, C)
+    _check_settings(phi_c=phi_c)
     D = d.Y - assemble_design(d) @ (W @ V.T)
     return _shrink_rows(D, phi_c / (2.0 * a * a))
 
@@ -262,14 +270,12 @@ def update_outlier_rows(C, d: Dataset, a, W, V, phi_c: float) -> np.ndarray:
 def update_loading_rows(W, d: Dataset, a, C, V, lambda_w: float,
                         inner_tol: float = 1e-8, max_inner: int = 100) -> np.ndarray:
     """Cyclic group-lasso updates of the covariate loading rows given C and V."""
-    a = _avec(a, d.n)
     W, V, C = _block_inputs(d, W, V, C)
-    if not np.isfinite(lambda_w) or lambda_w < 0:
-        raise DataError(f"lambda_w must be finite and nonnegative, got {lambda_w}")
-    G = a[:, None] * assemble_design(d)
-    FV = (a[:, None] * (d.Y - C)) @ V
+    _check_settings(lambda_w=lambda_w, inner_tol=inner_tol, max_inner=max_inner)
+    _, G, F = _weighted(d, a, C)
     W_new = W[None].copy()
-    _sweep_rows((G.T @ G)[None], (G.T @ FV)[None], W_new, [lambda_w / 2.0], inner_tol, max_inner)
+    _sweep_rows((G.T @ G)[None], (G.T @ (F @ V))[None], W_new, [lambda_w / 2.0], inner_tol,
+                max_inner)
     return W_new[0]
 
 
@@ -280,11 +286,9 @@ def update_orthogonal_factor(W, d: Dataset, a, C, V=None) -> np.ndarray:
     V = S U^T from the SVD M = U D S^T. When M is identically zero the
     problem is degenerate and the supplied V is returned unchanged.
     """
-    a = _avec(a, d.n)
     W, V, C = _block_inputs(d, W, V, C)
-    G = a[:, None] * assemble_design(d)
-    M = W.T @ (G.T @ (a[:, None] * (d.Y - C)))
-    return _v_block(M, V)
+    _, G, F = _weighted(d, a, C)
+    return _v_block(W.T @ (G.T @ F), V)
 
 
 # =============================================================================
@@ -306,12 +310,7 @@ def _objectives(Y, Z, a, W, V, C, lambdas, phis):
 def objective(model: FactorModel, d: Dataset, a, cfg: FitConfig) -> float:
     """Penalized weighted objective value of a model on a dataset."""
     a = _avec(a, d.n)
-    if model.W.shape[0] != d.n_features:
-        raise DataError(
-            f"model has {model.W.shape[0]} covariate rows, dataset has {d.n_features}"
-        )
-    if model.V.shape[0] != d.q or model.C.shape[0] != d.n:
-        raise DataError("model outcome/offset dimensions do not match the dataset")
+    _block_inputs(d, model.W, model.V, model.C)
     obj, _ = _objectives(d.Y, assemble_design(d), a, model.W[None], model.V[None],
                          model.C[None], np.array([cfg.lambda_w]), np.array([cfg.phi_c]))
     return float(obj[0])

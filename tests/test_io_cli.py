@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from multicate import (
     DataError,
     FactorModel,
     FitConfig,
+    METRIC_ORDER,
+    MetricsReport,
     ModelArtifact,
     build_path_diagram,
     export_path_diagram,
@@ -313,6 +316,18 @@ def test_summary_group_ordering():
     keys = [(s["scenario_id"], s["method"], s["metric"]) for s in summary]
     assert keys == [("s1", "a", "spearman"), ("s1", "b", "mse"),
                     ("s1", "b", "error"), ("s2", "a", "auc")]
+
+
+def test_summary_metric_order_is_the_report_order():
+    # the metrics in MetricsReport's field order, then "error", then other
+    # names alphabetically
+    assert METRIC_ORDER == tuple(f.name for f in fields(MetricsReport))
+    assert METRIC_ORDER == ("mse", "bias", "spearman", "auc")
+    names = ["zeta", "error", "auc", "alpha", "spearman", "mse", "bias"]
+    rows = [{"scenario_id": "s", "replication": 0, "method": "m", "metric": k, "value": 1.0}
+            for k in names]
+    assert [s["metric"] for s in summarize_replications(rows)] == [
+        *METRIC_ORDER, "error", "alpha", "zeta"]
 
 
 def test_summary_csv_schema(tmp_path):

@@ -37,8 +37,9 @@ def test_gst_edge_cases():
     assert np.array_equal(group_soft_threshold([3.0, 4.0], 7.0), [0.0, 0.0])
     assert np.allclose(group_soft_threshold([3.0, 4.0], 0.0), [3.0, 4.0])
     assert np.array_equal(group_soft_threshold([0.0, 0.0], 1.0), [0.0, 0.0])
-    with pytest.raises(DataError):
-        group_soft_threshold([1.0], -0.5)
+    for t in (-0.5, np.nan, np.inf):  # a NaN threshold used to return a NaN vector
+        with pytest.raises(DataError, match="threshold must be finite and nonnegative"):
+            group_soft_threshold([1.0], t)
 
 
 def test_gst_is_prox_of_group_norm(rng):
