@@ -199,7 +199,7 @@ def _cmd_fit(args) -> int:
     tr = model.trace
     print(f"fit: rank={model.rank} objective={tr.objective[-1]:.6g} "
           f"outer_iterations={tr.n_outer} converged={tr.converged} "
-          f"model={args.model_out}")
+          f"w_capped={tr.w_capped} model={args.model_out}")
     return 0
 
 

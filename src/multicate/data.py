@@ -13,6 +13,7 @@ shared freely between folds and worker processes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,14 +78,17 @@ class FitConfig:
 
 def _check_settings(**settings) -> None:
     """The one rule for settings, by name: a tolerance (*_tol) is finite and
-    positive, a penalty or threshold finite and nonnegative, and any other
-    setting (a rank, a cap, a size) a positive integer. Raises DataError
-    naming the first setting that breaks it."""
+    positive, a penalty or threshold finite and nonnegative, a seed a
+    nonnegative integer (of any size, as NumPy's generators take it), and any
+    other setting (a rank, a cap, a size, a fold count) a positive integer.
+    Raises DataError naming the first setting that breaks it."""
     for name, v in settings.items():
         if name.endswith("_tol"):
             ok, rule = np.isfinite(v) and v > 0, "finite and positive"
         elif name in ("lambda_w", "phi_c", "threshold"):
             ok, rule = np.isfinite(v) and v >= 0, "finite and nonnegative"
+        elif name == "seed":
+            ok, rule = isinstance(v, numbers.Integral) and v >= 0, "a nonnegative integer"
         else:
             ok, rule = np.isfinite(v) and int(v) == v and v >= 1, "a positive integer"
         if not ok:

@@ -73,8 +73,10 @@ class CvGrid:
             for v in values:
                 _check_settings(**{name: v})
         object.__setattr__(self, "ranks", tuple(int(v) for v in ranks))
+        _check_settings(folds=self.folds, seed=self.seed)
         if self.folds < 2:
             raise DataError("need at least two folds")
+        object.__setattr__(self, "folds", int(self.folds))
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,7 @@ def kfold_split(T, folds: int, seed: int) -> np.ndarray:
     """
     T = np.asarray(T, dtype=float).ravel()
     n = T.shape[0]
+    _check_settings(folds=folds, seed=seed)
     if folds < 2 or folds > n:
         raise DataError(f"folds must be between 2 and n={n}")
     rng = np.random.default_rng(seed)

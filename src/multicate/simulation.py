@@ -77,7 +77,7 @@ class ScenarioSpec:
         if self.design not in ("rct", "observational"):
             raise DataError(f"design must be 'rct' or 'observational', got {self.design!r}")
         _check_settings(n=self.n, n_test=self.n_test, q=self.q, p=self.p,
-                        replications=self.replications)
+                        replications=self.replications, seed=self.seed)
         if not self.allow_nonstandard:
             checks = (
                 ("p", self.p in _P_SET),

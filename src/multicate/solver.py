@@ -19,9 +19,9 @@ one dataset (in cross-validation, one group per training fold).
 ``_sweep_rows``, is one stateless function, which the baselines reuse; a
 design column that is zero in some problems of a stack gets a unit pivot
 there, so one sweep serves problems with different zero columns. The shape
-picks its path: NumPy rows for a stack, 1-D rows for one problem, Python
-floats for one problem whose W has one column; the same IEEE operations,
-fewer calls.
+picks its path: NumPy rows for a stack, Python floats for one problem whose
+W has one or two columns, 1-D rows for one problem with more; the same IEEE
+operations, fewer calls.
 """
 
 from __future__ import annotations
@@ -136,14 +136,18 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
 
     Three paths, chosen by shape at each buffer build (at entry and after a
     problem leaves), give the same bits. A stack steps (m, 1, r) NumPy rows.
-    One problem steps 1-D rows with Python-float pivots and 1 - half/nv if
-    nv > half else 0, the IEEE operations of the stack's fmax(1 - half/nv, 0)
-    at nv = 0, half = 0 and NaN too. One problem with one column steps
-    Python floats: each vector operation is then one IEEE operation, and a
-    one-element vecdot is fl(h*h). All paths share the matmul for M = G W and
-    the NumPy stop test (np.max keeps a NaN, Python's max does not); row k's
-    outer product (exact: one term) goes only to the rows of M after k, the
-    only ones read before the next sweep recomputes M.
+    One problem uses Python-float pivots and 1 - half/nv if nv > half else 0,
+    the IEEE operations of the stack's fmax(1 - half/nv, 0) at nv = 0,
+    half = 0 and NaN too; with r <= 2 columns it steps Python floats, one
+    list per column (each elementwise operation is one IEEE operation per
+    column), with r >= 3 1-D NumPy rows (floats cost more there). nv is the
+    stack's: fl(h*h) at r = 1 (a one-element vecdot), np.vecdot of the row
+    at r = 2, as the BLAS dot may fuse a multiply-add and round unlike
+    h0*h0 + h1*h1. All paths share the matmul for M = G W, and the NumPy
+    stop test but at r = 1, where floats make its decisions: a NaN change
+    never stops, as under np.max (Python's max drops a NaN). Row k's outer
+    product (exact: one term) goes only to the rows of M after k, the only
+    ones read before the next sweep recomputes M.
     """
     sweeps = np.empty(len(W), dtype=int)
     todo = np.arange(len(W))
@@ -160,42 +164,58 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
         dead = diag == 0.0  # (m, P): the zero design columns
         Wb[dead] = 0.0
         piv = np.where(dead, 1.0, diag)
-        one, P = len(Gb) == 1, Gb.shape[1]
+        one, (P, r), half1 = len(Wb) == 1, Wb.shape[1:], float(half_a[0, 0, 0])
         live = (~dead.all(axis=0)).tolist()
-        scalar = one and Wb.shape[2] == 1
         # per-row views, by iterating over transposed buffers: (m, 1, 1) pivots
-        # and (m, 1, r) rows; for one problem, Python-float pivots and 1-D rows;
-        # for one problem with one column, Python floats and G by columns
-        if scalar:
-            half1, tl, dls = float(half_a[0, 0, 0]), Tb[0, :, 0].tolist(), [0.0] * P
-            wv, mv, dv = Wb[0, :, 0], M[0, :, 0], delta[0, :, 0]
-            rows = [(k, dk, tl[k], col, range(k + 1, P)) for k, (dk, col)
-                    in enumerate(zip(piv[0].tolist(), Gb[0].T.tolist())) if live[k]]
+        # and (m, 1, r) rows; for one problem with r <= 2, Python floats and G
+        # by columns; for one problem with more, Python-float pivots and 1-D rows
+        floats = one and r <= 2
+        if floats:
+            wT, mT, dT = Wb[0].T, M[0].T, delta[0].T
+            rows = [(k, dk, *tk, col, range(k + 1, P)) for k, (dk, tk, col)
+                    in enumerate(zip(piv[0].tolist(), Tb[0].tolist(), Gb[0].T.tolist()))
+                    if live[k]]
+            dls, hb = [[0.0] * P for _ in range(r)], np.empty(2)
         elif one:
-            half1 = float(half_a[0, 0, 0])
             pivots, cols = piv[0].tolist(), Gb[0, :, :, None].swapaxes(0, 1)
             Ms, Os, views = M[0], outer[0], (v[0] for v in (Wb, Tb, M, delta))
         else:
             pivots, cols = piv.T[:, :, None, None], Gb[..., None].transpose(2, 0, 1, 3)
             Ms, Os, views = M, outer, (v[:, :, None].swapaxes(0, 1) for v in (Wb, Tb, M, delta))
-        if not scalar:
+        if not floats:
             rows = [(dk, col[..., k + 1:, :], wk, tk, mk, dl, Ms[..., k + 1:, :],
                      Os[..., k + 1:, :]) for k, (dk, col, wk, tk, mk, dl)
                     in enumerate(zip(pivots, cols, *views)) if live[k]]
         while True:
             count += 1
             np.matmul(Gb, Wb, out=M)
-            if scalar:
-                w, m = wv.tolist(), mv.tolist()
+            if floats and r == 1:
+                (w,), (m,), (dw,) = wT.tolist(), mT.tolist(), dls
                 for k, dk, tk, col, rest in rows:
                     wk = w[k]
                     h = tk - m[k] + dk * wk
                     nv = math.sqrt(h * h)
                     w[k] = w_new = (1.0 - half1 / nv if nv > half1 else 0.0) * h / dk
-                    dls[k] = dl = w_new - wk
+                    dw[k] = dl = w_new - wk
                     for j in rest:
                         m[j] += col[j] * dl
-                wv[:], dv[:] = w, dls
+                wT[0] = w
+            elif floats:
+                (w0, w1), (m0, m1), (dw0, dw1) = wT.tolist(), mT.tolist(), dls
+                for k, dk, t0, t1, col, rest in rows:
+                    a0, a1 = w0[k], w1[k]
+                    hb[0] = h0 = t0 - m0[k] + dk * a0
+                    hb[1] = h1 = t1 - m1[k] + dk * a1
+                    # vecdot as in the stack: BLAS may fuse h0*h0 + h1*h1
+                    nv = math.sqrt(np.vecdot(hb, hb))
+                    f = 1.0 - half1 / nv if nv > half1 else 0.0
+                    w0[k], w1[k] = b0, b1 = f * h0 / dk, f * h1 / dk
+                    dw0[k], dw1[k] = e0, e1 = b0 - a0, b1 - a1
+                    for j in rest:
+                        c = col[j]
+                        m0[j] += c * e0
+                        m1[j] += c * e1
+                wT[:], dT[:] = (w0, w1), dls
             elif one:
                 for dk, col, wk, tk, mk, dl, m_rest, o_rest in rows:
                     h = tk - mk + dk * wk
@@ -215,6 +235,16 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
             if count == max_inner:
                 done = None
                 break
+            if floats and r == 1:
+                # the test below in floats, decision for decision: max and sqrt
+                # commute, a NaN change makes the sum NaN as np.max would, and
+                # a NaN in W comes with a NaN change of its row
+                dd = [x * x for x in dw]
+                s, w_max = sum(dd), math.sqrt(max([v * v for v in w]))
+                if s == s and math.sqrt(max(dd)) < inner_tol * (1.0 + w_max):
+                    done = None
+                    break
+                continue
             # max and sqrt commute, so this is the largest row change
             worst = np.sqrt(np.max(np.vecdot(delta, delta), axis=1))
             # relative to the iterate scale, matching the outlier block
@@ -322,7 +352,9 @@ class FitTrace:
 
     objective[0] is the value at initialization; objective[t] after outer
     sweep t. The sequence is non-increasing. c_sweeps[t] is 1 when the exact
-    C step ran (0 with C frozen); w_sweeps[t] counts the W row sweeps.
+    C step ran (0 with C frozen); w_sweeps[t] counts the W row sweeps, and
+    w_capped the outer iterations whose W block ran all max_inner sweeps
+    (its inner_tol test never passed). converged is about the outer loop.
     """
 
     objective: np.ndarray
@@ -330,6 +362,7 @@ class FitTrace:
     w_sweeps: list = field(default_factory=list)
     converged: bool = False
     n_outer: int = 0
+    w_capped: int = 0
 
 
 def _initialize(Y, Z, a, rank):
@@ -413,7 +446,8 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
                 if last or not k:
                     trace = FitTrace(objective=np.asarray(objs[p]), w_sweeps=w_sweeps[p],
                                      c_sweeps=[int(update_c)] * n_outer,
-                                     converged=not k, n_outer=n_outer)
+                                     converged=not k, n_outer=n_outer,
+                                     w_capped=w_sweeps[p].count(cfg.max_inner))
                     yield g, p % m, FactorModel(W=W[i], V=V[i], C=C[g][i - s.start],
                                                 rank=cfg.rank, trace=trace)
             if last:

@@ -362,7 +362,7 @@ def _boundary_case(case, r):
         T0[2] = W0[2] = 0.0
     elif case in ("norm at threshold", "norm one ulp above threshold"):
         _isolate(gram, 2, 3.0)
-        T0[2], W0[2] = (3.0, 4.0) if r == 2 else 5.0, 0.0  # ||h|| = 5 at every sweep
+        T0[2], W0[2] = (3.0, 4.0, 0.0)[:r] if r > 1 else 5.0, 0.0  # ||h|| = 5 at every sweep
         if case == "norm one ulp above threshold":
             half = np.nextafter(5.0, 0.0)
     elif case == "zero design column":
@@ -371,9 +371,9 @@ def _boundary_case(case, r):
     return gram, T0, W0, half
 
 
-def _check_boundary(case, max_inner, r):
-    # the problem alone, between two others, and in the serial reference
-    gram, T0, W0, half = _boundary_case(case, r)
+def _alone_and_stacked(gram, T0, W0, half, max_inner):
+    # the problem swept alone, and between two others: (W, sweeps) of each
+    r = W0.shape[1]
     one = W0[None].copy()
     n_one = solver._sweep_rows(gram[None], T0[None], one, [half], 1e-8, max_inner)
     rng = np.random.default_rng(32)
@@ -384,6 +384,13 @@ def _check_boundary(case, max_inner, r):
     n_stack = solver._sweep_rows(np.stack([g0, gram, g2]), np.stack([t0, T0, t2]), stack,
                                  [0.1, half, 40.0], 1e-8, max_inner)
     assert n_stack[0] == max_inner
+    return one, n_one, stack, n_stack
+
+
+def _check_boundary(case, max_inner, r):
+    # the problem alone, between two others, and in the serial reference
+    gram, T0, W0, half = _boundary_case(case, r)
+    one, n_one, stack, n_stack = _alone_and_stacked(gram, T0, W0, half, max_inner)
     ref, n_ref = _ref_w_block(gram, T0, W0, 2.0 * half, 1e-8, max_inner)
     # byte for byte, so signed zeros count
     assert one[0].tobytes() == stack[1].tobytes() == ref.tobytes()
@@ -399,6 +406,7 @@ BOUNDARY_CASES = ["zero target, no penalty", "norm at threshold",
 @pytest.mark.parametrize("max_inner", [1, 100])
 @pytest.mark.parametrize("case", BOUNDARY_CASES)
 def test_one_problem_sweep_equals_stack_and_reference_at_boundaries(case, max_inner):
+    # one problem with two columns: the sweep steps Python floats, nv by vecdot
     _check_boundary(case, max_inner, r=2)
 
 
@@ -409,10 +417,47 @@ def test_scalar_sweep_equals_stack_and_reference_at_boundaries(case, max_inner):
     _check_boundary(case, max_inner, r=1)
 
 
-def test_rank_one_fold_stack_compacting_to_one_problem_equals_serial(monkeypatch):
+@pytest.mark.parametrize("max_inner", [1, 100])
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_one_problem_numpy_rows_equal_stack_and_reference_at_boundaries(case, max_inner):
+    # one problem with three columns: the sweep steps 1-D NumPy rows
+    _check_boundary(case, max_inner, r=3)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("case", ["nan target", "inf target", "nan in W",
+                                  "nan after converged rows"])
+def test_one_problem_sweep_stops_as_the_stack_on_non_finite_values(case, r):
+    # a NaN or inf never stops the sweep early, alone (the float test at
+    # r = 1) or stacked (the NumPy test, where np.max keeps a NaN)
+    gram, T0, W0 = _sweep_problem(np.random.default_rng(41), r=r)
+    last = len(gram) - 1
+    if case == "nan target":
+        T0[1, 0] = np.nan
+    elif case == "inf target":
+        T0[1, -1] = np.inf
+    elif case == "nan in W":
+        W0[3, 0] = np.nan
+    else:
+        # every row but the last at its fixed point; the last row, orthogonal to
+        # the others, turns NaN at the first sweep while the rest barely move
+        _isolate(gram, last, 3.0)
+        W0 = W0[None].copy()
+        solver._sweep_rows(gram[None], T0[None], W0, [5.0], 1e-15, 1000)
+        W0 = W0[0]
+        T0[last, 0] = np.nan
+    with np.errstate(invalid="ignore", over="ignore"):
+        one, n_one, stack, n_stack = _alone_and_stacked(gram, T0, W0, 5.0, 20)
+    assert n_one[0] == n_stack[1] == 20
+    assert np.array_equal(one[0], stack[1], equal_nan=True) and np.isnan(one).any()
+
+
+def _check_fold_stack_compacting(monkeypatch, rank):
+    # three training folds x two configurations: in some call of the row sweep
+    # the stack shrinks to one problem, and every model still equals its serial fit
     d = _contaminated(n=80, q=3, seed=37)
     parts = [(d_tr, np.ones(d_tr.n)) for d_tr in _training_folds(d, 3, seed=5)]
-    cfgs = [FitConfig(rank=1, lambda_w=lam, phi_c=4.0) for lam in (0.5, 30.0)]
+    cfgs = [FitConfig(rank=rank, lambda_w=lam, phi_c=4.0) for lam in (0.5, 30.0)]
     calls = []
     sweep = solver._sweep_rows
 
@@ -429,6 +474,15 @@ def test_rank_one_fold_stack_compacting_to_one_problem_equals_serial(monkeypatch
         for j, cfg in enumerate(cfgs):
             _assert_same_fit(stacked[g, j], fit(d_tr, a, cfg))
             _assert_same_model(stacked[g, j], _serial_fit(d_tr, a, cfg))
+
+
+def test_rank_one_fold_stack_compacting_to_one_problem_equals_serial(monkeypatch):
+    _check_fold_stack_compacting(monkeypatch, rank=1)
+
+
+def test_rank_two_fold_stack_compacting_to_one_problem_equals_serial(monkeypatch):
+    # the last problem steps Python floats with two columns
+    _check_fold_stack_compacting(monkeypatch, rank=2)
 
 
 # =============================================================================

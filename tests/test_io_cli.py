@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -363,6 +364,8 @@ def test_cli_fit_on_fixture(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "fit: rank=1" in out and "converged=True" in out
+    capped = re.search(r" outer_iterations=(\d+) converged=True w_capped=(\d+) model=", out)
+    assert capped and int(capped[2]) <= int(capped[1])
     art = load_model(model_out)
     assert art.model.rank == 1
     assert art.weight_source == "rct_half"

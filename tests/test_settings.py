@@ -12,12 +12,14 @@ from multicate import (
     CvGrid,
     DataError,
     FitConfig,
+    ScenarioSpec,
     fit,
     fit_batch,
     fit_wfull,
     fit_wmcm,
     fit_wmcm_l1,
     fit_wmcmrrr,
+    kfold_split,
     update_loading_rows,
     update_outlier_rows,
 )
@@ -53,8 +55,12 @@ SETTINGS_CALLS = {
         W, d, a, C, V, lambda_w, **s), ("lambda_w", "inner_tol", "max_inner")),
     "update_outlier_rows": (lambda d, a, phi_c=1.0: update_outlier_rows(C, d, a, W, V, phi_c),
                             ("phi_c",)),
-    "CvGrid": (lambda d, a, lambda_w=0.1, phi_c=0.1, rank=1: CvGrid(
-        lambdas=(lambda_w,), phis=(phi_c,), ranks=(rank,)), ("lambda_w", "phi_c", "rank")),
+    "CvGrid": (lambda d, a, lambda_w=0.1, phi_c=0.1, rank=1, folds=5, seed=0: CvGrid(
+        lambdas=(lambda_w,), phis=(phi_c,), ranks=(rank,), folds=folds, seed=seed),
+        ("lambda_w", "phi_c", "rank", "folds", "seed")),
+    "kfold_split": (lambda d, a, folds=2, seed=0: kfold_split(d.T, folds, seed),
+                    ("folds", "seed")),
+    "ScenarioSpec": (lambda d, a, seed=0: ScenarioSpec(scenario=1, seed=seed), ("seed",)),
 }
 
 # per setting: the rule its message states and values that break it
@@ -66,6 +72,8 @@ RULES = {
     "inner_tol": ("finite and positive", (0.0, -1.0, np.inf)),
     "lambda_w": ("finite and nonnegative", (-1.0, np.nan, np.inf)),
     "phi_c": ("finite and nonnegative", (-1.0, np.nan, np.inf)),
+    "folds": ("a positive integer", (0, 2.5, np.nan)),
+    "seed": ("a nonnegative integer", (-1, 2.5, np.nan)),
 }
 CASES = {f"{entry}-{name}": (entry, name)
          for entry, (_, names) in SETTINGS_CALLS.items() for name in names}
@@ -95,3 +103,13 @@ def test_every_entry_point_with_a_setting_is_in_the_table():
             takes.add(name)
     assert {"FitConfig", "fit_wmcm", "update_loading_rows", "update_outlier_rows"} <= takes
     assert takes <= set(SETTINGS_CALLS)
+
+
+def test_fold_count_and_seed_edges():
+    d, _ = make_dataset(20, 3, 2, seed=4)
+    with pytest.raises(DataError, match="^need at least two folds$"):
+        CvGrid(lambdas=(0.1,), phis=(0.1,), ranks=(1,), folds=1)
+    grid = CvGrid(lambdas=(0.1,), phis=(0.1,), ranks=(1,), folds=3.0, seed=2**70)
+    assert grid.folds == 3 and isinstance(grid.folds, int)
+    assert np.array_equal(kfold_split(d.T, grid.folds, grid.seed), kfold_split(d.T, 3, 2**70))
+    assert ScenarioSpec(scenario=1, seed=np.int64(7)).seed == 7

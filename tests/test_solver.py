@@ -281,6 +281,18 @@ def test_fit_trace_monotone_and_v_orthonormal(rng):
         assert np.max(np.abs(model.V.T @ model.V - np.eye(2))) <= 1e-10
 
 
+def test_fit_trace_counts_capped_w_blocks():
+    d, _ = make_dataset(40, 3, 3, seed=2)
+    counts = []
+    for max_inner in (2, 6, 100):
+        tr = fit(d, np.ones(40), FitConfig(rank=2, lambda_w=0.3, max_inner=max_inner)).trace
+        assert tr.w_capped == sum(w == max_inner for w in tr.w_sweeps)
+        counts.append((tr.w_capped, tr.n_outer))
+    # some W blocks stop at a cap of 6 sweeps, more at 2, none at 100
+    assert counts[0][0] > counts[1][0] > 0 and counts[1][0] < counts[1][1]
+    assert counts[2][0] == 0 and counts[2][1] > 1
+
+
 def test_fit_exact_recovery_noiseless():
     rng = np.random.default_rng(5)
     n, p, q = 120, 6, 5
