@@ -235,7 +235,8 @@ def _cmd_cv(args) -> int:
         save_model(art, args.model_out)
     best_idx = result.best_index
     print(f"cv: method={args.method} best_lambda={lam:.6g} best_phi={phi:.6g} "
-          f"best_rank={rank} mean_loss={result.mean_loss[best_idx]:.6g}")
+          f"best_rank={rank} mean_loss={result.mean_loss[best_idx]:.6g} "
+          f"w_capped={int(result.w_capped.sum())}")
     return 0
 
 

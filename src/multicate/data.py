@@ -74,6 +74,8 @@ class FitConfig:
 
     def __post_init__(self):
         _check_settings(**vars(self))
+        for name in ("rank", "max_outer", "max_inner"):  # 2.0 passes the check
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 def _check_settings(**settings) -> None:

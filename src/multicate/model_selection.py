@@ -85,9 +85,10 @@ class CvResult:
     and how each fit stopped.
 
     mean_loss has shape (len(lambdas), len(phis), len(ranks));
-    per_fold_loss appends a fold axis. n_outer and converged, shaped like
-    per_fold_loss, give each fit's outer iteration count and whether it
-    converged before the max_outer cap.
+    per_fold_loss appends a fold axis. n_outer, converged and w_capped,
+    shaped like per_fold_loss, give each fit's outer iteration count, whether
+    it converged before the max_outer cap, and its FitTrace.w_capped (0 for
+    the baselines).
     """
 
     grid: CvGrid
@@ -98,6 +99,7 @@ class CvResult:
     fold_assignment: np.ndarray
     n_outer: np.ndarray
     converged: np.ndarray
+    w_capped: np.ndarray
 
 
 def kfold_split(T, folds: int, seed: int) -> np.ndarray:
@@ -212,8 +214,9 @@ def _fold_parts(d: Dataset, grid: CvGrid, propensity: str):
 
 
 def _grid_fits(method, grid: CvGrid, folds, cfg):
-    """Held-out loss, outer iterations and convergence of every point of the
-    grid fit on every training fold, each shaped (lambdas, phis, ranks, folds).
+    """Held-out loss, outer iterations, convergence and capped W blocks of
+    every point of the grid fit on every training fold, each shaped
+    (lambdas, phis, ranks, folds).
 
     A method that uses the rank runs one lockstep descent per rank over all
     folds, updating C when it uses phi; any other method runs its own fit
@@ -221,7 +224,7 @@ def _grid_fits(method, grid: CvGrid, folds, cfg):
     """
     est = _estimator(method)
     shape = (len(grid.lambdas), len(grid.phis), len(grid.ranks), len(folds))
-    loss, n_outer, converged = np.empty(shape), np.empty(shape, int), np.empty(shape, bool)
+    loss, n_outer, converged, w_capped = (np.empty(shape, t) for t in (float, int, bool, int))
     for k, rank in enumerate(grid.ranks):
         cfgs = [replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)
                 for lam in grid.lambdas for phi in grid.phis]
@@ -234,8 +237,9 @@ def _grid_fits(method, grid: CvGrid, folds, cfg):
         for f, j, model in fits:
             at = (*divmod(j, len(grid.phis)), k, f)
             loss[at] = _gamma_loss(model.gamma, folds[f].d_he, folds[f].a_he)
-            n_outer[at], converged[at] = model.trace.n_outer, model.trace.converged
-    return loss, n_outer, converged
+            tr = model.trace
+            n_outer[at], converged[at], w_capped[at] = tr.n_outer, tr.converged, tr.w_capped
+    return loss, n_outer, converged, w_capped
 
 
 def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
@@ -256,8 +260,8 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
         cfg = FitConfig(rank=max(grid.ranks))
     assignment, folds = _fold_parts(d, grid, propensity)
     shape = (len(grid.lambdas), len(grid.phis), len(grid.ranks), grid.folds)
-    per_fold, n_outer, converged = (np.broadcast_to(v, shape).copy()
-                                    for v in _grid_fits(method, fit_grid, folds, cfg))
+    per_fold, n_outer, converged, w_capped = (np.broadcast_to(v, shape).copy()
+                                              for v in _grid_fits(method, fit_grid, folds, cfg))
     null_scale = 0.0
     for part in folds:
         null_scale += _gamma_loss(np.zeros((d.n_features, d.q)), part.d_he, part.a_he)
@@ -281,7 +285,7 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
     best = (grid.lambdas[i], grid.phis[j], grid.ranks[k])
     return CvResult(grid=grid, mean_loss=mean_loss, per_fold_loss=per_fold,
                     best=best, best_index=best_idx, fold_assignment=assignment,
-                    n_outer=n_outer, converged=converged)
+                    n_outer=n_outer, converged=converged, w_capped=w_capped)
 
 
 def default_cv_grid(d: Dataset, a, folds: int = 5, seed: int = 0) -> CvGrid:

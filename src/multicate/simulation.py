@@ -76,8 +76,10 @@ class ScenarioSpec:
             raise DataError(f"unknown coefficient pattern {self.scenario}")
         if self.design not in ("rct", "observational"):
             raise DataError(f"design must be 'rct' or 'observational', got {self.design!r}")
-        _check_settings(n=self.n, n_test=self.n_test, q=self.q, p=self.p,
-                        replications=self.replications, seed=self.seed)
+        sizes = ("n", "n_test", "q", "p", "replications", "seed")
+        _check_settings(**{name: getattr(self, name) for name in sizes})
+        for name in sizes:  # 60.0 passes the check
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not self.allow_nonstandard:
             checks = (
                 ("p", self.p in _P_SET),

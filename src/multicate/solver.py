@@ -21,7 +21,9 @@ design column that is zero in some problems of a stack gets a unit pivot
 there, so one sweep serves problems with different zero columns. The shape
 picks its path: NumPy rows for a stack, Python floats for one problem whose
 W has one or two columns, 1-D rows for one problem with more; the same IEEE
-operations, fewer calls.
+operations, fewer calls. A small stack with one or two columns sweeps its
+problems one at a time on the float path (``_ALONE_MAX``), as a NumPy row step
+costs about the same at any stack size and more than a few float steps.
 """
 
 from __future__ import annotations
@@ -117,6 +119,10 @@ def _shrink_rows(R, thresholds):
 
 
 _ONE = np.array(1.0)  # 0-d operands cost less per call than Python floats
+# The largest stack, by rank and P rows, swept one problem at a time on the
+# float path: under the crossover of alone/stack sweep times measured at 30
+# sweeps, m 2-32, P 1-51 (CHANGES.md). Rank >= 3 always steps the stack.
+_ALONE_MAX = {1: lambda P: 510 // (P + 30) if P > 2 else 1, 2: lambda P: 3 if P > 3 else 1}
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # half / ||h|| at h = 0: see fmax
@@ -135,25 +141,36 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
     Rows that are zero in every problem are skipped.
 
     Three paths, chosen by shape at each buffer build (at entry and after a
-    problem leaves), give the same bits. A stack steps (m, 1, r) NumPy rows.
+    problem leaves), give the same bits. A stack steps (m, 1, r) NumPy rows;
+    a small one (``_ALONE_MAX``: m (P + 30) <= 510 at r = 1 and P >= 3, m <= 3
+    at r = 2 and P >= 4) sweeps each problem alone for the sweeps left.
     One problem uses Python-float pivots and 1 - half/nv if nv > half else 0,
     the IEEE operations of the stack's fmax(1 - half/nv, 0) at nv = 0,
     half = 0 and NaN too; with r <= 2 columns it steps Python floats, one
     list per column (each elementwise operation is one IEEE operation per
     column), with r >= 3 1-D NumPy rows (floats cost more there). nv is the
-    stack's: fl(h*h) at r = 1 (a one-element vecdot), np.vecdot of the row
-    at r = 2, as the BLAS dot may fuse a multiply-add and round unlike
-    h0*h0 + h1*h1. All paths share the matmul for M = G W, and the NumPy
-    stop test but at r = 1, where floats make its decisions: a NaN change
-    never stops, as under np.max (Python's max drops a NaN). Row k's outer
-    product (exact: one term) goes only to the rows of M after k, the only
-    ones read before the next sweep recomputes M.
+    stack's: fl(h*h) at r = 1 (a one-element vecdot), at r = 2 the row's
+    ndarray.dot, the BLAS dot of the stack's vecdot, which may fuse a
+    multiply-add and round unlike h0*h0 + h1*h1. All paths share the matmul
+    for M = G W, and the NumPy stop test but at r = 1, where floats make its
+    decisions: a NaN change never stops, as under np.max (Python's max drops
+    a NaN). Row k's outer product (exact: one term) goes only to the rows of
+    M after k, the only ones read before the next sweep recomputes M.
     """
     sweeps = np.empty(len(W), dtype=int)
     todo = np.arange(len(W))
     Ga, Wa, T0a, half_a = gram, W, T0, np.asarray(half, dtype=float)[:, None, None]
     count = 0
     while True:
+        alone = _ALONE_MAX.get(Wa.shape[2])
+        if alone and 1 < len(Wa) <= alone(Wa.shape[1]):
+            # each problem alone: its iterates do not depend on the stack
+            for i, p in enumerate(todo.tolist()):
+                Wi = np.array(Wa[i:i + 1])
+                n = _sweep_rows(Ga[i:i + 1], T0a[i:i + 1], Wi, half_a[i, 0], inner_tol,
+                                max_inner - count)
+                W[p], sweeps[p] = Wi[0], count + n[0]
+            return sweeps
         # work buffers, C-contiguous whatever the inputs' layout (BLAS sums
         # another layout in another order), and per-row views of this stack
         Gb, Wb, Tb = (np.array(v, order="C") for v in (Ga, Wa, T0a))
@@ -206,8 +223,8 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
                     a0, a1 = w0[k], w1[k]
                     hb[0] = h0 = t0 - m0[k] + dk * a0
                     hb[1] = h1 = t1 - m1[k] + dk * a1
-                    # vecdot as in the stack: BLAS may fuse h0*h0 + h1*h1
-                    nv = math.sqrt(np.vecdot(hb, hb))
+                    # the stack's BLAS dot, which may fuse h0*h0 + h1*h1
+                    nv = math.sqrt(hb.dot(hb))
                     f = 1.0 - half1 / nv if nv > half1 else 0.0
                     w0[k], w1[k] = b0, b1 = f * h0 / dk, f * h1 / dk
                     dw0[k], dw1[k] = e0, e1 = b0 - a0, b1 - a1

@@ -9,6 +9,7 @@ oracle for ``fit``, ``fit_batch``, ``_fit_groups`` and the squared-loss
 baselines.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -378,11 +379,14 @@ def _alone_and_stacked(gram, T0, W0, half, max_inner):
     n_one = solver._sweep_rows(gram[None], T0[None], one, [half], 1e-8, max_inner)
     rng = np.random.default_rng(32)
     # the first neighbour (7 rows for 6 columns) is ill-conditioned: it sweeps to
-    # the cap, so the stacked branch steps the problem throughout
+    # the cap, so the stacked branch steps the problem throughout (small stacks
+    # are let step NumPy rows here; the tests of _ALONE_MAX cover them)
     (g0, t0, w0), (g2, t2, w2) = _sweep_problem(rng, r=r, n=7), _sweep_problem(rng, r=r)
     stack = np.stack([w0, W0, w2])
-    n_stack = solver._sweep_rows(np.stack([g0, gram, g2]), np.stack([t0, T0, t2]), stack,
-                                 [0.1, half, 40.0], 1e-8, max_inner)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_ALONE_MAX", {})
+        n_stack = solver._sweep_rows(np.stack([g0, gram, g2]), np.stack([t0, T0, t2]), stack,
+                                     [0.1, half, 40.0], 1e-8, max_inner)
     assert n_stack[0] == max_inner
     return one, n_one, stack, n_stack
 
@@ -460,6 +464,7 @@ def _check_fold_stack_compacting(monkeypatch, rank):
     cfgs = [FitConfig(rank=rank, lambda_w=lam, phi_c=4.0) for lam in (0.5, 30.0)]
     calls = []
     sweep = solver._sweep_rows
+    monkeypatch.setattr(solver, "_ALONE_MAX", {})  # stacks step NumPy rows until one is left
 
     def recording(gram, T0, W, *args):
         counts = sweep(gram, T0, W, *args)
@@ -483,6 +488,91 @@ def test_rank_one_fold_stack_compacting_to_one_problem_equals_serial(monkeypatch
 def test_rank_two_fold_stack_compacting_to_one_problem_equals_serial(monkeypatch):
     # the last problem steps Python floats with two columns
     _check_fold_stack_compacting(monkeypatch, rank=2)
+
+
+def _recorded_sweeps(monkeypatch):
+    # (stack size, cap) of every _sweep_rows call, the recursive ones included
+    calls, sweep = [], solver._sweep_rows
+
+    def recording(gram, T0, W, half, inner_tol, max_inner):
+        calls.append((len(W), max_inner))
+        return sweep(gram, T0, W, half, inner_tol, max_inner)
+
+    monkeypatch.setattr(solver, "_sweep_rows", recording)
+    return calls
+
+
+def _mixed_stack(r, m, P, seed):
+    # m problems with P rows: an ill-conditioned first one (the cap), then
+    # penalties from light to heavy, so they stop at different sweeps
+    rng = np.random.default_rng(seed)
+    probs = [_sweep_problem(rng, P=P, r=r, n=P + 1 if j == 0 else 3 * P) for j in range(m)]
+    gram, T0, W0 = (np.stack(v) for v in zip(*probs))
+    return gram, T0, W0, np.geomspace(0.05, 60.0, m)
+
+
+def _check_stack_against_reference(gram, T0, W0, half, max_inner):
+    W = W0.copy()
+    counts = solver._sweep_rows(gram, T0, W, half, 1e-8, max_inner)
+    for j in range(len(W0)):
+        ref, n_ref = _ref_w_block(gram[j], T0[j], W0[j], 2.0 * half[j], 1e-8, max_inner)
+        one = W0[j:j + 1].copy()
+        n_one = solver._sweep_rows(gram[j:j + 1], T0[j:j + 1], one, half[j:j + 1], 1e-8,
+                                   max_inner)
+        assert W[j].tobytes() == one[0].tobytes() == ref.tobytes()
+        assert counts[j] == n_one[0] == n_ref
+    return counts
+
+
+@pytest.mark.parametrize("r, m, P", [(1, 12, 11), (2, 3, 11)])
+def test_small_stack_sweeps_each_problem_alone_and_equals_reference(monkeypatch, r, m, P):
+    # inside _ALONE_MAX: one float-path call per problem, with the whole cap
+    assert 1 < m <= solver._ALONE_MAX[r](P)
+    gram, T0, W0, half = _mixed_stack(r, m, P, seed=61)
+    calls = _recorded_sweeps(monkeypatch)
+    counts = _check_stack_against_reference(gram, T0, W0, half, 40)
+    assert calls[:1 + m] == [(m, 40)] + [(1, 40)] * m
+    assert counts[0] == 40 and len(set(counts.tolist())) > 2
+
+
+def test_stack_compacting_under_the_alone_rule_equals_reference(monkeypatch):
+    # above _ALONE_MAX at entry (24 problems, rank 1, P = 6); the heavy
+    # penalties stop first, then the rest sweep alone for the sweeps left
+    r, m, P, cap = 1, 24, 6, 60
+    assert m > solver._ALONE_MAX[r](P)
+    gram, T0, W0, half = _mixed_stack(r, m, P, seed=67)
+    calls = _recorded_sweeps(monkeypatch)
+    counts = _check_stack_against_reference(gram, T0, W0, half, cap)
+    first = calls[:calls.index((1, cap))]  # the stacked call and its float-path calls
+    alone = [c for c in first if c[0] == 1]
+    assert first[0] == (m, cap) and alone and all(k < cap for _, k in alone)
+    assert counts[0] == cap and min(counts) < cap - alone[0][1] < max(counts[1:])
+
+
+def test_rank_three_stack_steps_numpy_rows(monkeypatch):
+    gram, T0, W0, half = _mixed_stack(3, 3, 11, seed=71)
+    calls = _recorded_sweeps(monkeypatch)
+    _check_stack_against_reference(gram, T0, W0, half, 40)
+    assert calls[0] == (3, 40) and calls[1] == (1, 40)  # no float-path call from the stack
+
+
+def test_rank_two_row_norm_dot_matches_stacked_vecdot():
+    # the float path's nv = sqrt(hb.dot(hb)) on a two-element row, bit for bit
+    # the stacked step's sqrt(vecdot) of (m, 1, 2) rows
+    rng = np.random.default_rng(73)
+    H = rng.standard_normal((20000, 1, 2)) * np.exp(rng.uniform(-30.0, 30.0, (20000, 1, 2)))
+    H[np.arange(300), 0, rng.integers(0, 2, 300)] = rng.choice([np.nan, np.inf, -np.inf, -0.0], 300)
+    with np.errstate(invalid="ignore", over="ignore"):
+        stacked = np.sqrt(np.vecdot(H, H, keepdims=True)).ravel()
+        hb = np.empty(2)
+        rows = []
+        for h0, h1 in H[:, 0].tolist():
+            hb[0], hb[1] = h0, h1
+            rows.append(math.sqrt(hb.dot(hb)))
+    rows, nan = np.array(rows), np.isnan(stacked)
+    # a NaN norm fails nv > half whatever its sign bit, so NaN-ness is enough
+    assert np.array_equal(np.isnan(rows), nan) and nan.sum() > 50
+    assert rows[~nan].tobytes() == stacked[~nan].tobytes()
 
 
 # =============================================================================
@@ -534,3 +624,25 @@ def test_cross_validate_reports_each_fit_convergence(method, max_outer):
         assert result.n_outer[i, j, k, f] == trace.n_outer
         assert result.converged[i, j, k, f] == trace.converged
     assert result.converged.any() and not result.converged.all()
+
+
+def test_cross_validate_reports_capped_w_blocks():
+    # a small W cap stops some blocks of the rank-using fits and not others;
+    # the baselines record no W sweeps, so they report 0
+    d = _contaminated(n=80, seed=21)
+    grid = CvGrid(lambdas=(1.0, 20.0), phis=(0.5, 20.0), ranks=(1, 2), folds=3, seed=4)
+    cfg = FitConfig(rank=2, max_inner=4)
+    assignment = kfold_split(d.T, grid.folds, grid.seed)
+    for method in ("wmcmr4", "wmcmrrr", "wmcm"):
+        result = cross_validate(d, grid, method, cfg=cfg)
+        assert result.w_capped.shape == result.per_fold_loss.shape
+        assert result.w_capped.dtype.kind == "i"
+        for i, j, k, f in np.ndindex(result.w_capped.shape):
+            held = assignment == f
+            d_tr, d_he = model_selection._subset(d, ~held), model_selection._subset(d, held)
+            a_tr, _ = model_selection._fold_weights(d_tr, d_he, "rct")
+            point = replace(cfg, lambda_w=grid.lambdas[i], phi_c=grid.phis[j],
+                            rank=grid.ranks[k])
+            trace = model_selection._ESTIMATORS[method].fit(d_tr, a_tr, point).trace
+            assert result.w_capped[i, j, k, f] == trace.w_capped
+        assert result.w_capped.any() == (method != "wmcm")

@@ -422,7 +422,9 @@ def test_cli_cv_fit_and_surface(tmp_path, capsys):
         "--cv-out", cv_out, "--model-out", model_out,
     ])
     assert code == 0
-    assert "cv: method=wmcmr4 best_lambda=" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "cv: method=wmcmr4 best_lambda=" in out
+    assert re.search(r" w_capped=\d+\n$", out)
     with open(cv_out, newline="") as fh:
         got = list(csv.reader(fh))
     assert got[0] == ["lambda", "phi", "rank", "fold", "loss"]

@@ -3,6 +3,7 @@ DataError naming it, before any fitting starts."""
 
 import inspect
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from multicate import (
     fit_wmcm_l1,
     fit_wmcmrrr,
     kfold_split,
+    run_scenario,
     update_loading_rows,
     update_outlier_rows,
 )
@@ -113,3 +115,20 @@ def test_fold_count_and_seed_edges():
     assert grid.folds == 3 and isinstance(grid.folds, int)
     assert np.array_equal(kfold_split(d.T, grid.folds, grid.seed), kfold_split(d.T, 3, 2**70))
     assert ScenarioSpec(scenario=1, seed=np.int64(7)).seed == 7
+
+
+def test_integral_float_settings_are_stored_as_ints():
+    # they pass the positive-integer rule, so the fit must take them as ints
+    d, _ = make_dataset(30, 3, 3, seed=4)
+    cfg = FitConfig(rank=2.0, lambda_w=1.0, max_outer=5.0, max_inner=7.0)
+    assert all(type(getattr(cfg, k)) is int for k in ("rank", "max_outer", "max_inner"))
+    assert cfg == FitConfig(rank=2, lambda_w=1.0, max_outer=5, max_inner=7)
+    got, want = fit(d, np.ones(d.n), cfg), fit(d, np.ones(d.n), replace(cfg, rank=2))
+    assert np.array_equal(got.W, want.W) and got.trace.n_outer == want.trace.n_outer
+    sizes = {"n": 60.0, "n_test": 40.0, "q": 4.0, "p": 10.0, "replications": 1.0,
+             "seed": np.int64(3)}
+    spec = ScenarioSpec(scenario=1, **sizes)
+    assert all(type(getattr(spec, k)) is int for k in sizes)
+    assert spec.scenario_id == ScenarioSpec(scenario=1, p=10).scenario_id
+    assert run_scenario(spec, ["mcm"]) == run_scenario(
+        ScenarioSpec(scenario=1, n=60, n_test=40, q=4, p=10, replications=1, seed=3), ["mcm"])
