@@ -21,9 +21,8 @@ design column that is zero in some problems of a stack gets a unit pivot
 there, so one sweep serves problems with different zero columns. The shape
 picks its path: NumPy rows for a stack, Python floats for one problem whose
 W has one or two columns, 1-D rows for one problem with more; the same IEEE
-operations, fewer calls. A small stack with one or two columns sweeps its
-problems one at a time on the float path (``_ALONE_MAX``), as a NumPy row step
-costs about the same at any stack size and more than a few float steps.
+operations, fewer calls. A NumPy row step costs about the same at any stack
+size, so small stacks with r <= 2 sweep each problem alone (``_ALONE_MAX``).
 """
 
 from __future__ import annotations
@@ -119,10 +118,10 @@ def _shrink_rows(R, thresholds):
 
 
 _ONE = np.array(1.0)  # 0-d operands cost less per call than Python floats
-# The largest stack, by rank and P rows, swept one problem at a time on the
-# float path: under the crossover of alone/stack sweep times measured at 30
-# sweeps, m 2-32, P 1-51 (CHANGES.md). Rank >= 3 always steps the stack.
-_ALONE_MAX = {1: lambda P: 510 // (P + 30) if P > 2 else 1, 2: lambda P: 3 if P > 3 else 1}
+# By rank, the largest stack of P rows swept one problem at a time: under the
+# alone/stack time crossover measured at 30 sweeps, m 2-32, P 1-51 (CHANGES.md)
+_ALONE_MAX = {1: lambda P: min(12, 510 // (P + 30)) if P > 2 else 1,
+              2: lambda P: 3 if P > 3 else 1}
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # half / ||h|| at h = 0: see fmax
@@ -142,8 +141,8 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
 
     Three paths, chosen by shape at each buffer build (at entry and after a
     problem leaves), give the same bits. A stack steps (m, 1, r) NumPy rows;
-    a small one (``_ALONE_MAX``: m (P + 30) <= 510 at r = 1 and P >= 3, m <= 3
-    at r = 2 and P >= 4) sweeps each problem alone for the sweeps left.
+    a small one (``_ALONE_MAX``: m <= 12 and m (P + 30) <= 510 at r = 1, P > 2;
+    m <= 3 at r = 2, P > 3) sweeps each problem alone for the sweeps left.
     One problem uses Python-float pivots and 1 - half/nv if nv > half else 0,
     the IEEE operations of the stack's fmax(1 - half/nv, 0) at nv = 0,
     half = 0 and NaN too; with r <= 2 columns it steps Python floats, one
