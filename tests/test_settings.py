@@ -3,7 +3,6 @@ DataError naming it, before any fitting starts."""
 
 import inspect
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,8 +122,8 @@ def test_integral_float_settings_are_stored_as_ints():
     cfg = FitConfig(rank=2.0, lambda_w=1.0, max_outer=5.0, max_inner=7.0)
     assert all(type(getattr(cfg, k)) is int for k in ("rank", "max_outer", "max_inner"))
     assert cfg == FitConfig(rank=2, lambda_w=1.0, max_outer=5, max_inner=7)
-    got, want = fit(d, np.ones(d.n), cfg), fit(d, np.ones(d.n), replace(cfg, rank=2))
-    assert np.array_equal(got.W, want.W) and got.trace.n_outer == want.trace.n_outer
+    model = fit(d, np.ones(d.n), cfg)  # a bare TypeError when they stay floats
+    assert model.W.shape == (4, 2) and model.trace.n_outer <= 5
     sizes = {"n": 60.0, "n_test": 40.0, "q": 4.0, "p": 10.0, "replications": 1.0,
              "seed": np.int64(3)}
     spec = ScenarioSpec(scenario=1, **sizes)
