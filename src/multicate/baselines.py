@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, FitConfig, NumericalError, assemble_design
-from .solver import FitTrace, _avec, _row_norms, _sweep_rows, _weighted, fit as _fit_factor
+from .solver import FitTrace, _avec, _row_norms, _sweep_one, _weighted, fit as _fit_factor
 
 HUBER_DELTA = 1e-4
 
@@ -70,13 +70,11 @@ def fit_wmcm(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> Ba
     """
     cfg = replace(cfg or FitConfig(rank=1), lambda_w=lambda_w)
     _, G, Yw = _weighted(d, a)
-    gram, T0 = (G.T @ G)[None], (G.T @ Yw)[None]
-    # the sweep updates this one-problem stack in place; gamma is its view
-    stack = np.zeros((1, d.n_features, d.q))
-    gamma = stack[0]
+    gram, T0 = G.T @ G, G.T @ Yw
+    gamma = np.zeros((d.n_features, d.q))
 
     def step():
-        _sweep_rows(gram, T0, stack, [lambda_w / 2.0], cfg.inner_tol, 1)
+        _sweep_one(gram, T0, gamma, lambda_w / 2.0, cfg.inner_tol, 1)
 
     def obj():
         R = Yw - G @ gamma
@@ -99,10 +97,9 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
     X, Y, Z = d.X, d.Y, assemble_design(d)
     aa = a * a
     G = a[:, None] * Z
-    gram = (G.T @ G)[None]
+    gram = G.T @ G
     H = X.T @ (X * aa[:, None])
-    stack = np.zeros((1, d.n_features, d.q))
-    gamma = stack[0]
+    gamma = np.zeros((d.n_features, d.q))
     B = np.zeros((d.n_features, d.q))
 
     def step():
@@ -114,7 +111,7 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
                           RuntimeWarning, stacklevel=3)
             B[...] = np.linalg.solve(H + 1e-8 * np.eye(H.shape[0]), rhs)
         T0 = G.T @ (a[:, None] * (Y - X @ B))
-        _sweep_rows(gram, T0[None], stack, [lambda_w / 2.0], cfg.inner_tol, cfg.max_inner)
+        _sweep_one(gram, T0, gamma, lambda_w / 2.0, cfg.inner_tol, cfg.max_inner)
 
     def obj():
         R = a[:, None] * (Y - X @ B - Z @ gamma)

@@ -187,6 +187,12 @@ def _grid_from_args(args, seed):
                   folds=args.folds, seed=seed)
 
 
+def _warn_capped(n: int, max_inner: int) -> None:
+    if n:
+        print(f"warning: {n} W blocks stopped at max_inner={max_inner} before inner_tol "
+              "was met", file=sys.stderr)
+
+
 def _cmd_fit(args) -> int:
     d, cov_names, out_names, meta = _load_dataset(args)
     cfg = _config_from_args(args, rank=args.rank, lambda_w=args.lambda_w, phi_c=args.phi_c)
@@ -200,6 +206,7 @@ def _cmd_fit(args) -> int:
     print(f"fit: rank={model.rank} objective={tr.objective[-1]:.6g} "
           f"outer_iterations={tr.n_outer} converged={tr.converged} "
           f"w_capped={tr.w_capped} model={args.model_out}")
+    _warn_capped(tr.w_capped, cfg.max_inner)
     return 0
 
 
@@ -233,10 +240,10 @@ def _cmd_cv(args) -> int:
                             metadata={**meta, "cv_best": [lam, phi, rank],
                                       "cv_method": args.method})
         save_model(art, args.model_out)
-    best_idx = result.best_index
+    best_idx, capped = result.best_index, int(result.w_capped.sum())
     print(f"cv: method={args.method} best_lambda={lam:.6g} best_phi={phi:.6g} "
-          f"best_rank={rank} mean_loss={result.mean_loss[best_idx]:.6g} "
-          f"w_capped={int(result.w_capped.sum())}")
+          f"best_rank={rank} mean_loss={result.mean_loss[best_idx]:.6g} w_capped={capped}")
+    _warn_capped(capped, cfg.max_inner)
     return 0
 
 

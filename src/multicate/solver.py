@@ -15,14 +15,12 @@ which is the form the updates below work with.
 ``_descend`` solves many problems in lockstep along a leading stack axis: all
 share the rank, each has its own penalties, and each group of them shares
 one dataset (in cross-validation, one group per training fold).
-``fit_batch`` is one group and ``fit`` a batch of one. The W row sweep,
-``_sweep_rows``, is one stateless function, which the baselines reuse; a
-design column that is zero in some problems of a stack gets a unit pivot
-there, so one sweep serves problems with different zero columns. The shape
-picks its path: NumPy rows for a stack, Python floats for one problem whose
-W has one or two columns, 1-D rows for one problem with more; the same IEEE
-operations, fewer calls. A NumPy row step costs about the same at any stack
-size, so small stacks with r <= 2 sweep each problem alone (``_ALONE_MAX``).
+``fit_batch`` is one group and ``fit`` a batch of one. The W row sweep is
+two stateless functions: ``_sweep_rows`` steps a stack in NumPy rows, and
+``_sweep_one`` sweeps one problem (the baselines call it directly) with the
+same IEEE operations in fewer calls. A NumPy row step costs about the same
+at any stack size, so small stacks with r <= 2 sweep each problem alone
+(``_ALONE_MAX``).
 """
 
 from __future__ import annotations
@@ -124,6 +122,13 @@ _ALONE_MAX = {1: lambda P: min(12, 510 // (P + 30)) if P > 2 else 1,
               2: lambda P: 3 if P > 3 else 1}
 
 
+def _converged(delta, W, inner_tol):
+    # the largest row change below inner_tol relative to the iterate scale,
+    # matching the outlier block (max and sqrt commute); np.max keeps a NaN
+    worst = np.sqrt(np.max(np.vecdot(delta, delta), axis=-1))
+    return worst < inner_tol * (1.0 + np.max(_row_norms(W), axis=-1))
+
+
 @np.errstate(divide="ignore", invalid="ignore")  # half / ||h|| at h = 0: see fmax
 def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
     """Cyclic group-lasso row sweeps, in lockstep over a stack of problems.
@@ -135,150 +140,140 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
     relative to its iterate scale, or for max_inner sweeps; then it leaves
     the stack, so each problem stops at the sweep where it would stop alone.
 
-    A design column that is zero in a problem holds its row at 0.0: the row
-    gets a unit pivot, so its update is exactly 0.0 and no other row moves.
-    Rows that are zero in every problem are skipped.
-
-    Three paths, chosen by shape at each buffer build (at entry and after a
-    problem leaves), give the same bits. A stack steps (m, 1, r) NumPy rows;
-    a small one (``_ALONE_MAX``: m <= 12 and m (P + 30) <= 510 at r = 1, P > 2;
-    m <= 3 at r = 2, P > 3) sweeps each problem alone for the sweeps left.
-    One problem uses Python-float pivots and 1 - half/nv if nv > half else 0,
-    the IEEE operations of the stack's fmax(1 - half/nv, 0) at nv = 0,
-    half = 0 and NaN too; with r <= 2 columns it steps Python floats, one
-    list per column (each elementwise operation is one IEEE operation per
-    column), with r >= 3 1-D NumPy rows (floats cost more there). nv is the
-    stack's: fl(h*h) at r = 1 (a one-element vecdot), at r = 2 the row's
-    ndarray.dot, the BLAS dot of the stack's vecdot, which may fuse a
-    multiply-add and round unlike h0*h0 + h1*h1. All paths share the matmul
-    for M = G W, and the NumPy stop test but at r = 1, where floats make its
-    decisions: a NaN change never stops, as under np.max (Python's max drops
-    a NaN). Row k's outer product (exact: one term) goes only to the rows of
-    M after k, the only ones read before the next sweep recomputes M.
+    The stack steps (m, 1, r) NumPy rows. A design column that is zero in a
+    problem gets a unit pivot there, so its row's update is exactly 0.0 and
+    no other row moves; rows zero in every problem are skipped. Row k's
+    outer product (exact: one term) goes only to the rows of M = G W after
+    k, the only ones read before the next sweep recomputes M. Once the stack
+    holds one problem, or at r <= 2 no more than ``_ALONE_MAX``, each problem
+    left is handed to ``_sweep_one`` for the sweeps left.
     """
     sweeps = np.empty(len(W), dtype=int)
     todo = np.arange(len(W))
     Ga, Wa, T0a, half_a = gram, W, T0, np.asarray(half, dtype=float)[:, None, None]
-    count = 0
-    while True:
-        alone = _ALONE_MAX.get(Wa.shape[2])
-        if alone and 1 < len(Wa) <= alone(Wa.shape[1]):
-            # each problem alone: its iterates do not depend on the stack
-            for i, p in enumerate(todo.tolist()):
-                Wi = np.array(Wa[i:i + 1])
-                n = _sweep_rows(Ga[i:i + 1], T0a[i:i + 1], Wi, half_a[i, 0], inner_tol,
-                                max_inner - count)
-                W[p], sweeps[p] = Wi[0], count + n[0]
-            return sweeps
+    count, (P, r) = 0, W.shape[1:]
+    alone = _ALONE_MAX[r](P) if r in _ALONE_MAX else 1
+    while len(todo) > alone:
         # work buffers, C-contiguous whatever the inputs' layout (BLAS sums
         # another layout in another order), and per-row views of this stack
         Gb, Wb, Tb = (np.array(v, order="C") for v in (Ga, Wa, T0a))
         # M = G W, the outer products and the row changes, stored row-major
         # over the stack: the rows after k of all problems are one block
-        M, outer, delta = np.zeros((3, Wb.shape[1], len(Wb), Wb.shape[2])).swapaxes(1, 2)
-        diag = Gb.reshape(len(Gb), -1)[:, ::Gb.shape[1] + 1]
+        M, outer, delta = np.zeros((3, P, len(Wb), r)).swapaxes(1, 2)
+        diag = Gb.reshape(len(Gb), -1)[:, ::P + 1]
         dead = diag == 0.0  # (m, P): the zero design columns
         Wb[dead] = 0.0
-        piv = np.where(dead, 1.0, diag)
-        one, (P, r), half1 = len(Wb) == 1, Wb.shape[1:], float(half_a[0, 0, 0])
-        live = (~dead.all(axis=0)).tolist()
-        # per-row views, by iterating over transposed buffers: (m, 1, 1) pivots
-        # and (m, 1, r) rows; for one problem with r <= 2, Python floats and G
-        # by columns; for one problem with more, Python-float pivots and 1-D rows
-        floats = one and r <= 2
-        if floats:
-            wT, mT, dT = Wb[0].T, M[0].T, delta[0].T
-            rows = [(k, dk, *tk, col, range(k + 1, P)) for k, (dk, tk, col)
-                    in enumerate(zip(piv[0].tolist(), Tb[0].tolist(), Gb[0].T.tolist()))
-                    if live[k]]
-            dls, hb = [[0.0] * P for _ in range(r)], np.empty(2)
-        elif one:
-            pivots, cols = piv[0].tolist(), Gb[0, :, :, None].swapaxes(0, 1)
-            Ms, Os, views = M[0], outer[0], (v[0] for v in (Wb, Tb, M, delta))
-        else:
-            pivots, cols = piv.T[:, :, None, None], Gb[..., None].transpose(2, 0, 1, 3)
-            Ms, Os, views = M, outer, (v[:, :, None].swapaxes(0, 1) for v in (Wb, Tb, M, delta))
-        if not floats:
-            rows = [(dk, col[..., k + 1:, :], wk, tk, mk, dl, Ms[..., k + 1:, :],
-                     Os[..., k + 1:, :]) for k, (dk, col, wk, tk, mk, dl)
-                    in enumerate(zip(pivots, cols, *views)) if live[k]]
-        while True:
-            count += 1
+        # per-row views, by iterating over transposed buffers: (m, 1, 1)
+        # pivots, (m, P, 1) columns and (m, 1, r) rows
+        pivots = np.where(dead, 1.0, diag).T[:, :, None, None]
+        cols = Gb[..., None].transpose(2, 0, 1, 3)
+        views = (v[:, :, None].swapaxes(0, 1) for v in (Wb, Tb, M, delta))
+        rows = [(dk, col[..., k + 1:, :], wk, tk, mk, dl, M[..., k + 1:, :],
+                 outer[..., k + 1:, :]) for k, (dk, col, wk, tk, mk, dl, live)
+                in enumerate(zip(pivots, cols, *views, (~dead.all(axis=0)).tolist())) if live]
+        for count in range(count + 1, max_inner + 1):
             np.matmul(Gb, Wb, out=M)
-            if floats and r == 1:
-                (w,), (m,), (dw,) = wT.tolist(), mT.tolist(), dls
-                for k, dk, tk, col, rest in rows:
-                    wk = w[k]
-                    h = tk - m[k] + dk * wk
-                    nv = math.sqrt(h * h)
-                    w[k] = w_new = (1.0 - half1 / nv if nv > half1 else 0.0) * h / dk
-                    dw[k] = dl = w_new - wk
-                    for j in rest:
-                        m[j] += col[j] * dl
-                wT[0] = w
-            elif floats:
-                (w0, w1), (m0, m1), (dw0, dw1) = wT.tolist(), mT.tolist(), dls
-                for k, dk, t0, t1, col, rest in rows:
-                    a0, a1 = w0[k], w1[k]
-                    hb[0] = h0 = t0 - m0[k] + dk * a0
-                    hb[1] = h1 = t1 - m1[k] + dk * a1
-                    # the stack's BLAS dot, which may fuse h0*h0 + h1*h1
-                    nv = math.sqrt(hb.dot(hb))
-                    f = 1.0 - half1 / nv if nv > half1 else 0.0
-                    w0[k], w1[k] = b0, b1 = f * h0 / dk, f * h1 / dk
-                    dw0[k], dw1[k] = e0, e1 = b0 - a0, b1 - a1
-                    for j in rest:
-                        c = col[j]
-                        m0[j] += c * e0
-                        m1[j] += c * e1
-                wT[:], dT[:] = (w0, w1), dls
-            elif one:
-                for dk, col, wk, tk, mk, dl, m_rest, o_rest in rows:
-                    h = tk - mk + dk * wk
-                    nv = math.sqrt(np.vecdot(h, h))
-                    w_new = (1.0 - half1 / nv if nv > half1 else 0.0) * h / dk
-                    np.subtract(w_new, wk, out=dl)
-                    m_rest += np.multiply(col, dl, out=o_rest)
-                    wk[...] = w_new
-            else:
-                for dk, col, wk, tk, mk, dl, m_rest, o_rest in rows:
-                    h = tk - mk + dk * wk
-                    nv = np.sqrt(np.vecdot(h, h, keepdims=True))
-                    w_new = np.fmax(_ONE - half_a / nv, 0.0) * h / dk
-                    np.subtract(w_new, wk, out=dl)
-                    m_rest += np.matmul(col, dl, out=o_rest)
-                    wk[...] = w_new
-            if count == max_inner:
-                done = None
-                break
-            if floats and r == 1:
-                # the test below in floats, decision for decision: max and sqrt
-                # commute, a NaN change makes the sum NaN as np.max would, and
-                # a NaN in W comes with a NaN change of its row
-                dd = [x * x for x in dw]
-                s, w_max = sum(dd), math.sqrt(max([v * v for v in w]))
-                if s == s and math.sqrt(max(dd)) < inner_tol * (1.0 + w_max):
-                    done = None
-                    break
-                continue
-            # max and sqrt commute, so this is the largest row change
-            worst = np.sqrt(np.max(np.vecdot(delta, delta), axis=1))
-            # relative to the iterate scale, matching the outlier block
-            scale = 1.0 + np.max(_row_norms(Wb), axis=1)
-            done = worst < inner_tol * scale
+            for dk, col, wk, tk, mk, dl, m_rest, o_rest in rows:
+                h = tk - mk + dk * wk
+                nv = np.sqrt(np.vecdot(h, h, keepdims=True))
+                w_new = np.fmax(_ONE - half_a / nv, 0.0) * h / dk
+                np.subtract(w_new, wk, out=dl)
+                m_rest += np.matmul(col, dl, out=o_rest)
+                wk[...] = w_new
+            done = _converged(delta, Wb, inner_tol) | (count == max_inner)
             if done.any():
                 break
         # a row zeroed from negative entries holds -0.0; adding 0.0 makes
         # it 0.0 and leaves every other value as it is
-        if done is None or done.all():
-            W[todo] = Wb + 0.0
-            sweeps[todo] = count
-            return sweeps
         W[todo[done]] = Wb[done] + 0.0
         sweeps[todo[done]] = count
         keep = ~done
-        todo, Ga, Wa, T0a = todo[keep], Gb[keep], Wb[keep], Tb[keep]
-        half_a = half_a[keep]
+        todo, Ga, Wa, T0a, half_a = todo[keep], Gb[keep], Wb[keep], Tb[keep], half_a[keep]
+    # each problem alone: its iterates do not depend on the stack
+    for i, p in enumerate(todo.tolist()):
+        W[p] = Wa[i]
+        sweeps[p] = count + _sweep_one(Ga[i], T0a[i], W[p], half_a[i, 0, 0], inner_tol,
+                                       max_inner - count)
+    return sweeps
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # NumPy steps on non-finite rows
+def _sweep_one(gram, t0, w, half, inner_tol, max_inner):
+    """``_sweep_rows`` for one problem: gram (P, P), t0 and w (P, r); sweeps w
+    in place and returns the sweep count, with the stack's bits.
+
+    A zero design column's row is set to 0.0 and skipped. Pivots are Python
+    floats, and 1 - half/nv if nv > half else 0 is the stack's shrink factor
+    fmax(1 - half/nv, 0) at nv = 0, half = 0 and NaN too. With r <= 2 it steps
+    Python floats, one list per column (one IEEE operation per column each);
+    with r >= 3, 1-D NumPy rows (floats cost more there). nv is the stack's:
+    fl(h*h) at r = 1 (a one-element vecdot), at r = 2 the row's ndarray.dot,
+    the BLAS dot of the stack's vecdot, which may fuse a multiply-add and
+    round unlike h0*h0 + h1*h1. M = G W is the stack's matmul, and the stop
+    test ``_converged`` but at r = 1, where floats make its decisions: a NaN
+    change never stops, as under np.max (Python's max drops a NaN).
+    """
+    half = float(half)  # a NumPy scalar makes every float row step slower
+    G, wb = np.ascontiguousarray(gram), np.array(w, order="C")
+    P, r = wb.shape
+    wb[G.diagonal() == 0.0] = 0.0
+    M, outer, delta = np.zeros((3, P, r))
+    if r <= 2:
+        rows = [(k, dk, *tk, col, range(k + 1, P)) for k, (dk, tk, col)
+                in enumerate(zip(G.diagonal().tolist(), t0.tolist(), G.T.tolist())) if dk != 0.0]
+        dls, hb = [[0.0] * P for _ in range(r)], np.empty(2)
+    else:
+        rows = [(dk, G[k + 1:, k, None], wb[k], t0[k], M[k], delta[k], M[k + 1:], outer[k + 1:])
+                for k, dk in enumerate(G.diagonal().tolist()) if dk != 0.0]
+    for count in range(1, max_inner + 1):
+        np.matmul(G, wb, out=M)
+        if r == 1:
+            (w1,), (m,), (dw,) = wb.T.tolist(), M.T.tolist(), dls
+            for k, dk, tk, col, rest in rows:
+                wk = w1[k]
+                h = tk - m[k] + dk * wk
+                nv = math.sqrt(h * h)
+                w1[k] = w_new = (1.0 - half / nv if nv > half else 0.0) * h / dk
+                dw[k] = dl = w_new - wk
+                for j in rest:
+                    m[j] += col[j] * dl
+            wb.T[0] = w1
+        elif r == 2:
+            (w0, w1), (m0, m1), (dw0, dw1) = wb.T.tolist(), M.T.tolist(), dls
+            for k, dk, t0k, t1k, col, rest in rows:
+                a0, a1 = w0[k], w1[k]
+                hb[0] = h0 = t0k - m0[k] + dk * a0
+                hb[1] = h1 = t1k - m1[k] + dk * a1
+                # the stack's BLAS dot, which may fuse h0*h0 + h1*h1
+                nv = math.sqrt(hb.dot(hb))
+                f = 1.0 - half / nv if nv > half else 0.0
+                w0[k], w1[k] = b0, b1 = f * h0 / dk, f * h1 / dk
+                dw0[k], dw1[k] = e0, e1 = b0 - a0, b1 - a1
+                for j in rest:
+                    c = col[j]
+                    m0[j] += c * e0
+                    m1[j] += c * e1
+            wb.T[:], delta.T[:] = (w0, w1), dls
+        else:
+            for dk, col, wk, tk, mk, dl, m_rest, o_rest in rows:
+                h = tk - mk + dk * wk
+                nv = math.sqrt(np.vecdot(h, h))
+                w_new = (1.0 - half / nv if nv > half else 0.0) * h / dk
+                np.subtract(w_new, wk, out=dl)
+                m_rest += np.multiply(col, dl, out=o_rest)
+                wk[...] = w_new
+        if count == max_inner or r > 1 and _converged(delta, wb, inner_tol):
+            break
+        if r == 1:
+            # _converged in floats, decision for decision: a NaN change makes
+            # the sum NaN, and a NaN in W comes with a NaN change of its row
+            dd = [x * x for x in dw]
+            s = sum(dd)
+            if s == s and math.sqrt(max(dd)) < inner_tol * (1.0 + math.sqrt(max(
+                    [v * v for v in w1]))):
+                break
+    w[...] = wb + 0.0  # -0.0 to 0.0, as in _sweep_rows
+    return count
 
 
 def _v_block(M, V_prev):
@@ -319,10 +314,9 @@ def update_loading_rows(W, d: Dataset, a, C, V, lambda_w: float,
     W, V, C = _block_inputs(d, W, V, C)
     _check_settings(lambda_w=lambda_w, inner_tol=inner_tol, max_inner=max_inner)
     _, G, F = _weighted(d, a, C)
-    W_new = W[None].copy()
-    _sweep_rows((G.T @ G)[None], (G.T @ (F @ V))[None], W_new, [lambda_w / 2.0], inner_tol,
-                max_inner)
-    return W_new[0]
+    W_new = W.copy()
+    _sweep_one(G.T @ G, G.T @ (F @ V), W_new, lambda_w / 2.0, inner_tol, max_inner)
+    return W_new
 
 
 def update_orthogonal_factor(W, d: Dataset, a, C, V=None) -> np.ndarray:

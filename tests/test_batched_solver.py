@@ -375,8 +375,8 @@ def _boundary_case(case, r):
 def _alone_and_stacked(gram, T0, W0, half, max_inner):
     # the problem swept alone, and between two others: (W, sweeps) of each
     r = W0.shape[1]
-    one = W0[None].copy()
-    n_one = solver._sweep_rows(gram[None], T0[None], one, [half], 1e-8, max_inner)
+    one = W0.copy()
+    n_one = solver._sweep_one(gram, T0, one, half, 1e-8, max_inner)
     rng = np.random.default_rng(32)
     # the first neighbour (7 rows for 6 columns) is ill-conditioned: it sweeps to
     # the cap, so the stacked branch steps the problem throughout (small stacks
@@ -397,10 +397,10 @@ def _check_boundary(case, max_inner, r):
     one, n_one, stack, n_stack = _alone_and_stacked(gram, T0, W0, half, max_inner)
     ref, n_ref = _ref_w_block(gram, T0, W0, 2.0 * half, 1e-8, max_inner)
     # byte for byte, so signed zeros count
-    assert one[0].tobytes() == stack[1].tobytes() == ref.tobytes()
-    assert n_one[0] == n_stack[1] == n_ref
+    assert one.tobytes() == stack[1].tobytes() == ref.tobytes()
+    assert n_one == n_stack[1] == n_ref
     # row 2 is +0.0 except just above the threshold, where it barely survives
-    assert (one[0, 2].tobytes() == bytes(8 * r)) == (case != "norm one ulp above threshold")
+    assert (one[2].tobytes() == bytes(8 * r)) == (case != "norm one ulp above threshold")
 
 
 BOUNDARY_CASES = ["zero target, no penalty", "norm at threshold",
@@ -446,14 +446,12 @@ def test_one_problem_sweep_stops_as_the_stack_on_non_finite_values(case, r):
         # every row but the last at its fixed point; the last row, orthogonal to
         # the others, turns NaN at the first sweep while the rest barely move
         _isolate(gram, last, 3.0)
-        W0 = W0[None].copy()
-        solver._sweep_rows(gram[None], T0[None], W0, [5.0], 1e-15, 1000)
-        W0 = W0[0]
+        solver._sweep_one(gram, T0, W0, 5.0, 1e-15, 1000)
         T0[last, 0] = np.nan
     with np.errstate(invalid="ignore", over="ignore"):
         one, n_one, stack, n_stack = _alone_and_stacked(gram, T0, W0, 5.0, 20)
-    assert n_one[0] == n_stack[1] == 20
-    assert np.array_equal(one[0], stack[1], equal_nan=True) and np.isnan(one).any()
+    assert n_one == n_stack[1] == 20
+    assert np.array_equal(one, stack[1], equal_nan=True) and np.isnan(one).any()
 
 
 def _check_fold_stack_compacting(monkeypatch, rank):
@@ -491,14 +489,20 @@ def test_rank_two_fold_stack_compacting_to_one_problem_equals_serial(monkeypatch
 
 
 def _recorded_sweeps(monkeypatch):
-    # (stack size, cap) of every _sweep_rows call, the recursive ones included
-    calls, sweep = [], solver._sweep_rows
+    # ("rows", stack size, cap) of every _sweep_rows call and ("one", cap) of
+    # every _sweep_one call, those _sweep_rows makes included
+    calls, rows, one = [], solver._sweep_rows, solver._sweep_one
 
-    def recording(gram, T0, W, half, inner_tol, max_inner):
-        calls.append((len(W), max_inner))
-        return sweep(gram, T0, W, half, inner_tol, max_inner)
+    def recording_rows(gram, T0, W, half, inner_tol, max_inner):
+        calls.append(("rows", len(W), max_inner))
+        return rows(gram, T0, W, half, inner_tol, max_inner)
 
-    monkeypatch.setattr(solver, "_sweep_rows", recording)
+    def recording_one(gram, t0, w, half, inner_tol, max_inner):
+        calls.append(("one", max_inner))
+        return one(gram, t0, w, half, inner_tol, max_inner)
+
+    monkeypatch.setattr(solver, "_sweep_rows", recording_rows)
+    monkeypatch.setattr(solver, "_sweep_one", recording_one)
     return calls
 
 
@@ -516,22 +520,22 @@ def _check_stack_against_reference(gram, T0, W0, half, max_inner):
     counts = solver._sweep_rows(gram, T0, W, half, 1e-8, max_inner)
     for j in range(len(W0)):
         ref, n_ref = _ref_w_block(gram[j], T0[j], W0[j], 2.0 * half[j], 1e-8, max_inner)
-        one = W0[j:j + 1].copy()
-        n_one = solver._sweep_rows(gram[j:j + 1], T0[j:j + 1], one, half[j:j + 1], 1e-8,
-                                   max_inner)
-        assert W[j].tobytes() == one[0].tobytes() == ref.tobytes()
-        assert counts[j] == n_one[0] == n_ref
+        one = W0[j].copy()
+        n_one = solver._sweep_one(gram[j], T0[j], one, half[j], 1e-8, max_inner)
+        assert W[j].tobytes() == one.tobytes() == ref.tobytes()
+        assert counts[j] == n_one == n_ref
     return counts
 
 
 @pytest.mark.parametrize("r, m, P", [(1, 12, 11), (2, 3, 11)])
 def test_small_stack_sweeps_each_problem_alone_and_equals_reference(monkeypatch, r, m, P):
-    # inside _ALONE_MAX: one float-path call per problem, with the whole cap
+    # inside _ALONE_MAX: one _sweep_one call per problem, with the whole cap
     assert 1 < m <= solver._ALONE_MAX[r](P)
     gram, T0, W0, half = _mixed_stack(r, m, P, seed=61)
     calls = _recorded_sweeps(monkeypatch)
     counts = _check_stack_against_reference(gram, T0, W0, half, 40)
-    assert calls == [(m, 40)] + [(1, 40)] * (2 * m)  # the stack's, then the check's
+    # the stack's call and its hand-offs, then the check's
+    assert calls == [("rows", m, 40)] + [("one", 40)] * (2 * m)
     assert counts[0] == 40 and len(set(counts.tolist())) > 2
 
 
@@ -543,17 +547,19 @@ def test_stack_compacting_under_the_alone_rule_equals_reference(monkeypatch):
     gram, T0, W0, half = _mixed_stack(r, m, P, seed=67)
     calls = _recorded_sweeps(monkeypatch)
     counts = _check_stack_against_reference(gram, T0, W0, half, cap)
-    first = calls[:calls.index((1, cap))]  # the stacked call and its float-path calls
-    alone = [c for c in first if c[0] == 1]
-    assert first[0] == (m, cap) and alone and all(k < cap for _, k in alone)
+    first = calls[:calls.index(("one", cap))]  # the stacked call and its hand-offs
+    alone = first[1:]
+    assert first[0] == ("rows", m, cap) and alone and all(k < cap for _, k in alone)
     assert counts[0] == cap and min(counts) < cap - alone[0][1] < max(counts[1:])
 
 
 def test_rank_three_stack_steps_numpy_rows(monkeypatch):
     gram, T0, W0, half = _mixed_stack(3, 3, 11, seed=71)
     calls = _recorded_sweeps(monkeypatch)
-    _check_stack_against_reference(gram, T0, W0, half, 40)
-    assert calls == [(3, 40)] + [(1, 40)] * 3  # the stack alone, then the check's
+    counts = _check_stack_against_reference(gram, T0, W0, half, 40)
+    # the stack alone until one problem is left, which is handed over with
+    # the sweeps left; then the check's
+    assert calls == [("rows", 3, 40), ("one", 40 - sorted(counts)[1])] + [("one", 40)] * 3
 
 
 def test_rank_two_row_norm_dot_matches_stacked_vecdot():

@@ -412,6 +412,29 @@ def test_cli_cv_numerical_failure_exit_three(tmp_path, capsys):
     assert err.startswith("error: numerical:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, capped", [("fit", False), ("fit", True), ("cv", True)])
+def test_cli_warns_about_capped_w_blocks(tmp_path, capsys, command, capped):
+    # one sweep per W block and one outer iteration (as in the numerical
+    # failure case above) caps blocks; the fit at the default caps caps none
+    args = [command, "--covariates", COV, "--outcomes", OUT, "--treatment-column", "arm",
+            "--coding", "zero_one", "--standardize"]
+    if command == "fit":
+        args += ["--rank", "1", "--lambda", "0.5", "--phi", "200",
+                 "--model-out", str(tmp_path / "m.json")]
+    else:
+        args += ["--lambdas", "1,50", "--phis", "500", "--ranks", "1,2", "--folds", "2"]
+    if capped:
+        args += ["--max-outer", "1", "--max-inner", "1"]
+    assert run_cli(args) == 0
+    out, err = capsys.readouterr()
+    n = int(re.search(r" w_capped=(\d+)", out)[1])
+    assert out.count("\n") == 1 and out.startswith(f"{command}: ")
+    assert (n > 0) == capped
+    expected = (f"warning: {n} W blocks stopped at max_inner=1 before inner_tol was met\n"
+                if capped else "")
+    assert err == expected
+
+
 def test_cli_cv_fit_and_surface(tmp_path, capsys):
     cv_out = str(tmp_path / "cv.csv")
     model_out = str(tmp_path / "best.json")
