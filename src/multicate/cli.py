@@ -8,21 +8,22 @@ Errors are written as one machine-parsable line on stderr:
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import fields, replace
 
 import numpy as np
 
-from .data import DataError, Dataset, FitConfig, NumericalError
+from .data import (TREATMENT_CODINGS, DataError, Dataset, FitConfig, NumericalError,
+                   _check_settings)
 from .model_io import (
     ModelArtifact,
     export_path_diagram,
     load_csv_dataset,
+    read_json_object,
     read_replication_csv,
     save_model,
     summarize_replications,
+    write_csv,
     write_replication_csv,
     write_summary_csv,
 )
@@ -41,39 +42,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(s):
-    v = int(s)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {s}")
-    return v
+def _setting(name, cast):
+    """The argparse type of the setting name: the text cast, then held to the
+    settings rule (data._check_settings), so a value it breaks is a usage
+    error; text that does not cast is one too (argparse's invalid value)."""
+    def parse(s):
+        v = cast(s)
+        try:
+            _check_settings(**{name: v})
+        except DataError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return v
+    parse.__name__ = name  # argparse says "invalid <name> value"
+    return parse
 
 
-def _nonneg_float(s):
-    v = float(s)
-    if not np.isfinite(v) or v < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative number, got {s}")
-    return v
-
-
-def _float_list(s):
-    try:
-        return tuple(float(v) for v in s.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated number list, got {s!r}")
-
-
-def _int_list(s):
-    try:
-        return tuple(int(v) for v in s.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {s!r}")
+def _list(cast):
+    """The argparse type of a comma-separated list of cast values."""
+    def parse(s):
+        return tuple(cast(v) for v in s.split(","))
+    parse.__name__ = f"comma-separated {cast.__name__} list"
+    return parse
 
 
 def _add_data_args(p):
     p.add_argument("--covariates", required=True, help="covariates CSV (includes treatment column)")
     p.add_argument("--outcomes", required=True, help="outcomes CSV")
     p.add_argument("--treatment-column", required=True)
-    p.add_argument("--coding", choices=("pm1", "zero_one"), default="pm1")
+    p.add_argument("--coding", choices=tuple(TREATMENT_CODINGS), default="pm1")
     p.add_argument("--no-intercept", action="store_true",
                    help="do not prepend an intercept column")
     p.add_argument("--standardize", action="store_true",
@@ -84,17 +80,17 @@ def _add_data_args(p):
 
 
 def _add_solver_args(p):
-    p.add_argument("--outer-tol", type=float, default=1e-6)
-    p.add_argument("--inner-tol", type=float, default=1e-8)
-    p.add_argument("--max-outer", type=_positive_int, default=500)
-    p.add_argument("--max-inner", type=_positive_int, default=100)
+    p.add_argument("--outer-tol", type=_setting("outer_tol", float), default=1e-6)
+    p.add_argument("--inner-tol", type=_setting("inner_tol", float), default=1e-8)
+    p.add_argument("--max-outer", type=_setting("max_outer", int), default=500)
+    p.add_argument("--max-inner", type=_setting("max_inner", int), default=100)
 
 
 def _add_grid_args(p):
-    p.add_argument("--lambdas", type=_float_list, default=None)
-    p.add_argument("--phis", type=_float_list, default=None)
-    p.add_argument("--ranks", type=_int_list, default=None)
-    p.add_argument("--folds", type=_positive_int, default=5)
+    p.add_argument("--lambdas", type=_list(float), default=None)
+    p.add_argument("--phis", type=_list(float), default=None)
+    p.add_argument("--ranks", type=_list(int), default=None)
+    p.add_argument("--folds", type=_setting("folds", int), default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit one model and save it")
     _add_data_args(p_fit)
-    p_fit.add_argument("--rank", type=_positive_int, required=True)
-    p_fit.add_argument("--lambda", dest="lambda_w", type=_nonneg_float, default=0.0)
-    p_fit.add_argument("--phi", dest="phi_c", type=_nonneg_float, default=0.0)
+    p_fit.add_argument("--rank", type=_setting("rank", int), required=True)
+    p_fit.add_argument("--lambda", dest="lambda_w", type=_setting("lambda_w", float), default=0.0)
+    p_fit.add_argument("--phi", dest="phi_c", type=_setting("phi_c", float), default=0.0)
     _add_solver_args(p_fit)
     p_fit.add_argument("--model-out", required=True)
     p_fit.add_argument("--diagram-out", default=None)
@@ -117,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p_cv)
     p_cv.add_argument("--method", choices=METHODS, default="wmcmr4")
     _add_grid_args(p_cv)
-    p_cv.add_argument("--seed", type=int, default=0, help="seed of the fold assignment")
+    p_cv.add_argument("--seed", type=_setting("seed", int), default=0,
+                      help="seed of the fold assignment")
     _add_solver_args(p_cv)
     p_cv.add_argument("--cv-out", default=None, help="per-fold loss CSV")
     p_cv.add_argument("--model-out", default=None, help="refit best model and save here")
@@ -127,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("config", help="scenario config JSON")
     p_sim.add_argument("--methods", default="wmcmr4",
                        help="comma-separated method names")
-    p_sim.add_argument("--replications", type=_positive_int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--replications", type=_setting("replications", int), default=None)
+    p_sim.add_argument("--seed", type=_setting("seed", int), default=None)
     p_sim.add_argument("--cv", action="store_true",
                        help="select hyperparameters by CV inside each replication")
     _add_grid_args(p_sim)
@@ -224,15 +221,10 @@ def _cmd_cv(args) -> int:
                             propensity=args.propensity, cfg=cfg)
     lam, phi, rank = result.best
     if args.cv_out:
-        with open(args.cv_out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("lambda", "phi", "rank", "fold", "loss"))
-            for i, lv in enumerate(grid.lambdas):
-                for j, pv in enumerate(grid.phis):
-                    for k, rv in enumerate(grid.ranks):
-                        for f in range(grid.folds):
-                            writer.writerow((repr(lv), repr(pv), rv, f,
-                                             repr(float(result.per_fold_loss[i, j, k, f]))))
+        write_csv(args.cv_out, ("lambda", "phi", "rank", "fold", "loss"),
+                  ((repr(lv), repr(pv), rv, f, repr(float(result.per_fold_loss[i, j, k, f])))
+                   for i, lv in enumerate(grid.lambdas) for j, pv in enumerate(grid.phis)
+                   for k, rv in enumerate(grid.ranks) for f in range(grid.folds)))
     if args.model_out:
         gamma_cfg = replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)
         model = fit(d, a, gamma_cfg)
@@ -248,15 +240,7 @@ def _cmd_cv(args) -> int:
 
 
 def _scenario_from_config(path) -> ScenarioSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: not valid JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: scenario config must be a JSON object")
+    doc = read_json_object(path, "scenario config must be a JSON object")
     known = {f.name for f in fields(ScenarioSpec)}
     unknown = sorted(set(doc) - known)
     if unknown:

@@ -97,6 +97,12 @@ def _check_settings(**settings) -> None:
             raise DataError(f"{name} must be {rule}, got {v}")
 
 
+def _check_rank(rank, n_features, q) -> None:
+    """The rank rule: at most min(p+1, q) for p+1 design columns and q outcomes."""
+    if rank > min(n_features, q):
+        raise DataError(f"rank {rank} exceeds min(p+1, q) = {min(n_features, q)}")
+
+
 @dataclass(frozen=True)
 class FactorModel:
     """Fitted treatment-effect model Gamma = W V^T with per-subject offsets C.
@@ -131,8 +137,7 @@ class FactorModel:
             raise DataError(
                 f"C has {C.shape[1]} columns but V has {V.shape[0]} rows (outcome counts differ)"
             )
-        if r > min(W.shape[0], V.shape[0]):
-            raise DataError(f"rank {r} exceeds min(p+1, q) = {min(W.shape[0], V.shape[0])}")
+        _check_rank(r, W.shape[0], V.shape[0])
         dev = np.max(np.abs(V.T @ V - np.eye(r)))
         if dev > 1e-10:
             raise DataError(f"V columns are not orthonormal (max deviation {dev:.3e})")
@@ -149,6 +154,16 @@ class CateEstimate:
 
     values: np.ndarray
     score: np.ndarray
+
+
+# the two treatment labels of each coding: the -1 arm's, then the +1 arm's
+TREATMENT_CODINGS = {"pm1": (-1.0, 1.0), "zero_one": (0.0, 1.0)}
+
+
+def _coding_labels(coding: str) -> tuple:
+    if coding not in TREATMENT_CODINGS:
+        raise DataError(f"unknown treatment coding {coding!r}")
+    return TREATMENT_CODINGS[coding]
 
 
 def _check_finite(name, arr):
@@ -205,13 +220,7 @@ def validate_dataset(
     _check_finite("Y", Y)
     _check_finite("T", T)
 
-    if treatment_coding == "pm1":
-        allowed = (-1.0, 1.0)
-    elif treatment_coding == "zero_one":
-        allowed = (0.0, 1.0)
-    else:
-        raise DataError(f"unknown treatment coding {treatment_coding!r}")
-    bad = ~np.isin(T, allowed)
+    bad = ~np.isin(T, _coding_labels(treatment_coding))
     if bad.any():
         i = int(np.argmax(bad))
         raise DataError(

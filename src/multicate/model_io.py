@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, FactorModel, FitConfig, validate_dataset
+from .data import DataError, Dataset, FactorModel, FitConfig, _coding_labels, validate_dataset
 from .metrics import METRIC_ORDER
 
 SCHEMA_VERSION = 1
@@ -92,12 +92,7 @@ def load_csv_dataset(covariates_path, outcomes_path, treatment_column,
         drop.add(propensity_column)
 
     T_raw = _numeric_column(covariates_path, cov_header, cov_body, treatment_column)
-    if coding == "pm1":
-        allowed = (-1.0, 1.0)
-    elif coding == "zero_one":
-        allowed = (0.0, 1.0)
-    else:
-        raise DataError(f"unknown treatment coding {coding!r}")
+    allowed = _coding_labels(coding)
     for i, v in enumerate(T_raw):
         if v not in allowed:
             raise DataError(
@@ -175,8 +170,9 @@ def save_model(artifact, path) -> None:
         fh.write(text + "\n")
 
 
-def load_model(path) -> ModelArtifact:
-    """Read a model artifact back; checks schema and internal consistency."""
+def read_json_object(path, not_object_message: str) -> dict:
+    """The JSON object in the file at path; a DataError naming the path if the
+    file cannot be read, is not JSON, or holds another value (not_object_message)."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -185,7 +181,13 @@ def load_model(path) -> ModelArtifact:
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(doc, dict):
-        raise DataError(f"{path}: malformed model document (not a JSON object)")
+        raise DataError(f"{path}: {not_object_message}")
+    return doc
+
+
+def load_model(path) -> ModelArtifact:
+    """Read a model artifact back; checks schema and internal consistency."""
+    doc = read_json_object(path, "malformed model document (not a JSON object)")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DataError(
             f"{path}: unsupported schema version {doc.get('schema_version')!r}"
@@ -307,14 +309,19 @@ def export_path_diagram(model: FactorModel, covariate_names, outcome_names,
 # =============================================================================
 
 
-def write_replication_csv(rows, path) -> None:
-    """Write simulation rows with the fixed 5-column header."""
+def write_csv(path, header, rows) -> None:
+    """Write the header row, then each row of rows (any iterable)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(REPLICATION_HEADER)
-        for r in rows:
-            writer.writerow([r["scenario_id"], r["replication"], r["method"],
-                             r["metric"], repr(float(r["value"]))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_replication_csv(rows, path) -> None:
+    """Write simulation rows with the fixed 5-column header."""
+    write_csv(path, REPLICATION_HEADER,
+              ([r["scenario_id"], r["replication"], r["method"], r["metric"],
+                repr(float(r["value"]))] for r in rows))
 
 
 def read_replication_csv(path) -> list:
@@ -358,9 +365,6 @@ def summarize_replications(rows) -> list:
 
 
 def write_summary_csv(summary_rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for r in summary_rows:
-            writer.writerow([r["scenario_id"], r["method"], r["metric"],
-                             repr(float(r["median"])), repr(float(r["iqr"])), r["n"]])
+    write_csv(path, SUMMARY_HEADER,
+              ([r["scenario_id"], r["method"], r["metric"], repr(float(r["median"])),
+                repr(float(r["iqr"])), r["n"]] for r in summary_rows))

@@ -16,8 +16,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import baselines
-from .data import DataError, Dataset, FactorModel, FitConfig, _check_settings, assemble_design
-from .solver import _avec, _check_rank, _fit_groups, _weighted, fit as _fit_factor
+from .data import (DataError, Dataset, FactorModel, FitConfig, _check_rank, _check_settings,
+                   assemble_design)
+from .solver import _avec, _fit_groups, _weighted, fit as _fit_factor
 from .weights import WeightVector, _logistic_irls, _propensity, compute_weights, resolve_weights
 
 
@@ -255,7 +256,7 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
     """
     fit_grid = _method_grid(grid, method)  # raises on an unknown method
     if "rank" in _estimator(method).axes:  # before any fit; the folds share d's shape
-        _check_rank(d, max(fit_grid.ranks))
+        _check_rank(max(fit_grid.ranks), d.n_features, d.q)
     if cfg is None:
         cfg = FitConfig(rank=max(grid.ranks))
     assignment, folds = _fold_parts(d, grid, propensity)

@@ -66,8 +66,6 @@ class ScenarioSpec:
     q: int = 10
     replications: int = 100
     seed: int = 0
-    gamma_low: float = 0.0
-    gamma_high: float = 1.0
     name: str | None = None
     allow_nonstandard: bool = False
 
@@ -134,33 +132,25 @@ def make_main_effect(p: int, q: int, b: float) -> np.ndarray:
     return B
 
 
-def generate_gamma(scenario: int, p: int, q: int, rng,
-                   low: float = 0.0, high: float = 1.0) -> np.ndarray:
+def generate_gamma(scenario: int, p: int, q: int, rng) -> np.ndarray:
     """True effect matrix, (p+1) x q with a zero intercept row.
 
-    Patterns 1/2 are random rank 1/2 with uniform(low, high) factor entries;
+    Patterns 1/2 are random rank 1/2 with uniform(0, 1) factor entries;
     patterns 3/4 are the fixed sparse rank 1/2 designs (first four covariates
     and outcomes active; pattern 4 adds covariates/outcomes 3..6).
     """
     if scenario in (1, 2):
-        star = np.outer(rng.uniform(low, high, p), rng.uniform(low, high, q))
+        star = np.outer(rng.uniform(0.0, 1.0, p), rng.uniform(0.0, 1.0, q))
         if scenario == 2:
-            star = star + np.outer(rng.uniform(low, high, p), rng.uniform(low, high, q))
+            star = star + np.outer(rng.uniform(0.0, 1.0, p), rng.uniform(0.0, 1.0, q))
     elif scenario in (3, 4):
         need = 4 if scenario == 3 else 6
         if p < need or q < need:
             raise DataError(f"pattern {scenario} needs p >= {need} and q >= {need}")
-        u1 = np.zeros(p)
-        u1[:4] = 1.0
-        v1 = np.zeros(q)
-        v1[:4] = 1.0
-        star = np.outer(u1, v1)
+        star = np.zeros((p, q))
+        star[:4, :4] = 1.0
         if scenario == 4:
-            u2 = np.zeros(p)
-            u2[2:6] = 1.0
-            v2 = np.zeros(q)
-            v2[2:6] = 1.0
-            star = star + np.outer(u2, v2)
+            star[2:6, 2:6] += 1.0
     else:
         raise DataError(f"unknown coefficient pattern {scenario}")
     return np.vstack([np.zeros((1, q)), star])
@@ -225,8 +215,7 @@ def generate_truth(spec: ScenarioSpec, rng) -> SimulatedTruth:
     contamination, test covariates) so runs are bit-reproducible.
     """
     X = generate_covariates(spec.n, spec.p, spec.g, rng)
-    gamma = generate_gamma(spec.scenario, spec.p, spec.q, rng,
-                           low=spec.gamma_low, high=spec.gamma_high)
+    gamma = generate_gamma(spec.scenario, spec.p, spec.q, rng)
     B = make_main_effect(spec.p, spec.q, spec.b)
     T, pi = assign_treatment(X, spec.design, rng)
     Y = generate_outcomes(X, gamma, B, T, spec.z, rng)
@@ -238,8 +227,7 @@ def generate_truth(spec: ScenarioSpec, rng) -> SimulatedTruth:
 
 
 def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
-                 grid: CvGrid | None = None, cfg: FitConfig | None = None,
-                 propensity: str | None = None) -> list:
+                 grid: CvGrid | None = None, cfg: FitConfig | None = None) -> list:
     """Run all replications of one scenario for the named methods.
 
     Without CV every method is fit at the pattern's true rank with the
@@ -250,15 +238,15 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
     value. A failed fit yields one row with metric="error" and value=1.0 for
     that method; other methods in the replication still run. Weights are
     resolved once per replication; if that fails, every method gets its
-    error row. With CV, the methods of a replication share its folds and
-    fold weights.
+    error row. The weights follow the design: constant for an RCT, a
+    logistic propensity fit for an observational one. With CV, the methods
+    of a replication share its folds and fold weights.
     """
     requested = list(methods)
     for name in requested:
         if str(name).lower() not in METHOD_ALIASES:
             raise DataError(f"unknown method {name!r}")
-    if propensity is None:
-        propensity = "rct" if spec.design == "rct" else "logistic"
+    propensity = "rct" if spec.design == "rct" else "logistic"
 
     rows = []
     sid = spec.scenario_id

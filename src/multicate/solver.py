@@ -26,6 +26,7 @@ at any stack size, so small stacks with r <= 2 sweep each problem alone
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +38,7 @@ from .data import (
     FactorModel,
     FitConfig,
     NumericalError,
+    _check_rank,
     _check_settings,
     assemble_design,
 )
@@ -394,20 +396,21 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
 
     Each group's Gram matrix and initializer are computed once. One W sweep
     steps every problem still iterating, each with its group's Gram matrix;
-    the n-sized work (the C step, the sweep targets, the objectives) runs
-    per group on its own data. Each problem keeps its own inner and outer
-    convergence state and leaves the stack when it stops, so its iterates,
-    trace and stopping point are those of the same problem solved alone.
-    Yields (g, j, model) as each problem stops.
+    then one pass per group does the n-sized work on its own data: the
+    objectives, the stop test, the next C and the next sweep targets.
+    Iteration 0 is that pass alone, at the initializer. Each problem keeps
+    its own inner and outer convergence state and leaves the stack when it
+    stops, so its iterates, trace and stopping point are those of the same
+    problem solved alone. Yields (g, j, model) as each problem stops.
     """
     m = len(lambdas)
     lam = np.tile(np.asarray(lambdas, dtype=float), len(groups))
     phi = np.tile(np.asarray(phis, dtype=float), len(groups))
-    # per group: its data, and the C thresholds and next C of its problems
-    # still iterating; the residual is turned into the next C at once
+    # per group: its data, and the C thresholds and C of its problems still
+    # iterating
     data, c_thr, C = [], [], []
-    W, V, gram, obj = [], [], [], []
-    for g, (Y, Z, a) in enumerate(groups):
+    W, V, gram = [], [], []
+    for Y, Z, a in groups:
         G = a[:, None] * Z
         gg = G.T @ G
         W0, V0 = _initialize(Y, Z, a, cfg.rank)
@@ -417,44 +420,37 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
         gram.append(np.broadcast_to(gg, (m,) + gg.shape))
         c_thr.append(np.asarray(phis, dtype=float)[:, None] / (2.0 * a * a))
         C.append(np.zeros((m,) + Y.shape))
-        o, D = _objectives(Y, Z, a, W[g], V[g], C[g], lam[:m], phi[:m])
-        obj.append(o)
-        if update_c:
-            C[g] = _shrink_rows(D, c_thr[g])
-    W, V, gram, obj = map(np.concatenate, (W, V, gram, obj))
-    thresh = cfg.outer_tol * np.where(obj > 0, obj, 1.0)
-    objs = [[v] for v in obj.tolist()]
+    W, V, gram = map(np.concatenate, (W, V, gram))
+    # per problem: its objectives, and its W sweeps after a 0 for iteration 0
+    objs = [[] for _ in range(len(W))]
     w_sweeps = [[] for _ in objs]
-    todo = np.arange(len(objs))
+    todo, ws, thresh = np.arange(len(W)), np.zeros(len(W), dtype=int), np.empty(len(W))
     counts = [m] * len(groups)
 
-    for n_outer in range(1, cfg.max_outer + 1):
-        bounds = np.cumsum([0] + counts).tolist()
+    for n_outer in range(cfg.max_outer + 1):
+        if n_outer:
+            ws = _sweep_rows(gram, T0, W, lam / 2.0, cfg.inner_tol, cfg.max_inner)
+            V = _v_block(W.mT @ GF, V)
+        bounds = list(accumulate(counts, initial=0))
         spans = [(g, slice(*b)) for g, b in enumerate(zip(bounds, bounds[1:])) if counts[g]]
-        T0 = np.empty(W.shape)
-        GF = np.empty(W.shape[:2] + V.shape[1:2])
-        for g, s in spans:
-            Y, _, a, G = data[g]
-            F = a[:, None] * (Y - C[g])
-            T0[s] = G.T @ (F @ V[s])
-            GF[s] = G.T @ F
-        ws = _sweep_rows(gram, T0, W, lam / 2.0, cfg.inner_tol, cfg.max_inner)
-        V = _v_block(W.mT @ GF, V)
         last = n_outer == cfg.max_outer
-        new = np.empty(len(W))
-        keep = np.empty(len(W), dtype=bool)
+        new, keep = np.empty(len(W)), np.ones(len(W), dtype=bool)
+        T0, GF = [], []
         for g, s in spans:
-            Y, Z, a, _ = data[g]
+            Y, Z, a, G = data[g]
             new[s], D = _objectives(Y, Z, a, W[s], V[s], C[g], lam[s], phi[s])
-            if not np.isfinite(new[s]).all():
+            if not n_outer:
+                thresh[s] = cfg.outer_tol * np.where(new[s] > 0, new[s], 1.0)
+            elif not np.isfinite(new[s]).all():
                 raise NumericalError(f"objective became non-finite at outer iteration {n_outer}")
-            keep[s] = obj[s] - new[s] >= thresh[s]
+            else:
+                keep[s] = obj[s] - new[s] >= thresh[s]
             for i, p, o, w, k in zip(range(s.start, s.stop), todo[s].tolist(),
                                      new[s].tolist(), ws[s].tolist(), keep[s].tolist()):
                 objs[p].append(o)
                 w_sweeps[p].append(w)
                 if last or not k:
-                    trace = FitTrace(objective=np.asarray(objs[p]), w_sweeps=w_sweeps[p],
+                    trace = FitTrace(objective=np.asarray(objs[p]), w_sweeps=w_sweeps[p][1:],
                                      c_sweeps=[int(update_c)] * n_outer,
                                      converged=not k, n_outer=n_outer,
                                      w_capped=w_sweeps[p].count(cfg.max_inner))
@@ -462,20 +458,21 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
                                                 rank=cfg.rank, trace=trace)
             if last:
                 continue
-            kg = keep[s]
-            c_thr[g], counts[g] = c_thr[g][kg], int(kg.sum())
-            C[g] = _shrink_rows(D[kg], c_thr[g]) if update_c else C[g][kg]
+            # compaction, then the next C and sweep targets G^T F V and G^T F
+            kg, Vg = keep[s], V[s]
+            if not kg.all():
+                c_thr[g], counts[g] = c_thr[g][kg], int(kg.sum())
+                C[g], D, Vg = C[g][kg], D[kg], Vg[kg]
+            C[g] = _shrink_rows(D, c_thr[g]) if update_c else C[g]
+            F = a[:, None] * (Y - C[g])  # F = A (Y - C)
+            T0.append(G.T @ (F @ Vg))
+            GF.append(G.T @ F)
         if last or not keep.any():
             return
         if not keep.all():
             todo, W, V, gram = todo[keep], W[keep], V[keep], gram[keep]
             lam, phi, thresh, new = lam[keep], phi[keep], thresh[keep], new[keep]
-        obj = new
-
-
-def _check_rank(d: Dataset, rank: int) -> None:
-    if rank > min(d.n_features, d.q):
-        raise DataError(f"rank {rank} exceeds min(p+1, q) = {min(d.n_features, d.q)}")
+        obj, T0, GF = new, np.concatenate(T0), np.concatenate(GF)
 
 
 def _fit_groups(parts, cfgs, update_c: bool = True):
@@ -496,7 +493,7 @@ def _fit_groups(parts, cfgs, update_c: bool = True):
     groups = []
     for d, a in parts:
         a = _avec(a, d.n)
-        _check_rank(d, first.rank)
+        _check_rank(first.rank, d.n_features, d.q)
         groups.append((d.Y, assemble_design(d), a))
     return _descend(groups, first, [c.lambda_w for c in cfgs], [c.phi_c for c in cfgs],
                     update_c)

@@ -25,7 +25,7 @@ from multicate import (
     write_replication_csv,
     write_summary_csv,
 )
-from multicate import model_selection
+from multicate import data, model_selection, validate_dataset
 from multicate.cli import build_parser, run_cli
 from multicate.model_selection import METHODS
 
@@ -102,6 +102,23 @@ def test_load_errors_name_the_cell(tmp_path):
         load_csv_dataset(_write(tmp_path / "c7.csv", ""), out, "t")
     with pytest.raises(DataError, match="no data rows"):
         load_csv_dataset(_write(tmp_path / "c8.csv", "x1,t\n"), out, "t")
+
+
+def test_unknown_treatment_coding_comes_from_the_one_table(tmp_path, monkeypatch):
+    cov = _write(tmp_path / "c.csv", "x1,t\n0.5,1\n-0.5,-1\n")
+    out = _write(tmp_path / "o.csv", "y\n1.0\n2.0\n")
+    X, Y, T = [[1.0, 0.5], [1.0, -0.5]], [[1.0], [2.0]], [1.0, -1.0]
+    message = "^unknown treatment coding 'x'$"
+    with pytest.raises(DataError, match=message):
+        validate_dataset(X, Y, T, treatment_coding="x")
+    with pytest.raises(DataError, match=message):
+        load_csv_dataset(cov, out, "t", coding="x")
+    # a coding added to the table is accepted by both, and offered by the CLI
+    monkeypatch.setitem(data.TREATMENT_CODINGS, "x", (-1.0, 1.0))
+    assert validate_dataset(X, Y, T, treatment_coding="x").n == 2
+    assert load_csv_dataset(cov, out, "t", coding="x")[0].n == 2
+    fit_parser = build_parser()._subparsers._group_actions[0].choices["fit"]
+    assert "x" in next(a.choices for a in fit_parser._actions if a.dest == "coding")
 
 
 # =============================================================================
@@ -387,6 +404,65 @@ def test_cli_fit_usage_errors(tmp_path, capsys):
     assert "propensity-column" in capsys.readouterr().err
     assert run_cli(base + ["--rank", "1", "--seed", "3"]) == 1
     assert "--seed" in capsys.readouterr().err
+
+
+# every flag whose value is held to the settings rule, as (command, flag, the
+# setting it names, values that rule rejects); int flags take no nan or inf
+SETTING_FLAGS = [
+    ("fit", "--rank", "rank", ("0", "-1")),
+    ("fit", "--lambda", "lambda_w", ("-1", "nan", "inf")),
+    ("fit", "--phi", "phi_c", ("-1", "nan", "inf")),
+    ("fit", "--outer-tol", "outer_tol", ("0", "-1", "nan", "inf")),
+    ("fit", "--inner-tol", "inner_tol", ("0", "-1", "nan", "inf")),
+    ("fit", "--max-outer", "max_outer", ("0", "-1")),
+    ("fit", "--max-inner", "max_inner", ("0", "-1")),
+    ("cv", "--outer-tol", "outer_tol", ("0", "-1", "nan", "inf")),
+    ("cv", "--inner-tol", "inner_tol", ("0", "-1", "nan", "inf")),
+    ("cv", "--max-outer", "max_outer", ("0", "-1")),
+    ("cv", "--max-inner", "max_inner", ("0", "-1")),
+    ("cv", "--folds", "folds", ("0", "-1")),
+    ("cv", "--seed", "seed", ("-1",)),
+    ("simulate", "--folds", "folds", ("0", "-1")),
+    ("simulate", "--seed", "seed", ("-1",)),
+    ("simulate", "--replications", "replications", ("0", "-1")),
+]
+
+
+def _cli_args(command, tmp_path):
+    if command == "simulate":
+        return ["simulate", str(tmp_path / "none.json"), "--out", str(tmp_path / "r.csv")]
+    args = [command, "--covariates", COV, "--outcomes", OUT, "--treatment-column", "arm",
+            "--coding", "zero_one"]
+    return args + (["--rank", "1", "--model-out", str(tmp_path / "m.json")]
+                   if command == "fit" else [])
+
+
+@pytest.mark.parametrize("command, flag, name, bad", SETTING_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _, _ in SETTING_FLAGS])
+def test_cli_bad_setting_value_is_a_usage_error_naming_it(tmp_path, capsys, command, flag,
+                                                          name, bad):
+    for value in bad:
+        assert run_cli(_cli_args(command, tmp_path) + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: argument {flag}: ") and err.count("\n") == 1
+        assert f"{name} must be " in err or f"invalid {name} value" in err
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_cli_every_setting_flag_is_in_the_table():
+    routed = set()
+    for command, sub in build_parser()._subparsers._group_actions[0].choices.items():
+        for action in sub._actions:
+            if getattr(action.type, "__qualname__", "").startswith("_setting."):
+                routed.add((command, action.option_strings[0]))
+    assert routed == {(c, f) for c, f, _, _ in SETTING_FLAGS}
+
+
+def test_cli_unparsable_setting_is_a_usage_error(tmp_path, capsys):
+    assert run_cli(["fit", "--covariates", COV, "--outcomes", OUT, "--treatment-column", "arm",
+                    "--rank", "x", "--model-out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: usage: argument --rank: invalid rank value: 'x'\n"
 
 
 def test_cli_fit_data_error_exit_two(tmp_path, capsys):

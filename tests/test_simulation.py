@@ -79,8 +79,6 @@ def test_gamma_random_patterns(rng):
     assert np.all(g1[1:] >= 0.0) and np.all(g1[1:] <= 1.0)
     g2 = generate_gamma(2, 8, 5, rng)
     assert np.linalg.matrix_rank(g2[1:]) == 2
-    ghi = generate_gamma(1, 8, 5, rng, low=2.0, high=3.0)
-    assert np.all(ghi[1:] >= 4.0) and np.all(ghi[1:] <= 9.0)
     with pytest.raises(DataError):
         generate_gamma(3, 3, 10, rng)
     with pytest.raises(DataError):
