@@ -26,8 +26,8 @@ at any stack size, so small stacks with r <= 2 sweep each problem alone
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
