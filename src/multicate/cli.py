@@ -57,10 +57,13 @@ def _setting(name, cast):
     return parse
 
 
-def _list(cast):
-    """The argparse type of a comma-separated list of cast values."""
+def _list(name, cast):
+    """The argparse type of a comma-separated list of cast values, each held
+    to the settings rule as ``_setting(name, cast)`` holds one."""
+    one = _setting(name, cast)
+
     def parse(s):
-        return tuple(cast(v) for v in s.split(","))
+        return tuple(one(v) for v in s.split(","))
     parse.__name__ = f"comma-separated {cast.__name__} list"
     return parse
 
@@ -87,9 +90,9 @@ def _add_solver_args(p):
 
 
 def _add_grid_args(p):
-    p.add_argument("--lambdas", type=_list(float), default=None)
-    p.add_argument("--phis", type=_list(float), default=None)
-    p.add_argument("--ranks", type=_list(int), default=None)
+    p.add_argument("--lambdas", type=_list("lambda_w", float), default=None)
+    p.add_argument("--phis", type=_list("phi_c", float), default=None)
+    p.add_argument("--ranks", type=_list("rank", int), default=None)
     p.add_argument("--folds", type=_setting("folds", int), default=5)
 
 

@@ -20,7 +20,8 @@ two stateless functions: ``_sweep_rows`` steps a stack in NumPy rows, and
 ``_sweep_one`` sweeps one problem (the baselines call it directly) with the
 same IEEE operations in fewer calls. A NumPy row step costs about the same
 at any stack size, so small stacks with r <= 2 sweep each problem alone
-(``_ALONE_MAX``).
+(``_ALONE_MAX``). At r <= 2 ``_sweep_one`` steps blocks of ``_BLOCK`` rows,
+adding across blocks in NumPy in the floats' order (np.add.accumulate).
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ _ONE = np.array(1.0)  # 0-d operands cost less per call than Python floats
 # alone/stack time crossover measured at 30 sweeps, m 2-32, P 1-51 (CHANGES.md)
 _ALONE_MAX = {1: lambda P: min(12, 510 // (P + 30)) if P > 2 else 1,
               2: lambda P: 3 if P > 3 else 1}
+# Rows per block of the r <= 2 float sweep of ``_sweep_one`` (CHANGES.md)
+_BLOCK = 16
 
 
 def _converged(delta, W, inner_tol):
@@ -199,6 +202,15 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
     return sweeps
 
 
+def _pull(delta, dls, ms, pull):
+    # extend ms (M's columns up to row lo) by M[lo:hi] plus G_jk dl_k, k < lo
+    plo, lo, m_block, cols, buf = pull
+    delta[plo:lo].T[:] = [dl[plo:lo] for dl in dls]  # the previous block's changes
+    buf[0] = m_block
+    np.multiply(cols, delta[:lo, :, None], out=buf[1:])
+    return [m + tail for m, tail in zip(ms, np.add.accumulate(buf, axis=0, out=buf)[-1].tolist())]
+
+
 @np.errstate(divide="ignore", invalid="ignore")  # NumPy steps on non-finite rows
 def _sweep_one(gram, t0, w, half, inner_tol, max_inner):
     """``_sweep_rows`` for one problem: gram (P, P), t0 and w (P, r); sweeps w
@@ -214,6 +226,12 @@ def _sweep_one(gram, t0, w, half, inner_tol, max_inner):
     round unlike h0*h0 + h1*h1. M = G W is the stack's matmul, and the stop
     test ``_converged`` but at r = 1, where floats make its decisions: a NaN
     change never stops, as under np.max (Python's max drops a NaN).
+
+    At r <= 2 a row's change goes in floats to the later rows of its block of
+    ``_BLOCK`` rows; ``_pull`` stacks M[lo:hi] over the products G_jk dl_k of
+    all rows k < lo (np.multiply: no FMA) and adds them by np.add.accumulate,
+    one at a time in the order of k, as the floats do (np.add.reduce may add
+    pairwise). A zero row's products, -0.0 * 0.0, change no m_j.
     """
     half = float(half)  # a NumPy scalar makes every float row step slower
     G, wb = np.ascontiguousarray(gram), np.array(w, order="C")
@@ -221,8 +239,15 @@ def _sweep_one(gram, t0, w, half, inner_tol, max_inner):
     wb[G.diagonal() == 0.0] = 0.0
     M, outer, delta = np.zeros((3, P, r))
     if r <= 2:
-        rows = [(k, dk, *tk, col, range(k + 1, P)) for k, (dk, tk, col)
-                in enumerate(zip(G.diagonal().tolist(), t0.tolist(), G.T.tolist())) if dk != 0.0]
+        # blocks of _BLOCK live rows, each to the next one's first row: (M[:hi].T, rows,
+        # 0 or (previous lo, lo, M[lo:hi].T, G[lo:hi, :lo] -0.0 in zero rows, buffer))
+        pivots, t0s, gt = G.diagonal().tolist(), t0.tolist(), G.T.tolist()
+        los = [0] + [k for k, dk in enumerate(pivots) if dk != 0.0][_BLOCK::_BLOCK]
+        gc = len(los) > 1 and np.where((G.diagonal() == 0.0)[:, None], -0.0, G.T)[:, None]
+        blocks = [(M[:hi].T, [(k, pivots[k], *t0s[k], gt[k], range(k + 1, hi))
+                              for k in range(lo, hi) if pivots[k] != 0.0],
+                   lo and (plo, lo, M[lo:hi].T, gc[:lo, :, lo:hi], np.empty((lo + 1, r, hi - lo))))
+                  for plo, lo, hi in zip([0] + los, los, los[1:] + [P])]
         dls, hb = [[0.0] * P for _ in range(r)], np.empty(2)
     else:
         rows = [(dk, G[k + 1:, k, None], wb[k], t0[k], M[k], delta[k], M[k + 1:], outer[k + 1:])
@@ -230,31 +255,35 @@ def _sweep_one(gram, t0, w, half, inner_tol, max_inner):
     for count in range(1, max_inner + 1):
         np.matmul(G, wb, out=M)
         if r == 1:
-            (w1,), (m,), (dw,) = wb.T.tolist(), M.T.tolist(), dls
-            for k, dk, tk, col, rest in rows:
-                wk = w1[k]
-                h = tk - m[k] + dk * wk
-                nv = math.sqrt(h * h)
-                w1[k] = w_new = (1.0 - half / nv if nv > half else 0.0) * h / dk
-                dw[k] = dl = w_new - wk
-                for j in rest:
-                    m[j] += col[j] * dl
+            (w1,), (dw,) = wb.T.tolist(), dls
+            for top, rows, pull in blocks:
+                (m,) = ms = _pull(delta, dls, ms, pull) if pull else top.tolist()
+                for k, dk, tk, col, rest in rows:
+                    wk = w1[k]
+                    h = tk - m[k] + dk * wk
+                    nv = math.sqrt(h * h)
+                    w1[k] = w_new = (1.0 - half / nv if nv > half else 0.0) * h / dk
+                    dw[k] = dl = w_new - wk
+                    for j in rest:
+                        m[j] += col[j] * dl
             wb.T[0] = w1
         elif r == 2:
-            (w0, w1), (m0, m1), (dw0, dw1) = wb.T.tolist(), M.T.tolist(), dls
-            for k, dk, t0k, t1k, col, rest in rows:
-                a0, a1 = w0[k], w1[k]
-                hb[0] = h0 = t0k - m0[k] + dk * a0
-                hb[1] = h1 = t1k - m1[k] + dk * a1
-                # the stack's BLAS dot, which may fuse h0*h0 + h1*h1
-                nv = math.sqrt(hb.dot(hb))
-                f = 1.0 - half / nv if nv > half else 0.0
-                w0[k], w1[k] = b0, b1 = f * h0 / dk, f * h1 / dk
-                dw0[k], dw1[k] = e0, e1 = b0 - a0, b1 - a1
-                for j in rest:
-                    c = col[j]
-                    m0[j] += c * e0
-                    m1[j] += c * e1
+            (w0, w1), (dw0, dw1) = wb.T.tolist(), dls
+            for top, rows, pull in blocks:
+                m0, m1 = ms = _pull(delta, dls, ms, pull) if pull else top.tolist()
+                for k, dk, t0k, t1k, col, rest in rows:
+                    a0, a1 = w0[k], w1[k]
+                    hb[0] = h0 = t0k - m0[k] + dk * a0
+                    hb[1] = h1 = t1k - m1[k] + dk * a1
+                    # the stack's BLAS dot, which may fuse h0*h0 + h1*h1
+                    nv = math.sqrt(hb.dot(hb))
+                    f = 1.0 - half / nv if nv > half else 0.0
+                    w0[k], w1[k] = b0, b1 = f * h0 / dk, f * h1 / dk
+                    dw0[k], dw1[k] = e0, e1 = b0 - a0, b1 - a1
+                    for j in rest:
+                        c = col[j]
+                        m0[j] += c * e0
+                        m1[j] += c * e1
             wb.T[:], delta.T[:] = (w0, w1), dls
         else:
             for dk, col, wk, tk, mk, dl, m_rest, o_rest in rows:
@@ -398,10 +427,11 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
     steps every problem still iterating, each with its group's Gram matrix;
     then one pass per group does the n-sized work on its own data: the
     objectives, the stop test, the next C and the next sweep targets.
-    Iteration 0 is that pass alone, at the initializer. Each problem keeps
-    its own inner and outer convergence state and leaves the stack when it
-    stops, so its iterates, trace and stopping point are those of the same
-    problem solved alone. Yields (g, j, model) as each problem stops.
+    Iteration 0 is that pass alone, at the initializer; a non-finite objective
+    there or later raises NumericalError. Each problem keeps its own inner
+    and outer convergence state and leaves the stack when it stops, so its
+    iterates, trace and stopping point are those of the same problem solved
+    alone. Yields (g, j, model) as each problem stops.
     """
     m = len(lambdas)
     lam = np.tile(np.asarray(lambdas, dtype=float), len(groups))
@@ -439,10 +469,10 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
         for g, s in spans:
             Y, Z, a, G = data[g]
             new[s], D = _objectives(Y, Z, a, W[s], V[s], C[g], lam[s], phi[s])
+            if not np.isfinite(new[s]).all():
+                raise NumericalError(f"objective became non-finite at outer iteration {n_outer}")
             if not n_outer:
                 thresh[s] = cfg.outer_tol * np.where(new[s] > 0, new[s], 1.0)
-            elif not np.isfinite(new[s]).all():
-                raise NumericalError(f"objective became non-finite at outer iteration {n_outer}")
             else:
                 keep[s] = obj[s] - new[s] >= thresh[s]
             for i, p, o, w, k in zip(range(s.start, s.stop), todo[s].tolist(),

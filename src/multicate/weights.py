@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, NumericalError
+from .data import DataError, Dataset, NumericalError, _check_settings
 
 PROPENSITY_CLIP = 1e-6
 IRLS_MAX_ITER = 100
@@ -66,8 +66,8 @@ def compute_weights(T, pi, source: str = "known") -> WeightVector:
 
 def rct_weights(n: int) -> WeightVector:
     """Constant sqrt(2) weights for a half-half randomized trial."""
-    if n < 1:
-        raise DataError("n must be positive")
+    _check_settings(n=n)
+    n = int(n)
     pi = np.full(n, 0.5)
     return WeightVector(a=np.full(n, np.sqrt(2.0)), pi=pi, source="rct_half")
 

@@ -582,6 +582,98 @@ def test_rank_two_row_norm_dot_matches_stacked_vecdot():
 
 
 # =============================================================================
+# the blocked float sweep of one problem = the plain sequential push
+# =============================================================================
+
+
+def _sequential_sweep(gram, t0, w, half, inner_tol, max_inner):
+    # _sweep_one at r <= 2 without blocks: after each row, its change is pushed
+    # in Python floats into every later row of M = G W, one row at a time
+    G, w = np.ascontiguousarray(gram), np.array(w, order="C")
+    P, r = w.shape
+    w[np.diag(G) == 0.0] = 0.0
+    g, t = G.tolist(), t0.tolist()
+    for count in range(1, max_inner + 1):
+        m, delta = (G @ w).tolist(), np.zeros((P, r))
+        for k in range(P):
+            dk = g[k][k]
+            if dk == 0.0:
+                continue
+            h = [t[k][c] - m[k][c] + dk * w[k, c] for c in range(r)]
+            hv = np.array(h)
+            nv = math.sqrt(h[0] * h[0] if r == 1 else hv.dot(hv))
+            f = 1.0 - half / nv if nv > half else 0.0
+            new = [f * x / dk for x in h]
+            dl = [a - b for a, b in zip(new, w[k].tolist())]
+            for j in range(k + 1, P):
+                for c in range(r):
+                    m[j][c] += g[j][k] * dl[c]
+            w[k], delta[k] = new, dl
+        if count == max_inner or solver._converged(delta, w, inner_tol):
+            break
+    return w + 0.0, count
+
+
+def _blocked_cases(P, r, B):
+    # (label, gram, t0, w0, half, max_inner) on P correlated design columns
+    rng = np.random.default_rng(83 + 7 * P + r)
+    Z = rng.standard_normal((2 * P + 3, P))
+    Z[:, 1:] += 0.6 * Z[:, :-1]
+    Y = rng.standard_normal((len(Z), r))
+    w0 = rng.standard_normal((P, r))
+
+    def case(label, zero=(), half=2.0, max_inner=30, nan_row=None):
+        Zc = Z.copy()
+        Zc[:, [k for k in zero if k < P]] = 0.0
+        t0 = Zc.T @ Y
+        if nan_row is not None:
+            t0[nan_row, 0] = np.nan
+        return label, Zc.T @ Zc, t0, w0, half, max_inner
+
+    yield case("plain")
+    yield case("zero columns at a block edge", zero=(0, B - 1, B))
+    yield case("a block's worth of zero columns", zero=range(B, 2 * B))
+    yield case("nan target", nan_row=P // 2)
+    yield case("no penalty", half=0.0)
+    yield case("one sweep", max_inner=1)
+
+
+@pytest.mark.parametrize("P_of_B", [lambda B: B - 1, lambda B: B, lambda B: B + 1,
+                                    lambda B: 2 * B + 1], ids=["B-1", "B", "B+1", "2B+1"])
+@pytest.mark.parametrize("B", [3, solver._BLOCK])
+@pytest.mark.parametrize("r", [1, 2])
+def test_blocked_float_sweep_equals_sequential_push(monkeypatch, r, B, P_of_B):
+    # one, two and three blocks, at the module's block size and at 3
+    P = P_of_B(B)
+    monkeypatch.setattr(solver, "_BLOCK", B)
+    for label, gram, t0, w0, half, max_inner in _blocked_cases(P, r, B):
+        w = w0.copy()
+        with np.errstate(invalid="ignore"):
+            n = solver._sweep_one(gram, t0, w, half, 1e-10, max_inner)
+            ref, n_ref = _sequential_sweep(gram, t0, w0, half, 1e-10, max_inner)
+        # byte for byte, so signed zeros and NaNs count
+        assert (n, w.tobytes()) == (n_ref, ref.tobytes()), label
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_batch_at_fifty_one_rows_hands_its_tail_to_the_blocked_sweep(monkeypatch, rank):
+    # P = 51 (p = 50), several blocks: the stack steps NumPy rows until at most
+    # _ALONE_MAX problems are left, then _sweep_one sweeps each for the sweeps
+    # left; every model equals the one fit alone, which _sweep_one sweeps whole
+    assert 51 > 2 * solver._BLOCK
+    d = _contaminated(n=120, p=50, q=3, seed=89)
+    a = np.random.default_rng(97).uniform(0.6, 1.6, d.n)
+    m = solver._ALONE_MAX[rank](51) + 2
+    cfgs = [FitConfig(rank=rank, lambda_w=lam, phi_c=2.0, max_outer=3, max_inner=40)
+            for lam in np.geomspace(0.5, 400.0, m)]
+    calls = _recorded_sweeps(monkeypatch)
+    batch = fit_batch(d, a, cfgs)
+    assert ("rows", m, 40) in calls and any(c[0] == "one" and c[1] < 40 for c in calls)
+    for cfg, model in zip(cfgs, batch):
+        _assert_same_fit(model, fit(d, a, cfg))
+
+
+# =============================================================================
 # cross-validation: batched and broadcast = naive loop
 # =============================================================================
 

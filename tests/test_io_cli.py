@@ -458,6 +458,33 @@ def test_cli_every_setting_flag_is_in_the_table():
     assert routed == {(c, f) for c, f, _, _ in SETTING_FLAGS}
 
 
+@pytest.mark.parametrize("flag, values, message", [
+    ("--ranks", "1,0", "rank must be a positive integer, got 0"),
+    ("--ranks", "2,-1", "rank must be a positive integer, got -1"),
+    ("--lambdas", "1,-1", "lambda_w must be finite and nonnegative, got -1.0"),
+    ("--lambdas", "nan", "lambda_w must be finite and nonnegative, got nan"),
+    ("--phis", "0,inf", "phi_c must be finite and nonnegative, got inf"),
+])
+def test_cli_bad_grid_list_element_is_a_usage_error(monkeypatch, capsys, flag, values, message):
+    # each element is held to the settings rule while parsing: exit 1 before
+    # any data is read or any fit runs, like a bad --rank
+    fits = []
+    monkeypatch.setattr(model_selection, "_fit_groups", lambda *args, **kw: fits.append(args))
+    grid = {"--lambdas": "1", "--phis": "500", "--ranks": "1", flag: values}
+    args = [x for flag_value in grid.items() for x in flag_value]
+    code = run_cli(["cv", "--covariates", COV, "--outcomes", OUT, "--treatment-column", "arm",
+                    "--coding", "zero_one", "--folds", "2", *args])
+    assert code == 1 and not fits
+    assert capsys.readouterr().err == f"error: usage: argument {flag}: {message}\n"
+
+
+def test_cli_unparsable_grid_list_is_a_usage_error(capsys):
+    assert run_cli(["cv", "--covariates", COV, "--outcomes", OUT, "--treatment-column", "arm",
+                    "--lambdas", "1,x", "--phis", "0", "--ranks", "1"]) == 1
+    assert capsys.readouterr().err == ("error: usage: argument --lambdas: "
+                                       "invalid comma-separated float list value: '1,x'\n")
+
+
 def test_cli_unparsable_setting_is_a_usage_error(tmp_path, capsys):
     assert run_cli(["fit", "--covariates", COV, "--outcomes", OUT, "--treatment-column", "arm",
                     "--rank", "x", "--model-out", str(tmp_path / "m.json")]) == 1

@@ -8,6 +8,7 @@ from multicate import (
     Dataset,
     FactorModel,
     FitConfig,
+    NumericalError,
     fit,
     group_soft_threshold,
     objective,
@@ -17,6 +18,7 @@ from multicate import (
     update_outlier_rows,
     validate_dataset,
 )
+from multicate import solver
 from multicate.solver import _v_block
 
 from conftest import brute_objective, make_dataset, rrr_objective, rrr_oracle, wls_oracle
@@ -327,6 +329,20 @@ def test_fit_rank_too_large():
     d, _ = make_dataset(10, 2, 2, seed=0)
     with pytest.raises(DataError, match="rank"):
         fit(d, np.ones(10), FitConfig(rank=3))
+
+
+def test_fit_non_finite_initial_objective_fails_before_any_block_step(monkeypatch):
+    # outcomes near the float limit: the initializer's objective overflows, so
+    # the fit stops at iteration 0, before any W sweep or V step
+    d, _ = make_dataset(20, 2, 3, seed=5)
+    d = validate_dataset(d.X, d.Y * 1e155, d.T)
+    steps = []
+    for name in ("_sweep_rows", "_v_block"):
+        monkeypatch.setattr(solver, name, lambda *args, name=name: steps.append(name))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="non-finite at outer iteration 0$"):
+        fit(d, np.ones(20), FitConfig(rank=2))
+    assert steps == []
 
 
 def test_fit_deterministic():

@@ -51,6 +51,18 @@ def test_rct_weights_have_full_effective_sample_size(n):
     assert w.min == w.max == np.sqrt(2.0)
 
 
+@pytest.mark.parametrize("n", [0, -3, 2.5, float("nan"), float("inf")])
+def test_rct_weights_refuse_a_size_that_is_not_a_positive_integer(n):
+    with pytest.raises(DataError, match=r"^n must be a positive integer, got "):
+        rct_weights(n)
+
+
+def test_rct_weights_take_an_integral_float_as_its_int():
+    w = rct_weights(4.0)
+    assert w.a.shape == w.pi.shape == (4,)
+    assert np.array_equal(w.a, rct_weights(4).a)
+
+
 def test_logistic_weight_summaries_hand_computed():
     # a saturated propensity model (intercept + one binary covariate): the
     # fit reproduces each group's treated share, 1/4 at x=0 and 3/4 at x=1.
