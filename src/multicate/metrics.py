@@ -47,8 +47,8 @@ def _average_ranks(v) -> np.ndarray:
         return np.full(v.shape, np.nan)
     order = np.argsort(v, kind="stable")
     sv = v[order]
-    start = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
-    end = np.r_[start[1:], sv.size]
+    start = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+    end = np.append(start[1:], sv.size)
     ranks = np.empty(v.shape)
     ranks[order] = np.repeat((start + 1 + end) / 2.0, end - start)
     return ranks
@@ -97,13 +97,16 @@ def auc(score_hat, score_true) -> float:
 
 
 def evaluate(gamma_hat, X_test, gamma_true) -> MetricsReport:
-    """All four metrics for one fitted coefficient matrix."""
+    """All four metrics for one fitted coefficient matrix; X Gamma_hat and
+    X Gamma are formed once, and each metric takes its function's steps."""
     X_test = np.asarray(X_test, dtype=float)
-    score_hat = (X_test @ np.asarray(gamma_hat, float)).sum(axis=1)
-    score_true = (X_test @ np.asarray(gamma_true, float)).sum(axis=1)
+    pred = X_test @ np.asarray(gamma_hat, float)
+    true = X_test @ np.asarray(gamma_true, float)
+    D = pred - true
+    score_hat, score_true = pred.sum(axis=1), true.sum(axis=1)
     return MetricsReport(
-        mse=mse(X_test, gamma_hat, gamma_true),
-        bias=bias(X_test, gamma_hat, gamma_true),
+        mse=float(np.sum(D * D)) / D.size,
+        bias=abs(float(np.sum(D))) / D.size,
         spearman=spearman(score_hat, score_true),
         auc=auc(score_hat, score_true),
     )

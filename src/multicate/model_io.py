@@ -213,7 +213,9 @@ def load_model(path) -> ModelArtifact:
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise DataError(f"{path}: malformed model document ({e})") from e
     model = FactorModel(W=W, V=V, C=C, rank=rank)
-    if gamma.shape != model.gamma.shape or np.max(np.abs(gamma - model.gamma)) > 1e-12:
+    wv = model.gamma
+    # to 1e-12 of the largest |W V^T|, as another BLAS may round W V^T otherwise
+    if gamma.shape != wv.shape or np.max(np.abs(gamma - wv)) > 1e-12 * max(1.0, np.max(np.abs(wv))):
         raise DataError(f"{path}: stored gamma does not match W V^T")
     return ModelArtifact(model=model, config=cfg,
                          weight_source=doc.get("weight_source"),

@@ -115,6 +115,10 @@ def kfold_split(T, folds: int, seed: int) -> np.ndarray:
     _check_settings(folds=folds, seed=seed)
     if folds < 2 or folds > n:
         raise DataError(f"folds must be between 2 and n={n}")
+    bad = (T != 1.0) & (T != -1.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"T entry {T[i]} at row {i} is not a treatment label (+1 or -1)")
     rng = np.random.default_rng(seed)
     assignment = np.empty(n, dtype=int)
     counter = 0

@@ -22,6 +22,9 @@ same IEEE operations in fewer calls. A NumPy row step costs about the same
 at any stack size, so small stacks with r <= 2 sweep each problem alone
 (``_ALONE_MAX``). At r <= 2 ``_sweep_one`` steps blocks of ``_BLOCK`` rows,
 adding across blocks in NumPy in the floats' order (np.add.accumulate).
+``_sweep_one`` is a set-up fixed by (gram, t0, half) plus one run on w, so a
+caller whose Gram matrix and targets never change (``baselines.fit_wmcm``)
+builds the set-up once and runs it once per outer iteration.
 """
 
 from __future__ import annotations
@@ -211,7 +214,6 @@ def _pull(delta, dls, ms, pull):
     return [m + tail for m, tail in zip(ms, np.add.accumulate(buf, axis=0, out=buf)[-1].tolist())]
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # NumPy steps on non-finite rows
 def _sweep_one(gram, t0, w, half, inner_tol, max_inner):
     """``_sweep_rows`` for one problem: gram (P, P), t0 and w (P, r); sweeps w
     in place and returns the sweep count, with the stack's bits.
@@ -232,31 +234,52 @@ def _sweep_one(gram, t0, w, half, inner_tol, max_inner):
     all rows k < lo (np.multiply: no FMA) and adds them by np.add.accumulate,
     one at a time in the order of k, as the floats do (np.add.reduce may add
     pairwise). A zero row's products, -0.0 * 0.0, change no m_j.
+
+    It is ``_sweep_setup(gram, t0, half)`` plus one ``_sweep_run``. gram, t0
+    and half are fixed for the life of a set-up; w is read afresh on each run,
+    and a run writes every buffer before it reads it, so k runs of one set-up
+    equal k fresh calls bit for bit.
     """
-    half = float(half)  # a NumPy scalar makes every float row step slower
-    G, wb = np.ascontiguousarray(gram), np.array(w, order="C")
-    P, r = wb.shape
-    wb[G.diagonal() == 0.0] = 0.0
-    M, outer, delta = np.zeros((3, P, r))
+    return _sweep_run(_sweep_setup(gram, t0, half), w, inner_tol, max_inner)
+
+
+def _sweep_setup(gram, t0, half):
+    # all _sweep_one builds from (gram, t0, half): G, half (a float: a NumPy scalar
+    # slows the float rows), the zero columns, the work array, M, delta, the
+    # r <= 2 blocks and change lists and the r = 2 h, or the r >= 3 rows and buffers
+    G, (P, r) = np.ascontiguousarray(gram), t0.shape
+    dead = G.diagonal() == 0.0
+    wb, M, outer, delta = np.zeros((4, P, r))
     if r <= 2:
         # blocks of _BLOCK live rows, each to the next one's first row: (M[:hi].T, rows,
         # 0 or (previous lo, lo, M[lo:hi].T, G[lo:hi, :lo] -0.0 in zero rows, buffer))
         pivots, t0s, gt = G.diagonal().tolist(), t0.tolist(), G.T.tolist()
         los = [0] + [k for k, dk in enumerate(pivots) if dk != 0.0][_BLOCK::_BLOCK]
-        gc = len(los) > 1 and np.where((G.diagonal() == 0.0)[:, None], -0.0, G.T)[:, None]
-        blocks = [(M[:hi].T, [(k, pivots[k], *t0s[k], gt[k], range(k + 1, hi))
-                              for k in range(lo, hi) if pivots[k] != 0.0],
-                   lo and (plo, lo, M[lo:hi].T, gc[:lo, :, lo:hi], np.empty((lo + 1, r, hi - lo))))
-                  for plo, lo, hi in zip([0] + los, los, los[1:] + [P])]
+        gc = len(los) > 1 and np.where(dead[:, None], -0.0, G.T)[:, None]
+        steps = [(M[:hi].T, [(k, pivots[k], *t0s[k], gt[k], range(k + 1, hi))
+                             for k in range(lo, hi) if pivots[k] != 0.0],
+                  lo and (plo, lo, M[lo:hi].T, gc[:lo, :, lo:hi], np.empty((lo + 1, r, hi - lo))))
+                 for plo, lo, hi in zip([0] + los, los, los[1:] + [P])]
         dls, hb = [[0.0] * P for _ in range(r)], np.empty(2)
     else:
-        rows = [(dk, G[k + 1:, k, None], wb[k], t0[k], M[k], delta[k], M[k + 1:], outer[k + 1:])
-                for k, dk in enumerate(G.diagonal().tolist()) if dk != 0.0]
+        steps = [(dk, G[k + 1:, k, None], wb[k], t0[k], M[k], delta[k], M[k + 1:], outer[k + 1:])
+                 for k, dk in enumerate(G.diagonal().tolist()) if dk != 0.0]
+        dls, hb = None, tuple(np.empty((3, r)))  # h, d w and the new row
+    return G, float(half), dead, wb, M, delta, steps, dls, hb
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # NumPy steps on non-finite rows
+def _sweep_run(setup, w, inner_tol, max_inner):
+    # one run of a _sweep_setup on w: the sweeps of _sweep_one
+    G, half, dead, wb, M, delta, steps, dls, hb = setup
+    wb[...] = w
+    wb[dead] = 0.0
+    r = wb.shape[1]
     for count in range(1, max_inner + 1):
         np.matmul(G, wb, out=M)
         if r == 1:
             (w1,), (dw,) = wb.T.tolist(), dls
-            for top, rows, pull in blocks:
+            for top, rows, pull in steps:
                 (m,) = ms = _pull(delta, dls, ms, pull) if pull else top.tolist()
                 for k, dk, tk, col, rest in rows:
                     wk = w1[k]
@@ -269,7 +292,7 @@ def _sweep_one(gram, t0, w, half, inner_tol, max_inner):
             wb.T[0] = w1
         elif r == 2:
             (w0, w1), (dw0, dw1) = wb.T.tolist(), dls
-            for top, rows, pull in blocks:
+            for top, rows, pull in steps:
                 m0, m1 = ms = _pull(delta, dls, ms, pull) if pull else top.tolist()
                 for k, dk, t0k, t1k, col, rest in rows:
                     a0, a1 = w0[k], w1[k]
@@ -286,13 +309,14 @@ def _sweep_one(gram, t0, w, half, inner_tol, max_inner):
                         m1[j] += c * e1
             wb.T[:], delta.T[:] = (w0, w1), dls
         else:
-            for dk, col, wk, tk, mk, dl, m_rest, o_rest in rows:
-                h = tk - mk + dk * wk
-                nv = math.sqrt(np.vecdot(h, h))
-                w_new = (1.0 - half / nv if nv > half else 0.0) * h / dk
-                np.subtract(w_new, wk, out=dl)
+            h, dw, wn = hb  # h = t - m + d w, then f h / d
+            for dk, col, wk, tk, mk, dl, m_rest, o_rest in steps:
+                np.add(np.subtract(tk, mk, out=h), np.multiply(dk, wk, out=dw), out=h)
+                nv = math.sqrt(h.dot(h))  # the BLAS dot of np.vecdot
+                np.multiply(1.0 - half / nv if nv > half else 0.0, h, out=wn)
+                np.subtract(np.divide(wn, dk, out=wn), wk, out=dl)
                 m_rest += np.multiply(col, dl, out=o_rest)
-                wk[...] = w_new
+                wk[...] = wn
         if count == max_inner or r > 1 and _converged(delta, wb, inner_tol):
             break
         if r == 1:

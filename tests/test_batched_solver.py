@@ -655,6 +655,24 @@ def test_blocked_float_sweep_equals_sequential_push(monkeypatch, r, B, P_of_B):
         assert (n, w.tobytes()) == (n_ref, ref.tobytes()), label
 
 
+@pytest.mark.parametrize("max_inner", [1, 5, 100])
+@pytest.mark.parametrize("P", [solver._BLOCK - 3, 2 * solver._BLOCK + 5])
+@pytest.mark.parametrize("r", [1, 2, 3, 10])
+def test_reused_sweep_setup_equals_fresh_calls(r, P, max_inner):
+    # one set-up run four times (from w0, on from there, from -2 w0, on from
+    # there) equals four fresh _sweep_one calls byte for byte, W and counts:
+    # nothing a run leaves in the set-up's buffers reaches the next run
+    for label, gram, t0, w0, half, _ in _blocked_cases(P, r, solver._BLOCK):
+        setup = solver._sweep_setup(gram, t0, half)
+        for start in (w0, None, -2.0 * w0, None):
+            if start is not None:
+                w_run, w_one = start.copy(), start.copy()
+            with np.errstate(invalid="ignore"):
+                n_run = solver._sweep_run(setup, w_run, 1e-10, max_inner)
+                n_one = solver._sweep_one(gram, t0, w_one, half, 1e-10, max_inner)
+            assert (n_run, w_run.tobytes()) == (n_one, w_one.tobytes()), label
+
+
 @pytest.mark.parametrize("rank", [1, 2])
 def test_batch_at_fifty_one_rows_hands_its_tail_to_the_blocked_sweep(monkeypatch, rank):
     # P = 51 (p = 50), several blocks: the stack steps NumPy rows until at most

@@ -201,6 +201,27 @@ def test_model_load_rejects_corruption(tmp_path):
         load_model(str(tmp_path / "absent.json"))
 
 
+def test_model_load_gamma_check_is_relative_to_its_scale(tmp_path):
+    # a stored gamma 1 ulp from W V^T at magnitude ~1e5, as a BLAS that rounds
+    # W V^T differently writes it, loads; a 1e-6 relative mismatch does not
+    model = FactorModel(W=_small_model().W * 1e5, V=_small_model().V, C=np.zeros((6, 3)), rank=2)
+    p = str(tmp_path / "m.json")
+    save_model(model, p)
+    doc = json.load(open(p))
+    g = np.array(doc["gamma"])
+    assert np.max(np.abs(g)) > 1e5
+    for k, (value, ok) in enumerate(((np.nextafter(g[1, 1], np.inf), True),
+                                     (g[1, 1] * (1.0 + 1e-6), False))):
+        bad = g.copy()
+        bad[1, 1] = value
+        path = _write(tmp_path / f"g{k}.json", json.dumps(dict(doc, gamma=bad.tolist())))
+        if ok:
+            assert np.array_equal(load_model(path).model.gamma, model.gamma)
+        else:
+            with pytest.raises(DataError, match="does not match"):
+                load_model(path)
+
+
 def test_model_load_reads_config_with_seed(tmp_path):
     # files written while FitConfig still had a seed field keep loading
     art = ModelArtifact(model=_small_model(), config=FitConfig(rank=2, lambda_w=0.3))

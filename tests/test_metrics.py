@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -195,3 +196,34 @@ def test_evaluate_report_consistency(rng):
     assert perfect.mse == 0.0 and perfect.bias == 0.0
     assert perfect.spearman == pytest.approx(1.0)
     assert perfect.auc == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("case", ["plain", "ties", "all-zero estimate", "nan in estimate",
+                                  "single-class truth"])
+def test_evaluate_equals_the_metric_functions_exactly(case):
+    # evaluate forms X Gamma_hat and X Gamma once; every field must still be
+    # the value of its own function, to the bit (NaN equal to NaN)
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((30, 5))
+    gt = rng.standard_normal((5, 3))
+    gh = gt + 0.3 * rng.standard_normal((5, 3))
+    if case == "ties":
+        X, gh = rng.integers(-1, 2, (30, 5)).astype(float), np.round(gh)
+    elif case == "all-zero estimate":
+        gh = np.zeros_like(gt)
+    elif case == "nan in estimate":
+        gh[1, 2] = np.nan
+    elif case == "single-class truth":
+        X, gt = np.abs(X), np.abs(gt)
+    sh, st = (X @ gh).sum(axis=1), (X @ gt).sum(axis=1)
+    want = (mse(X, gh, gt), bias(X, gh, gt), spearman(sh, st), auc(sh, st))
+    got = astuple(evaluate(gh, X, gt))
+    assert all(g == w or (math.isnan(g) and math.isnan(w)) for g, w in zip(got, want)), (got, want)
+    if case == "ties":
+        assert len(np.unique(sh)) < len(sh)
+    elif case == "all-zero estimate":
+        assert got[2] == 0.0
+    elif case == "nan in estimate":
+        assert math.isnan(got[0]) and math.isnan(got[2])
+    elif case == "single-class truth":
+        assert math.isnan(got[3])

@@ -81,6 +81,18 @@ def test_kfold_errors():
         kfold_split(T, 11, seed=0)
 
 
+@pytest.mark.parametrize("labels, row, entry", [
+    ([1.0, -1.0, 0.5, 1.0, -1.0, 1.0, -1.0], 2, "0.5"),
+    ([0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0], 0, "0.0"),
+    ([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, np.nan], 6, "nan"),
+])
+def test_kfold_rejects_labels_outside_plus_minus_one(labels, row, entry):
+    # such a label was left with an uninitialized fold id, and 0/1 labels
+    # failed as an arm without subjects
+    with pytest.raises(DataError, match=rf"^T entry {entry} at row {row} is not a treatment label"):
+        kfold_split(np.array(labels), 2, seed=0)
+
+
 # =============================================================================
 # selection loss
 # =============================================================================

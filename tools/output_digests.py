@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the outputs of every benchmark op, to check that a change
+leaves them bit for bit as they were.
+
+For each seed, runs the ops of pass 0 of one workload of
+``perfbench/workloads.py`` once and prints one line per op,
+``seed/workload/op  digest``, then one per file the pass wrote,
+``seed/workload/file:name  digest``. An op's digest covers what it returns
+(models and baseline fits with their traces, replication rows, the CLI's exit
+code and stdout) and the result of every fit, cross-validation and
+evaluation called inside it. Arrays and floats are hashed as their bytes, so
+-0.0 and 0.0 differ; the work directory and the checkout's path are masked
+in strings and files.
+
+    python3 tools/output_digests.py --workload cli-trial --seeds 0 1 2
+    python3 tools/output_digests.py --workload cli-trial --seeds 0 1 2 --root ../parent
+
+``--root`` names the source checkout whose ``src/`` and ``perfbench/`` are
+imported (default: the one holding this script), so two runs, one per
+checkout, compared with ``diff``, show whether a change moved any output.
+BLAS is pinned to one thread, as in ``perfbench/run.py``.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import struct  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from importlib import import_module  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+# (module, attribute) of every call whose result goes into its op's digest
+CAPTURED = (
+    ("multicate.solver", "fit"),
+    ("multicate.baselines", "fit_wmcmrrr"),
+    ("multicate.baselines", "fit_wmcm"),
+    ("multicate.baselines", "fit_wfull"),
+    ("multicate.baselines", "fit_wmcm_l1"),
+    ("multicate.model_selection", "cross_validate"),
+    ("multicate.metrics", "evaluate"),
+)
+
+
+def feed(h, x, masks) -> None:
+    """Add x to the hash h, tagged by type; strings with masks applied."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        a = np.asarray(x)
+        if a.dtype == object:
+            return feed(h, a.tolist(), masks)
+        h.update(f"a{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    elif x is None or isinstance(x, (bool, int)):
+        h.update(f"{x!r};".encode())
+    elif isinstance(x, float):
+        h.update(b"f" + struct.pack("<d", x))
+    elif isinstance(x, str):
+        for path, tag in masks:
+            x = x.replace(path, tag)
+        b = x.encode()
+        h.update(b"s%d:" % len(b) + b)
+    elif isinstance(x, dict):
+        h.update(b"d%d" % len(x))
+        for k in sorted(x, key=repr):
+            feed(h, k, masks)
+            feed(h, x[k], masks)
+    elif isinstance(x, (list, tuple)):
+        h.update(b"l%d" % len(x))
+        for v in x:
+            feed(h, v, masks)
+    elif dataclasses.is_dataclass(x):
+        h.update(type(x).__name__.encode())
+        for f in dataclasses.fields(x):
+            feed(h, f.name, masks)
+            feed(h, getattr(x, f.name), masks)
+    else:
+        raise TypeError(f"cannot digest a {type(x).__name__}")
+
+
+def interpose(record) -> list:
+    """Wrap each CAPTURED entry point, by identity, in every loaded multicate
+    module that binds it, appending (name, result) of each call to record;
+    returns the (module, key, original) bindings to restore."""
+    modules = [m for k, m in list(sys.modules.items())
+               if m is not None and (k == "multicate" or k.startswith("multicate."))]
+    undo = []
+    for modname, attr in CAPTURED:
+        orig = getattr(import_module(modname), attr)
+
+        def wrapper(*args, _fn=orig, _name=f"{modname}.{attr}", **kwargs):
+            out = _fn(*args, **kwargs)
+            record.append((_name, out))
+            return out
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    setattr(mod, key, wrapper)
+                    undo.append((mod, key, orig))
+    return undo
+
+
+def digests(workload, seed: int, root: str) -> list:
+    """(label, SHA-256) of each op of the workload's pass 0, then of each file."""
+    lines = []
+    with tempfile.TemporaryDirectory() as workdir:
+        inputs = workload.make_inputs(seed, 0, workdir)
+        masks = [(workdir, "<workdir>"), (root, "<root>")]
+        for op in workload.ops(inputs):
+            record = []
+            undo = interpose(record)
+            try:
+                out = op.fn()
+            except Exception as e:  # a failing op is digested by its error
+                out = f"error {type(e).__name__}: {e}"
+            finally:
+                for mod, key, orig in reversed(undo):
+                    setattr(mod, key, orig)
+            h = hashlib.sha256()
+            feed(h, [out, record], masks)
+            lines.append((f"{seed}/{workload.name}/{op.label}", h.hexdigest()))
+        for name in sorted(os.listdir(workdir)):
+            with open(os.path.join(workdir, name), "rb") as fh:
+                data = fh.read()
+            for path, tag in masks:
+                data = data.replace(path.encode(), tag.encode())
+            lines.append((f"{seed}/{workload.name}/file:{name}", hashlib.sha256(data).hexdigest()))
+    return lines
+
+
+def main(argv=None) -> int:
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True,
+                        choices=("sim-cv-rct", "fit-obs50", "cli-trial"))
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0])
+    parser.add_argument("--root", default=here,
+                        help="source checkout to import src/ and perfbench/ from")
+    args = parser.parse_args(argv)
+    root = os.path.abspath(args.root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    workload = import_module("workloads").WORKLOADS[args.workload]
+    for seed in args.seeds:
+        for label, digest in digests(workload, seed, root):
+            print(f"{label}  {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
