@@ -10,7 +10,9 @@ structure:
 * ``fit_wfull``    - squared loss with explicit main-effect term X B.
 
 In a half-half randomized trial the weights are constant, so these reduce to
-their unweighted versions.
+their unweighted versions. Each fit stops by the solver's one outer rule
+(``solver._outer_loop``), so a non-finite objective raises NumericalError, as
+in ``fit``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, FitConfig, NumericalError, assemble_design
-from .solver import (FitTrace, _avec, _row_norms, _sweep_one, _sweep_run, _sweep_setup, _weighted,
-                     fit as _fit_factor)
+from .solver import (FitTrace, _avec, _outer_loop, _row_norms, _sweep_one, _sweep_run,
+                     _sweep_setup, _weighted, fit as _fit_factor)
 
 HUBER_DELTA = 1e-4
 
@@ -37,19 +39,11 @@ class BaselineModel:
     trace: "FitTrace | None" = field(default=None, compare=False, repr=False)
 
 
-def _outer_loop(step, obj, outer_tol, cap) -> FitTrace:
-    """Run step() until the decrease of obj() falls below outer_tol times the
-    initial objective, or cap times; return the objective trace."""
-    objs = [obj()]
-    thresh = outer_tol * (objs[0] if objs[0] > 0 else 1.0)
-    converged = False
-    for _ in range(cap):
-        step()
-        objs.append(obj())
-        if objs[-2] - objs[-1] < thresh:
-            converged = True
-            break
-    return FitTrace(objective=np.asarray(objs), converged=converged, n_outer=len(objs) - 1)
+def _trace(obj, step, outer_tol, cap) -> FitTrace:
+    # one problem through the solver's outer loop: obj() its objective, step() one step
+    ((_, _, objs, _, converged, n_outer),) = _outer_loop(lambda: ([obj()], [0]),
+                                                         lambda keep: step(), outer_tol, cap)
+    return FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
 
 
 def fit_wmcmrrr(d: Dataset, a, rank: int, lambda_w: float = 0.0,
@@ -83,7 +77,7 @@ def fit_wmcm(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> Ba
         R = Yw - G @ gamma
         return float(np.sum(R * R)) + lambda_w * _row_norms(gamma).sum()
 
-    trace = _outer_loop(step, obj, cfg.outer_tol, cfg.max_outer)
+    trace = _trace(obj, step, cfg.outer_tol, cfg.max_outer)
     return BaselineModel(gamma=gamma, method="wmcm", trace=trace)
 
 
@@ -120,7 +114,7 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
         R = a[:, None] * (Y - X @ B - Z @ gamma)
         return float(np.sum(R * R)) + lambda_w * _row_norms(gamma).sum()
 
-    trace = _outer_loop(step, obj, cfg.outer_tol, cfg.max_outer)
+    trace = _trace(obj, step, cfg.outer_tol, cfg.max_outer)
     return BaselineModel(gamma=gamma, method="wfull", B=B, trace=trace)
 
 
@@ -150,8 +144,7 @@ def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) ->
             return np.fmax(1.0 - t / nv, 0.0) * P + 0.0
 
     R = Yw - G @ gamma
-    loss = smooth_loss(R)
-    eta = 1.0
+    loss, eta = smooth_loss(R), 1.0
 
     def step():
         nonlocal gamma, R, loss, eta
@@ -174,7 +167,7 @@ def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) ->
         return loss + lambda_w * _row_norms(gamma).sum()
 
     cap = cfg.max_outer * cfg.max_inner
-    trace = _outer_loop(step, obj, cfg.outer_tol, cap)
+    trace = _trace(obj, step, cfg.outer_tol, cap)
     if not trace.converged:
         raise NumericalError(f"absolute-loss fit did not converge in {cap} iterations")
     return BaselineModel(gamma=gamma, method="wmcml1", trace=trace)

@@ -138,6 +138,8 @@ class FactorModel:
                 f"C has {C.shape[1]} columns but V has {V.shape[0]} rows (outcome counts differ)"
             )
         _check_rank(r, W.shape[0], V.shape[0])
+        for name, arr in (("W", W), ("V", V), ("C", C)):
+            _check_finite(name, arr)
         dev = np.max(np.abs(V.T @ V - np.eye(r)))
         if dev > 1e-10:
             raise DataError(f"V columns are not orthonormal (max deviation {dev:.3e})")

@@ -212,10 +212,15 @@ def load_model(path) -> ModelArtifact:
             raise ValueError("metadata is not a JSON object")
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise DataError(f"{path}: malformed model document ({e})") from e
-    model = FactorModel(W=W, V=V, C=C, rank=rank)
+    try:
+        model = FactorModel(W=W, V=V, C=C, rank=rank)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
     wv = model.gamma
-    # to 1e-12 of the largest |W V^T|, as another BLAS may round W V^T otherwise
-    if gamma.shape != wv.shape or np.max(np.abs(gamma - wv)) > 1e-12 * max(1.0, np.max(np.abs(wv))):
+    # to 1e-12 of the largest |W V^T|, as another BLAS may round W V^T otherwise;
+    # a NaN in gamma is a mismatch
+    tol = 1e-12 * max(1.0, np.max(np.abs(wv)))
+    if gamma.shape != wv.shape or not (np.abs(gamma - wv) <= tol).all():
         raise DataError(f"{path}: stored gamma does not match W V^T")
     return ModelArtifact(model=model, config=cfg,
                          weight_source=doc.get("weight_source"),

@@ -12,26 +12,21 @@ is an exact conditional minimizer, so the objective never increases.
 With z_i = T_i x_i / 2 the fidelity term is ||A (Y - Z W V^T - C)||_F^2,
 which is the form the updates below work with.
 
-``_descend`` solves many problems in lockstep along a leading stack axis: all
-share the rank, each has its own penalties, and each group of them shares
-one dataset (in cross-validation, one group per training fold).
-``fit_batch`` is one group and ``fit`` a batch of one. The W row sweep is
-two stateless functions: ``_sweep_rows`` steps a stack in NumPy rows, and
-``_sweep_one`` sweeps one problem (the baselines call it directly) with the
-same IEEE operations in fewer calls. A NumPy row step costs about the same
-at any stack size, so small stacks with r <= 2 sweep each problem alone
-(``_ALONE_MAX``). At r <= 2 ``_sweep_one`` steps blocks of ``_BLOCK`` rows,
-adding across blocks in NumPy in the floats' order (np.add.accumulate).
-``_sweep_one`` is a set-up fixed by (gram, t0, half) plus one run on w, so a
-caller whose Gram matrix and targets never change (``baselines.fit_wmcm``)
-builds the set-up once and runs it once per outer iteration.
+Every fit, the baselines' too, runs one outer loop with one stop rule,
+``_outer_loop``. ``_descend`` runs it on many problems in lockstep along a
+leading stack axis: all share the rank, each has its own penalties, and each
+group of them shares one dataset (in cross-validation, one group per
+training fold). ``fit_batch`` is one group and ``fit`` a batch of one. The W
+row sweep is ``_sweep_rows`` for a stack and ``_sweep_one`` (a set-up, then
+a run) for one problem, with the same IEEE operations; small stacks at
+r <= 2 sweep each problem alone (``_ALONE_MAX``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -419,7 +414,7 @@ class FitTrace:
     sweep t. The sequence is non-increasing. c_sweeps[t] is 1 when the exact
     C step ran (0 with C frozen); w_sweeps[t] counts the W row sweeps, and
     w_capped the outer iterations whose W block ran all max_inner sweeps
-    (its inner_tol test never passed). converged is about the outer loop.
+    (its inner_tol test never passed). converged: ``_outer_loop``'s decrease test stopped it.
     """
 
     objective: np.ndarray
@@ -438,95 +433,107 @@ def _initialize(Y, Z, a, rank):
     gamma0 = np.linalg.solve(H, Z.T @ (Y * aa[:, None]))
     _, _, Vt = np.linalg.svd(Z @ gamma0, full_matrices=False)
     V0 = Vt[:rank].T
-    W0 = gamma0 @ V0
-    return W0, V0
+    return gamma0 @ V0, V0
+
+
+def _outer_loop(objectives, step, outer_tol, cap):
+    """The outer loop of every fit, over a stack of problems; a generator.
+
+    objectives() gives the live problems' objectives and last W sweep counts;
+    step(keep) drops the problems whose keep is False and steps the rest once.
+    Iteration 0 sets each problem's threshold, outer_tol times its objective
+    (times 1.0 if that is not positive); then a problem iterates while its
+    objective falls by at least that, up to iteration cap. A non-finite
+    objective raises NumericalError. Yields (i, p, objectives, w_sweeps,
+    converged, n_outer) as problem p stops, i its place in the live stack.
+    The bookkeeping is in Python floats, cheap for a stack of one.
+    """
+    for n_outer in range(cap + 1):
+        new, ws = objectives()
+        if not all(map(math.isfinite, new)):
+            raise NumericalError(f"objective became non-finite at outer iteration {n_outer}")
+        if n_outer:
+            keep = [objs[p][-1] - o >= t for p, o, t in zip(live, new, thresh)]
+        else:  # per problem: its threshold, objectives and W sweep counts
+            live, keep = list(range(len(new))), [True] * len(new)
+            thresh = [outer_tol * (o if o > 0 else 1.0) for o in new]
+            objs, sweeps = [[] for _ in new], [[] for _ in new]
+        for i, (p, o, w, k) in enumerate(zip(live, new, ws, keep)):
+            objs[p].append(o)
+            sweeps[p].append(w)
+            if not k or n_outer == cap:
+                yield i, p, objs[p], sweeps[p], not k, n_outer
+        if n_outer == cap or not any(keep):
+            return
+        live, thresh = list(compress(live, keep)), list(compress(thresh, keep))
+        step(keep)
 
 
 def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
     """Block descent on the problems (g, j): the data (Y, Z, a) of groups[g]
-    with the penalties lambdas[j] and phis[j], all at the rank and the
-    tolerances of cfg.
+    with the penalties lambdas[j] and phis[j], at the rank and tolerances of
+    cfg. Yields (g, j, model) as each problem stops in ``_outer_loop``.
 
-    Each group's Gram matrix and initializer are computed once. One W sweep
-    steps every problem still iterating, each with its group's Gram matrix;
-    then one pass per group does the n-sized work on its own data: the
-    objectives, the stop test, the next C and the next sweep targets.
-    Iteration 0 is that pass alone, at the initializer; a non-finite objective
-    there or later raises NumericalError. Each problem keeps its own inner
-    and outer convergence state and leaves the stack when it stops, so its
-    iterates, trace and stopping point are those of the same problem solved
-    alone. Yields (g, j, model) as each problem stops.
+    Each group's Gram matrix and initializer are computed once, and its
+    objectives keep its residual D. An outer step, in block order: per group,
+    the C step from D and the sweep targets G^T F V and G^T F; one W sweep of
+    the stack; one V step. Each problem's iterates, trace and stop are those
+    it has alone, since every operation acts per problem.
     """
     m = len(lambdas)
-    lam = np.tile(np.asarray(lambdas, dtype=float), len(groups))
-    phi = np.tile(np.asarray(phis, dtype=float), len(groups))
-    # per group: its data, and the C thresholds and C of its problems still
-    # iterating
-    data, c_thr, C = [], [], []
-    W, V, gram = [], [], []
+    lam, phi = (np.tile(np.asarray(v, dtype=float), len(groups)) for v in (lambdas, phis))
+    # per group: its data and 2 a^2, and the C of its problems still iterating
+    data, C, W, V, gram = [], [], [], [], []
     for Y, Z, a in groups:
         G = a[:, None] * Z
-        gg = G.T @ G
         W0, V0 = _initialize(Y, Z, a, cfg.rank)
-        data.append((Y, Z, a, G))
-        W.append(np.repeat(W0[None], m, axis=0))
-        V.append(np.broadcast_to(V0, (m,) + V0.shape))
-        gram.append(np.broadcast_to(gg, (m,) + gg.shape))
-        c_thr.append(np.asarray(phis, dtype=float)[:, None] / (2.0 * a * a))
+        data.append((Y, Z, a, G, 2.0 * a * a))
         C.append(np.zeros((m,) + Y.shape))
+        for stack, x in ((W, W0), (V, V0), (gram, G.T @ G)):
+            stack.append(np.repeat(x[None], m, axis=0))
     W, V, gram = map(np.concatenate, (W, V, gram))
-    # per problem: its objectives, and its W sweeps after a 0 for iteration 0
-    objs = [[] for _ in range(len(W))]
-    w_sweeps = [[] for _ in objs]
-    todo, ws, thresh = np.arange(len(W)), np.zeros(len(W), dtype=int), np.empty(len(W))
-    counts = [m] * len(groups)
+    # per group: its count of problems and residual D; per problem: its last W sweeps
+    counts, D, ws = [m] * len(groups), [None] * len(groups), [0] * len(W)
 
-    for n_outer in range(cfg.max_outer + 1):
-        if n_outer:
-            ws = _sweep_rows(gram, T0, W, lam / 2.0, cfg.inner_tol, cfg.max_inner)
-            V = _v_block(W.mT @ GF, V)
-        bounds = list(accumulate(counts, initial=0))
-        spans = [(g, slice(*b)) for g, b in enumerate(zip(bounds, bounds[1:])) if counts[g]]
-        last = n_outer == cfg.max_outer
-        new, keep = np.empty(len(W)), np.ones(len(W), dtype=bool)
+    def spans():  # (g, the slice of the stack holding group g's problems)
+        ends = accumulate(counts)
+        return [(g, slice(e - k, e)) for g, (e, k) in enumerate(zip(ends, counts)) if k]
+
+    def objectives():
+        new = []
+        for g, s in spans():
+            obj, D[g] = _objectives(*data[g][:3], W[s], V[s], C[g], lam[s], phi[s])
+            new += obj.tolist()
+        return new, ws
+
+    def step(keep):
+        nonlocal W, V, gram, lam, phi, ws
+        if not all(keep):
+            keep = np.array(keep)
+            for g, s in spans():
+                C[g], D[g] = C[g][keep[s]], D[g][keep[s]]
+                counts[g] = len(C[g])
+            W, V, gram, lam, phi = W[keep], V[keep], gram[keep], lam[keep], phi[keep]
         T0, GF = [], []
-        for g, s in spans:
-            Y, Z, a, G = data[g]
-            new[s], D = _objectives(Y, Z, a, W[s], V[s], C[g], lam[s], phi[s])
-            if not np.isfinite(new[s]).all():
-                raise NumericalError(f"objective became non-finite at outer iteration {n_outer}")
-            if not n_outer:
-                thresh[s] = cfg.outer_tol * np.where(new[s] > 0, new[s], 1.0)
-            else:
-                keep[s] = obj[s] - new[s] >= thresh[s]
-            for i, p, o, w, k in zip(range(s.start, s.stop), todo[s].tolist(),
-                                     new[s].tolist(), ws[s].tolist(), keep[s].tolist()):
-                objs[p].append(o)
-                w_sweeps[p].append(w)
-                if last or not k:
-                    trace = FitTrace(objective=np.asarray(objs[p]), w_sweeps=w_sweeps[p][1:],
-                                     c_sweeps=[int(update_c)] * n_outer,
-                                     converged=not k, n_outer=n_outer,
-                                     w_capped=w_sweeps[p].count(cfg.max_inner))
-                    yield g, p % m, FactorModel(W=W[i], V=V[i], C=C[g][i - s.start],
-                                                rank=cfg.rank, trace=trace)
-            if last:
-                continue
-            # compaction, then the next C and sweep targets G^T F V and G^T F
-            kg, Vg = keep[s], V[s]
-            if not kg.all():
-                c_thr[g], counts[g] = c_thr[g][kg], int(kg.sum())
-                C[g], D, Vg = C[g][kg], D[kg], Vg[kg]
-            C[g] = _shrink_rows(D, c_thr[g]) if update_c else C[g]
+        for g, s in spans():
+            Y, _, a, G, aa2 = data[g]
+            C[g] = _shrink_rows(D[g], phi[s, None] / aa2) if update_c else C[g]
+            D[g] = None
             F = a[:, None] * (Y - C[g])  # F = A (Y - C)
-            T0.append(G.T @ (F @ Vg))
+            T0.append(G.T @ (F @ V[s]))
             GF.append(G.T @ F)
-        if last or not keep.any():
-            return
-        if not keep.all():
-            todo, W, V, gram = todo[keep], W[keep], V[keep], gram[keep]
-            lam, phi, thresh, new = lam[keep], phi[keep], thresh[keep], new[keep]
-        obj, T0, GF = new, np.concatenate(T0), np.concatenate(GF)
+        ws = _sweep_rows(gram, np.concatenate(T0), W, lam / 2.0, cfg.inner_tol,
+                         cfg.max_inner).tolist()
+        V = _v_block(W.mT @ np.concatenate(GF), V)
+
+    stops = _outer_loop(objectives, step, cfg.outer_tol, cfg.max_outer)
+    for i, p, objs, sweeps, converged, n_outer in stops:
+        g = p // m
+        trace = FitTrace(objective=np.asarray(objs), w_sweeps=sweeps[1:],
+                         c_sweeps=[int(update_c)] * n_outer, converged=converged,
+                         n_outer=n_outer, w_capped=sweeps.count(cfg.max_inner))
+        yield g, p % m, FactorModel(W=W[i], V=V[i], C=C[g][i - sum(counts[:g])],
+                                    rank=cfg.rank, trace=trace)
 
 
 def _fit_groups(parts, cfgs, update_c: bool = True):
@@ -574,9 +581,8 @@ def fit(d: Dataset, a, cfg: FitConfig, update_c: bool = True) -> FactorModel:
     a : WeightVector or array
         Per-subject weights.
     cfg : FitConfig
-        Rank, penalties, tolerances. Outer convergence is declared when the
-        objective decrease falls below outer_tol relative to the initial
-        objective value.
+        Rank, penalties, tolerances. The outer loop stops by the one rule of
+        every fit, ``_outer_loop``'s, relative to the initial objective.
     update_c : bool
         Freeze C at zero when False (the non-robust reduced-rank variant).
 

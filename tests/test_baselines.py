@@ -6,6 +6,7 @@ import pytest
 from multicate import (
     FitConfig,
     NumericalError,
+    fit,
     fit_wfull,
     fit_wmcm,
     fit_wmcm_l1,
@@ -160,3 +161,33 @@ def test_wmcm_l1_surrogate_trace_monotone():
     model = fit_wmcm_l1(d, np.ones(60), 0.3)
     diffs = np.diff(model.trace.objective)
     assert np.all(diffs <= 1e-9 * max(1.0, model.trace.objective[0]))
+
+
+# =============================================================================
+# one outer loop: the stop rule and the trace every baseline shares
+# =============================================================================
+
+
+@pytest.mark.parametrize("method", ["fit", "wmcmrrr", "wmcm", "wfull"])
+def test_non_finite_objective_raises_at_outer_iteration_0(method):
+    # outcomes near the float limit overflow the first objective; every fit
+    # stops there by the one rule, none runs on an infinite objective
+    d, _ = make_dataset(20, 2, 3, seed=5)
+    d = validate_dataset(d.X, d.Y * 1e155, d.T)
+    a, cfg = np.ones(20), FitConfig(rank=2)
+    run = {"fit": lambda: fit(d, a, cfg),
+           "wmcmrrr": lambda: fit_wmcmrrr(d, a, 2, cfg=cfg),
+           "wmcm": lambda: fit_wmcm(d, a, 0.0, cfg=cfg),
+           "wfull": lambda: fit_wfull(d, a, 0.0, cfg=cfg)}[method]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="non-finite at outer iteration 0$"):
+        run()
+
+
+@pytest.mark.parametrize("fit_baseline", [fit_wmcm, fit_wfull, fit_wmcm_l1])
+def test_baseline_traces_count_outer_iterations_only(fit_baseline):
+    d, _ = make_dataset(60, 3, 2, seed=12)
+    trace = fit_baseline(d, np.ones(60), 0.5).trace
+    assert trace.w_sweeps == trace.c_sweeps == []
+    assert trace.w_capped == 0
+    assert trace.n_outer == len(trace.objective) - 1 >= 1

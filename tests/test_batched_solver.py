@@ -254,6 +254,17 @@ def test_fold_stack_with_column_zero_in_one_training_fold():
     assert any(np.any(stacked[g, j].W[2]) for g in (1, 2) for j in range(len(cfgs)))
 
 
+def test_fold_stack_yields_by_iteration_then_group_then_configuration():
+    # consumers (CV scores each model as it stops) rely on this order
+    d = _contaminated(n=80, seed=5)
+    parts = [(d_tr, np.ones(d_tr.n)) for d_tr in _training_folds(d, 3, seed=1)]
+    order = [(m.trace.n_outer, g, j) for g, j, m in solver._fit_groups(parts, _grid_cfgs(1))]
+    assert len(order) == 27 and order == sorted(order)
+    # some iteration stops problems of several groups and several configurations
+    assert any(len({g for n, g, _ in order if n == t}) > 1
+               and len({j for n, _, j in order if n == t}) > 1 for t, _, _ in order)
+
+
 # =============================================================================
 # the baselines and the loading-row update share the row sweep
 # =============================================================================

@@ -222,6 +222,31 @@ def test_model_load_gamma_check_is_relative_to_its_scale(tmp_path):
                 load_model(path)
 
 
+def _nan_at(matrix, i, j):
+    out = [list(row) for row in matrix]
+    out[i][j] = math.nan
+    return out
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda doc: {"gamma": _nan_at(doc["gamma"], 1, 0)}, "does not match"),
+    (lambda doc: {"W": _nan_at(doc["W"], 1, 0), "gamma": _nan_at(doc["gamma"], 1, 0)},
+     "W contains a non-finite entry"),
+    (lambda doc: {"V": _nan_at(doc["V"], 2, 1)}, "V contains a non-finite entry"),
+    (lambda doc: {"C": dict(doc["C"], nonzero_rows=[[2, [0.1, math.nan, 4.0]]])},
+     "C contains a non-finite entry"),
+], ids=["gamma", "W-and-gamma", "V", "C-row"])
+def test_model_load_rejects_non_finite_entries(tmp_path, edit, match):
+    # hand-edited files with NaN entries: each fails, naming the file
+    p = str(tmp_path / "m.json")
+    save_model(_small_model(), p)
+    doc = json.load(open(p))
+    path = _write(tmp_path / "nan.json", json.dumps(dict(doc, **edit(doc))))
+    with pytest.raises(DataError, match=match) as err:
+        load_model(path)
+    assert path in str(err.value)
+
+
 def test_model_load_reads_config_with_seed(tmp_path):
     # files written while FitConfig still had a seed field keep loading
     art = ModelArtifact(model=_small_model(), config=FitConfig(rank=2, lambda_w=0.3))
