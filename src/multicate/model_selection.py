@@ -43,9 +43,10 @@ METHOD_ALIASES = {**{m: m for m in METHODS},
                   "mcmrrr": "wmcmrrr", "mcml1": "wmcml1", "mcm": "wmcm", "full": "wfull"}
 # mean CV losses within this relative window of the minimum count as tied
 TIE_TOL = 1e-6
-# default_cv_grid: points per penalty axis and the largest rank
+# default_cv_grid: points per penalty axis, the largest rank and the folds
 GRID_POINTS = 8
 GRID_MAX_RANK = 5
+GRID_FOLDS = 5
 
 
 def _estimator(method) -> _Estimator:
@@ -164,6 +165,16 @@ def _fit_gamma(method, d, a, lam, phi, rank, cfg):
     return _estimator(method).fit(d, a, cfg).gamma
 
 
+def _lockstep(method, parts, cfgs):
+    """A rank-using method's fits of cfgs[g] to parts[g] by one ``_fit_groups``
+    descent, each the model its estimator fits, bit for bit: a method
+    without the phi axis freezes C at zero, at phi_c = 0.0."""
+    update_c = "phi" in _estimator(method).axes
+    if not update_c:
+        cfgs = [[replace(c, phi_c=0.0) for c in cs] for cs in cfgs]
+    return _fit_groups(parts, cfgs, update_c=update_c)
+
+
 def _method_grid(grid: CvGrid, method: str) -> CvGrid:
     # collapse the axes a method does not use
     axes = _estimator(method).axes
@@ -181,9 +192,11 @@ class _Fold(NamedTuple):
     a_he: WeightVector
 
 
-# While _shared_folds() is active, the fold parts built for a dataset, keyed
-# by (id of the dataset, folds, seed, propensity); each entry holds its
-# dataset, so the id cannot be reused within the block.
+# While _shared_folds() is active: the fold parts built for a dataset, keyed
+# by (id of the dataset, folds, seed, propensity), and the grid fits stored by
+# _stack_cv, keyed by (id of the dataset, propensity, method, the method's
+# grid, cfg); each entry holds its dataset, so the id cannot be reused within
+# the block.
 _FOLD_MEMO: ContextVar = ContextVar("_FOLD_MEMO", default=None)
 
 
@@ -191,7 +204,8 @@ _FOLD_MEMO: ContextVar = ContextVar("_FOLD_MEMO", default=None)
 def _shared_folds():
     """Within the block, cross_validate builds the folds and fold weights of
     each dataset once per (folds, seed, propensity) and reuses them, as when
-    several methods are cross-validated on one replication."""
+    several methods are cross-validated on one replication, and reads the
+    grid fits ``_stack_cv`` stored."""
     token = _FOLD_MEMO.set({})
     try:
         yield
@@ -218,33 +232,51 @@ def _fold_parts(d: Dataset, grid: CvGrid, propensity: str):
     return assignment, folds
 
 
-def _grid_fits(method, grid: CvGrid, folds, cfg):
-    """Held-out loss, outer iterations, convergence and capped W blocks of
-    every point of the grid fit on every training fold, each shaped
-    (lambdas, phis, ranks, folds).
+def _grid_fits(method, tasks, cfg):
+    """For each (grid, folds) of tasks: the held-out loss, outer iterations,
+    convergence and capped W blocks of every point of the grid fit on every
+    training fold, each shaped (lambdas, phis, ranks, folds).
 
-    A method that uses the rank runs one lockstep descent per rank over all
-    folds, updating C when it uses phi; any other method runs its own fit
-    per point and fold. Each model is scored as it arrives.
+    A method that uses the rank runs one lockstep descent per rank over the
+    folds of every task whose grid holds it, with that task's penalties;
+    any other method runs its own fit per point and fold. Each model is
+    scored as it arrives.
     """
     est = _estimator(method)
-    shape = (len(grid.lambdas), len(grid.phis), len(grid.ranks), len(folds))
-    loss, n_outer, converged, w_capped = (np.empty(shape, t) for t in (float, int, bool, int))
-    for k, rank in enumerate(grid.ranks):
-        cfgs = [replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)
-                for lam in grid.lambdas for phi in grid.phis]
+    out = [tuple(np.empty((len(g.lambdas), len(g.phis), len(g.ranks), len(folds)), t)
+                 for t in (float, int, bool, int)) for g, folds in tasks]
+    for rank in dict.fromkeys(r for g, _ in tasks for r in g.ranks):
+        # (task, rank index, fold index, fold) of every training fold fit at this rank
+        parts = [(t, g.ranks.index(rank), f, p) for t, (g, folds) in enumerate(tasks)
+                 if rank in g.ranks for f, p in enumerate(folds)]
+        cfgs = [[replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)
+                 for lam in g.lambdas for phi in g.phis] for g, _ in tasks]
         if "rank" in est.axes:
-            fits = _fit_groups([(p.d_tr, p.a_tr) for p in folds], cfgs,
-                               update_c="phi" in est.axes)
+            fits = ((parts[i], j, model) for i, j, model in _lockstep(
+                method, [(p.d_tr, p.a_tr) for *_, p in parts], [cfgs[t] for t, *_ in parts]))
         else:
-            fits = ((f, j, est.fit(p.d_tr, p.a_tr, c))
-                    for f, p in enumerate(folds) for j, c in enumerate(cfgs))
-        for f, j, model in fits:
-            at = (*divmod(j, len(grid.phis)), k, f)
-            loss[at] = _gamma_loss(model.gamma, folds[f].d_he, folds[f].a_he)
+            fits = ((part, j, est.fit(part[3].d_tr, part[3].a_tr, c))
+                    for part in parts for j, c in enumerate(cfgs[part[0]]))
+        for (t, k, f, p), j, model in fits:
+            loss, n_outer, converged, w_capped = out[t]
+            at = (*divmod(j, len(tasks[t][0].phis)), k, f)
+            loss[at] = _gamma_loss(model.gamma, p.d_he, p.a_he)
             tr = model.trace
             n_outer[at], converged[at], w_capped[at] = tr.n_outer, tr.converged, tr.w_capped
-    return loss, n_outer, converged, w_capped
+    return out
+
+
+def _stack_cv(method, jobs, propensity: str, cfg: FitConfig) -> None:
+    """Inside a ``_shared_folds`` block, fit a rank-using method's grid on the
+    folds of every (d, grid) of jobs, one lockstep descent per rank, and
+    store each dataset's fits where ``cross_validate(d, grid, method,
+    propensity, cfg)`` reads them. grid is the method's own
+    (``_method_grid``). If a fit raises, nothing is stored."""
+    tasks = [(grid, _fold_parts(d, grid, propensity)[1]) for d, grid in jobs]
+    fits = _grid_fits(method, tasks, cfg)
+    memo = _FOLD_MEMO.get()
+    for (d, grid), fit in zip(jobs, fits):
+        memo[(id(d), propensity, method, grid, cfg)] = (d, fit)
 
 
 def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
@@ -256,7 +288,8 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
     points of one rank on all folds together by one lockstep descent, and
     its results are broadcast over the axes the method ignores; the losses
     equal those of fitting every grid point with ``fit`` or the baseline
-    alone.
+    alone. Inside a ``_shared_folds`` block, the fits ``_stack_cv`` stored
+    for d are read, not refit.
     """
     fit_grid = _method_grid(grid, method)  # raises on an unknown method
     if "rank" in _estimator(method).axes:  # before any fit; the folds share d's shape
@@ -264,9 +297,11 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
     if cfg is None:
         cfg = FitConfig(rank=max(grid.ranks))
     assignment, folds = _fold_parts(d, grid, propensity)
+    memo = _FOLD_MEMO.get() or {}
+    stored = memo.get((id(d), propensity, method, fit_grid, cfg))
+    fits = stored[1] if stored else _grid_fits(method, [(fit_grid, folds)], cfg)[0]
     shape = (len(grid.lambdas), len(grid.phis), len(grid.ranks), grid.folds)
-    per_fold, n_outer, converged, w_capped = (np.broadcast_to(v, shape).copy()
-                                              for v in _grid_fits(method, fit_grid, folds, cfg))
+    per_fold, n_outer, converged, w_capped = (np.broadcast_to(v, shape).copy() for v in fits)
     null_scale = 0.0
     for part in folds:
         null_scale += _gamma_loss(np.zeros((d.n_features, d.q)), part.d_he, part.a_he)
@@ -293,7 +328,7 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
                     n_outer=n_outer, converged=converged, w_capped=w_capped)
 
 
-def default_cv_grid(d: Dataset, a, folds: int = 5, seed: int = 0) -> CvGrid:
+def default_cv_grid(d: Dataset, a, folds: int = GRID_FOLDS, seed: int = 0) -> CvGrid:
     """Data-driven grid: GRID_POINTS penalties per axis, log-spaced over
     [1e-3, 1e1] times the smallest value that zeroes every row of the
     corresponding block, and ranks up to GRID_MAX_RANK."""

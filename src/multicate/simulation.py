@@ -14,18 +14,24 @@ reproduced in isolation and assembly order is irrelevant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import DataError, Dataset, FitConfig, NumericalError, _check_settings, validate_dataset
 from .metrics import METRIC_ORDER, evaluate
 from .model_selection import (
+    _ESTIMATORS,
+    GRID_FOLDS,
+    GRID_POINTS,
     METHOD_ALIASES,
     CvGrid,
     _fit_gamma,
+    _lockstep,
     _method_grid,
     _shared_folds,
+    _stack_cv,
     cross_validate,
     default_cv_grid,
 )
@@ -36,6 +42,9 @@ B_LARGE = 3.0 ** -0.5
 
 # rank of the true coefficient matrix per pattern id
 TRUE_RANK = {1: 1, 2: 2, 3: 1, 4: 2}
+# run_scenario: the most doubles a chunk of replications may hold for its
+# stacked descents, chiefly their offsets C and residuals D (16 MiB)
+_STACK_DOUBLES = 1 << 21
 
 _P_SET = (10, 50)
 _G_SET = (0.0, 1.0 / 3.0)
@@ -241,49 +250,138 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
     error row. The weights follow the design: constant for an RCT, a
     logistic propensity fit for an observational one. With CV, the methods
     of a replication share its folds and fold weights.
+
+    Replications run in chunks, each drawn and weighted first. Then each
+    rank-using method (wmcmr4, wmcmrrr) is fit for the whole chunk by one
+    lockstep descent: on every replication's dataset without CV, and with
+    CV one descent per rank on every replication's training folds, whose
+    results the per-replication ``cross_validate`` calls read. A chunk holds
+    as many replications as keep what it holds for them (chiefly the offsets
+    C and residuals D of its descents, and their data) within
+    ``_STACK_DOUBLES`` doubles, and at least one. If a
+    chunk's descent raises, its results are dropped and its replications
+    run one at a time. A problem's iterates do not depend on its stack, so
+    the rows are those of one replication at a time, byte for byte.
     """
     requested = list(methods)
     for name in requested:
         if str(name).lower() not in METHOD_ALIASES:
             raise DataError(f"unknown method {name!r}")
     propensity = "rct" if spec.design == "rct" else "logistic"
+    run = _Run(spec, requested, cv, grid, cfg if cfg is not None else FitConfig(rank=1),
+               propensity)
 
     rows = []
-    sid = spec.scenario_id
-    for rep in range(spec.replications):
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, rep]))
-        try:
-            truth = generate_truth(spec, rng)
-            a = resolve_weights(truth.dataset, propensity)
-        except (DataError, NumericalError):
-            for name in requested:
-                rows.append({"scenario_id": sid, "replication": rep, "method": name,
-                             "metric": "error", "value": 1.0})
-            continue
+    size = _chunk_size(run)
+    for first in range(0, spec.replications, size):
+        chunk = {rep: _draw(spec, rep, propensity)
+                 for rep in range(first, min(first + size, spec.replications))}
         with _shared_folds():  # every method's CV uses the same folds
-            for name in requested:
-                method = METHOD_ALIASES[str(name).lower()]
-                try:
-                    gamma_hat = _fit_one(truth, a, method, cv, grid, cfg, propensity, spec)
-                    report = evaluate(gamma_hat, truth.X_test, truth.gamma_true)
-                    for metric in METRIC_ORDER:
-                        rows.append({"scenario_id": sid, "replication": rep, "method": name,
-                                     "metric": metric, "value": getattr(report, metric)})
-                except (DataError, NumericalError):
-                    rows.append({"scenario_id": sid, "replication": rep, "method": name,
-                                 "metric": "error", "value": 1.0})
+            try:
+                fitted = _fit_chunk(chunk, run)
+            except (DataError, NumericalError):
+                fitted = None
+            else:
+                for rep, drawn in chunk.items():
+                    rows += _replication_rows(rep, drawn, fitted, run)
+        if fitted is None:
+            for rep, drawn in chunk.items():
+                with _shared_folds():
+                    rows += _replication_rows(rep, drawn, {}, run)
     return rows
 
 
-def _fit_one(truth, a, method, cv, grid, cfg, propensity, spec):
+class _Run(NamedTuple):
+    spec: ScenarioSpec
+    names: list     # the requested method names
+    cv: bool
+    grid: CvGrid | None
+    cfg: FitConfig  # the base configuration
+    propensity: str
+
+
+def _chunk_size(run: _Run) -> int:
+    # replications per chunk, by the doubles one adds to a chunk: C and D per
+    # training row (each subject trains in all folds but one) and grid point,
+    # X, Y, Z = T X / 2 and G = A Z per training row, X and X Gamma per test row
+    spec, grid = run.spec, run.grid
+    if not run.cv:
+        rows, points = spec.n, 1
+    elif grid is None:
+        rows, points = spec.n * (GRID_FOLDS - 1), GRID_POINTS ** 2
+    else:
+        rows, points = spec.n * (grid.folds - 1), len(grid.lambdas) * len(grid.phis)
+    P, q = spec.p + 1, spec.q
+    per_replication = rows * (2 * q * points + 3 * P + q) + spec.n_test * (P + q)
+    return max(1, _STACK_DOUBLES // per_replication)
+
+
+def _draw(spec, rep, propensity):
+    # replication rep's truth and weights, or None if either fails
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, rep]))
+    try:
+        truth = generate_truth(spec, rng)
+        return truth, resolve_weights(truth.dataset, propensity)
+    except (DataError, NumericalError):
+        return None
+
+
+def _fit_chunk(chunk, run: _Run) -> dict:
+    """The stacked fits of a chunk's rank-using methods: without CV, each
+    {(replication, method): gamma}; with CV, stored by ``_stack_cv``."""
+    drawn = [(rep, x[0].dataset, x[1]) for rep, x in chunk.items() if x is not None]
+    fitted = {}
+    for method in dict.fromkeys(METHOD_ALIASES[str(n).lower()] for n in run.names):
+        if "rank" not in _ESTIMATORS[method].axes or not drawn:
+            continue
+        if run.cv:
+            jobs = [(d, _method_grid(_cv_grid(run, d, a), method)) for _, d, a in drawn]
+            _stack_cv(method, jobs, run.propensity, run.cfg)
+        else:
+            cfgs = [[replace(run.cfg, rank=_true_rank(run.spec, d))] for _, d, _ in drawn]
+            for g, _, model in _lockstep(method, [(d, a) for _, d, a in drawn], cfgs):
+                fitted[drawn[g][0], method] = model.gamma
+    return fitted
+
+
+def _replication_rows(rep, drawn, fitted, run: _Run) -> list:
+    # one replication's rows; fitted holds the chunk's stacked gammas, and a
+    # replication whose data or weights failed (drawn None) errors every method
+    rows = []
+    for name in run.names:
+        method = METHOD_ALIASES[str(name).lower()]
+        values = [("error", 1.0)]
+        if drawn is not None:
+            truth, a = drawn
+            try:
+                gamma_hat = fitted.get((rep, method))
+                if gamma_hat is None:
+                    gamma_hat = _fit_one(truth, a, method, run)
+                report = evaluate(gamma_hat, truth.X_test, truth.gamma_true)
+                values = [(metric, getattr(report, metric)) for metric in METRIC_ORDER]
+            except (DataError, NumericalError):
+                pass
+        rows += [{"scenario_id": run.spec.scenario_id, "replication": rep, "method": name,
+                  "metric": metric, "value": value} for metric, value in values]
+    return rows
+
+
+def _cv_grid(run: _Run, d, a) -> CvGrid:
+    # a replication's CV grid: the given one, or its default grid
+    return run.grid if run.grid is not None else default_cv_grid(d, a)
+
+
+def _true_rank(spec, d) -> int:
+    return min(TRUE_RANK[spec.scenario], d.q, d.n_features)
+
+
+def _fit_one(truth, a, method, run: _Run):
     d = truth.dataset
-    base = cfg if cfg is not None else FitConfig(rank=1)
-    if cv:
-        g = grid if grid is not None else default_cv_grid(d, a)
-        result = cross_validate(d, _method_grid(g, method), method,
-                                propensity=propensity, cfg=base)
+    if run.cv:
+        result = cross_validate(d, _method_grid(_cv_grid(run, d, a), method), method,
+                                propensity=run.propensity, cfg=run.cfg)
         lam, phi, rank = result.best
     else:
-        rank = min(TRUE_RANK[spec.scenario], d.q, d.n_features)
-        lam, phi = base.lambda_w, base.phi_c
-    return _fit_gamma(method, d, a, lam, phi, rank, base)
+        rank = _true_rank(run.spec, d)
+        lam, phi = run.cfg.lambda_w, run.cfg.phi_c
+    return _fit_gamma(method, d, a, lam, phi, rank, run.cfg)

@@ -117,12 +117,12 @@ def _shrink_rows(R, thresholds):
 
 
 _ONE = np.array(1.0)  # 0-d operands cost less per call than Python floats
-# By rank, the largest stack of P rows swept one problem at a time: under the
-# alone/stack time crossover measured at 30 sweeps, m 2-32, P 1-51 (CHANGES.md)
-_ALONE_MAX = {1: lambda P: min(12, 510 // (P + 30)) if P > 2 else 1,
-              2: lambda P: 3 if P > 3 else 1}
 # Rows per block of the r <= 2 float sweep of ``_sweep_one`` (CHANGES.md)
 _BLOCK = 16
+# By rank, the largest stack of P rows swept one problem at a time: under the alone/stack
+# time crossover at 30 sweeps, m 2-32, P 1-51, and at P > _BLOCK 5 and 30 sweeps (CHANGES.md)
+_ALONE_MAX = {1: lambda P: 1 if P <= 2 else min(12, 510 // (P + 30)) if P <= _BLOCK else 7,
+              2: lambda P: 1 if P <= 3 else 3 if P <= _BLOCK else 4}
 
 
 def _converged(delta, W, inner_tol):
@@ -470,8 +470,8 @@ def _outer_loop(objectives, step, outer_tol, cap):
 
 
 def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
-    """Block descent on the problems (g, j): the data (Y, Z, a) of groups[g]
-    with the penalties lambdas[j] and phis[j], at the rank and tolerances of
+    """Block descent on the problems (g, j): the data (Y, Z, a) of groups[g] with
+    the penalties lambdas[g][j] and phis[g][j], at the rank and tolerances of
     cfg. Yields (g, j, model) as each problem stops in ``_outer_loop``.
 
     Each group's Gram matrix and initializer are computed once, and its
@@ -480,11 +480,11 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
     the stack; one V step. Each problem's iterates, trace and stop are those
     it has alone, since every operation acts per problem.
     """
-    m = len(lambdas)
-    lam, phi = (np.tile(np.asarray(v, dtype=float), len(groups)) for v in (lambdas, phis))
+    where = [(g, j) for g, lams in enumerate(lambdas) for j in range(len(lams))]
+    lam, phi = (np.array([v for vs in x for v in vs], dtype=float) for x in (lambdas, phis))
     # per group: its data and 2 a^2, and the C of its problems still iterating
     data, C, W, V, gram = [], [], [], [], []
-    for Y, Z, a in groups:
+    for (Y, Z, a), m in zip(groups, map(len, lambdas)):
         G = a[:, None] * Z
         W0, V0 = _initialize(Y, Z, a, cfg.rank)
         data.append((Y, Z, a, G, 2.0 * a * a))
@@ -493,7 +493,7 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
             stack.append(np.repeat(x[None], m, axis=0))
     W, V, gram = map(np.concatenate, (W, V, gram))
     # per group: its count of problems and residual D; per problem: its last W sweeps
-    counts, D, ws = [m] * len(groups), [None] * len(groups), [0] * len(W)
+    counts, D, ws = [len(c) for c in C], [None] * len(groups), [0] * len(W)
 
     def spans():  # (g, the slice of the stack holding group g's problems)
         ends = accumulate(counts)
@@ -528,36 +528,37 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
 
     stops = _outer_loop(objectives, step, cfg.outer_tol, cfg.max_outer)
     for i, p, objs, sweeps, converged, n_outer in stops:
-        g = p // m
+        g, j = where[p]
         trace = FitTrace(objective=np.asarray(objs), w_sweeps=sweeps[1:],
                          c_sweeps=[int(update_c)] * n_outer, converged=converged,
                          n_outer=n_outer, w_capped=sweeps.count(cfg.max_inner))
-        yield g, p % m, FactorModel(W=W[i], V=V[i], C=C[g][i - sum(counts[:g])],
-                                    rank=cfg.rank, trace=trace)
+        yield g, j, FactorModel(W=W[i], V=V[i], C=C[g][i - sum(counts[:g])],
+                                rank=cfg.rank, trace=trace)
 
 
 def _fit_groups(parts, cfgs, update_c: bool = True):
-    """Fit every configuration to every (d, a) of parts in one lockstep
-    descent; an iterator of (g, j, model) for cfgs[j] fit to parts[g], in
-    the order the problems stop.
+    """Fit the configurations cfgs[g] to each (d, a) = parts[g] in one
+    lockstep descent; an iterator of (g, j, model) for cfgs[g][j] fit to
+    parts[g], in the order the problems stop.
 
     The configurations may differ only in lambda_w and phi_c. Every model,
     trace included, equals the one ``fit`` returns for its data and
     configuration, bit for bit.
     """
-    cfgs = list(cfgs)
-    if not cfgs:
-        raise DataError("fit_batch needs at least one configuration")
-    first = cfgs[0]
-    if any(replace(c, lambda_w=first.lambda_w, phi_c=first.phi_c) != first for c in cfgs[1:]):
+    parts, cfgs = list(parts), [list(cs) for cs in cfgs]
+    if not cfgs or len(cfgs) != len(parts) or not all(cfgs):
+        raise DataError("fit_batch needs one list of at least one configuration per dataset")
+    first = cfgs[0][0]
+    if any(replace(c, lambda_w=first.lambda_w, phi_c=first.phi_c) != first
+           for cs in cfgs for c in cs):
         raise DataError("configurations in one batch may differ only in lambda_w and phi_c")
     groups = []
     for d, a in parts:
         a = _avec(a, d.n)
         _check_rank(first.rank, d.n_features, d.q)
         groups.append((d.Y, assemble_design(d), a))
-    return _descend(groups, first, [c.lambda_w for c in cfgs], [c.phi_c for c in cfgs],
-                    update_c)
+    return _descend(groups, first, [[c.lambda_w for c in cs] for cs in cfgs],
+                    [[c.phi_c for c in cs] for cs in cfgs], update_c)
 
 
 def fit_batch(d: Dataset, a, cfgs, update_c: bool = True) -> list:
@@ -568,7 +569,7 @@ def fit_batch(d: Dataset, a, cfgs, update_c: bool = True) -> list:
     bit for bit; the batch shares the Gram matrix and the initializer and
     runs each row sweep once for all problems still iterating.
     """
-    models = {j: model for _, j, model in _fit_groups([(d, a)], cfgs, update_c)}
+    models = {j: model for _, j, model in _fit_groups([(d, a)], [cfgs], update_c)}
     return [models[j] for j in range(len(models))]
 
 

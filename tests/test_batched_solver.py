@@ -218,7 +218,9 @@ def _training_folds(d, folds, seed):
 
 
 def _fold_stack(parts, cfgs, update_c=True):
-    return {(g, j): model for g, j, model in solver._fit_groups(parts, cfgs, update_c)}
+    # every part fit at every configuration
+    return {(g, j): model for g, j, model in solver._fit_groups(parts, [cfgs] * len(parts),
+                                                                update_c)}
 
 
 @pytest.mark.parametrize("update_c", [True, False])
@@ -234,6 +236,21 @@ def test_fold_stack_equals_per_fold_batches(update_c):
         for j, (cfg, model) in enumerate(zip(cfgs, fit_batch(d_tr, a, cfgs, update_c))):
             _assert_same_fit(stacked[g, j], model)
             _assert_same_model(stacked[g, j], _serial_fit(d_tr, a, cfg, update_c), update_c)
+
+
+def test_fold_stack_with_its_own_configurations_per_group_equals_per_fold_batches():
+    # as replications' default grids stack: each group its own penalties and count
+    d = _contaminated(n=80, seed=7)
+    parts = [(d_tr, np.ones(d_tr.n)) for d_tr in _training_folds(d, 3, seed=4)]
+    cfgs = [[FitConfig(rank=2, lambda_w=lam * (g + 1), phi_c=phi / (g + 1))
+             for lam in (0.5, 8.0)[:g + 1] for phi in (2.0, 40.0)] for g in range(len(parts))]
+    stacked = {(g, j): m for g, j, m in solver._fit_groups(parts, cfgs)}
+    assert len(stacked) == sum(map(len, cfgs))
+    for g, (d_tr, a) in enumerate(parts):
+        for j, model in enumerate(fit_batch(d_tr, a, cfgs[g])):
+            _assert_same_fit(stacked[g, j], model)
+    with pytest.raises(DataError, match="one list of at least one configuration per dataset"):
+        solver._fit_groups(parts, cfgs[:2])
 
 
 def test_fold_stack_with_column_zero_in_one_training_fold():
@@ -258,7 +275,8 @@ def test_fold_stack_yields_by_iteration_then_group_then_configuration():
     # consumers (CV scores each model as it stops) rely on this order
     d = _contaminated(n=80, seed=5)
     parts = [(d_tr, np.ones(d_tr.n)) for d_tr in _training_folds(d, 3, seed=1)]
-    order = [(m.trace.n_outer, g, j) for g, j, m in solver._fit_groups(parts, _grid_cfgs(1))]
+    order = [(m.trace.n_outer, g, j)
+             for g, j, m in solver._fit_groups(parts, [_grid_cfgs(1)] * len(parts))]
     assert len(order) == 27 and order == sorted(order)
     # some iteration stops problems of several groups and several configurations
     assert any(len({g for n, g, _ in order if n == t}) > 1
@@ -538,7 +556,7 @@ def _check_stack_against_reference(gram, T0, W0, half, max_inner):
     return counts
 
 
-@pytest.mark.parametrize("r, m, P", [(1, 12, 11), (2, 3, 11)])
+@pytest.mark.parametrize("r, m, P", [(1, 12, 11), (2, 3, 11), (1, 7, 51), (2, 4, 51)])
 def test_small_stack_sweeps_each_problem_alone_and_equals_reference(monkeypatch, r, m, P):
     # inside _ALONE_MAX: one _sweep_one call per problem, with the whole cap
     assert 1 < m <= solver._ALONE_MAX[r](P)

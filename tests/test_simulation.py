@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -268,3 +270,139 @@ def test_run_scenario_weighting_failure_errors_every_method(monkeypatch):
     assert rows == [{"scenario_id": spec.scenario_id, "replication": rep, "method": m,
                      "metric": "error", "value": 1.0}
                     for rep in range(2) for m in ("wmcmr4", "mcm")]
+
+
+# =============================================================================
+# replication chunks: one lockstep descent per rank-using method and chunk
+# =============================================================================
+
+_CHUNK_GRID = CvGrid(lambdas=(1.0, 20.0), phis=(1.0, 30.0), ranks=(1, 2), folds=2)
+_RANK_NAMES = [n for n, m in METHOD_ALIASES.items()
+               if "rank" in model_selection._ESTIMATORS[m].axes]
+
+
+def _row_bytes(rows):
+    # each row with its value as IEEE bytes, so -0.0 and NaN count
+    return [{**r, "value": np.float64(r["value"]).tobytes()} for r in rows]
+
+
+def _chunked_runs(monkeypatch, spec, names, **kwargs):
+    """Rows with no stacked fit (every chunk as if its descent had failed),
+    with one replication per chunk and with every replication in one chunk,
+    and the number of datasets in each stacked descent of the last run."""
+    runs, sizes = [], []
+    fit_chunk, fit_groups = simulation._fit_chunk, model_selection._fit_groups
+
+    def failing(*args):
+        raise NumericalError("no stacked fits")
+
+    def recording(parts, *args, **kw):
+        sizes.append(len(parts))
+        return fit_groups(parts, *args, **kw)
+
+    monkeypatch.setattr(model_selection, "_fit_groups", recording)
+    for stack, doubles in ((failing, 0), (fit_chunk, 0), (fit_chunk, 1 << 60)):
+        monkeypatch.setattr(simulation, "_fit_chunk", stack)
+        monkeypatch.setattr(simulation, "_STACK_DOUBLES", doubles)
+        sizes.clear()
+        runs.append(run_scenario(spec, names, **kwargs))
+    return runs, sizes
+
+
+# CV runs every alias of a rank-using method; the baselines' aliases fit alone
+_CV_NAMES = list(dict.fromkeys(_RANK_NAMES + list(model_selection.METHODS)))
+
+
+@pytest.mark.parametrize("design, cv, grid, names, n, q", [
+    ("rct", False, None, list(METHOD_ALIASES), 120, 10),
+    ("observational", False, None, list(METHOD_ALIASES), 120, 10),
+    ("rct", True, _CHUNK_GRID, _CV_NAMES, 120, 10),
+    ("observational", True, _CHUNK_GRID, _CV_NAMES, 120, 10),
+    # per-replication default grids (8 x 8 points; q = 2 keeps them to ranks 1-2)
+    ("observational", True, None, _RANK_NAMES + ["mcm"], 200, 2),
+])
+def test_stacked_replication_rows_equal_one_at_a_time(monkeypatch, design, cv, grid, names, n, q):
+    spec = ScenarioSpec(scenario=2, design=design, seed=8,
+                        **{**_FAST, "n": n, "q": q, "replications": 2 if cv else 3})
+    cfg = None if cv else FitConfig(rank=1, lambda_w=3.0, phi_c=4.0)
+    (unstacked, alone, stacked), sizes = _chunked_runs(monkeypatch, spec, names, cv=cv,
+                                                       grid=grid, cfg=cfg)
+    assert _row_bytes(stacked) == _row_bytes(alone) == _row_bytes(unstacked)
+    assert not any(r["metric"] == "error" for r in stacked)
+    # the chunk's descents hold every replication (with CV, all their folds)
+    folds = (grid.folds if grid else model_selection.GRID_FOLDS) if cv else 1
+    assert max(sizes) == spec.replications * folds
+
+
+def _scale_outcomes_of(monkeypatch, bad_rep, factor):
+    # replication bad_rep's outcomes times factor, so its squared-loss objectives overflow
+    draw = simulation.generate_truth
+
+    def scaled(spec, rng):
+        truth = draw(spec, rng)
+        if list(rng.bit_generator.seed_seq.entropy) != [spec.seed, bad_rep]:
+            return truth
+        d = truth.dataset
+        d = type(d)(X=d.X, Y=d.Y * factor, T=d.T, propensity=d.propensity)
+        return type(truth)(**{**vars(truth), "dataset": d})
+
+    monkeypatch.setattr(simulation, "generate_truth", scaled)
+
+
+@pytest.mark.parametrize("cv", [False, True])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failing_replication_stays_isolated_in_its_chunk(monkeypatch, cv):
+    _scale_outcomes_of(monkeypatch, bad_rep=1, factor=1e200)
+    # the absolute-loss baseline's smoothed objective stays finite at that scale
+    names = _RANK_NAMES + ["mcml1"]
+    spec = ScenarioSpec(scenario=2, seed=9, **{**_FAST, "replications": 3})
+    stored = []  # per cross_validate call: the grid fits stored for its dataset
+    cross_validate = simulation.cross_validate
+
+    def reading(d, *args, **kwargs):
+        memo = model_selection._FOLD_MEMO.get()
+        stored.append(sum(len(key) == 5 and key[0] == id(d) for key in memo))  # fit keys
+        return cross_validate(d, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "cross_validate", reading)
+    grid = replace(_CHUNK_GRID, lambdas=(20.0,))
+    (unstacked, alone, stacked), sizes = _chunked_runs(monkeypatch, spec, names, cv=cv, grid=grid)
+    assert _row_bytes(stacked) == _row_bytes(alone) == _row_bytes(unstacked)
+    errors = {(r["replication"], r["method"]) for r in stacked if r["metric"] == "error"}
+    assert errors == {(1, name) for name in _RANK_NAMES}
+    assert max(sizes) == spec.replications * (grid.folds if cv else 1)
+    if cv:
+        # the stored fits each rank-using CV call found, by run (no stacking, one
+        # replication per chunk, one chunk whose descent failed) and replication
+        ranked = [s for k, s in enumerate(stored) if names[k % len(names)] in _RANK_NAMES]
+        _, alone, together = np.array(ranked).reshape(3, spec.replications, len(_RANK_NAMES))
+        assert (alone[[0, 2]] > 0).all() and not alone[1].any() and not together.any()
+
+
+def test_stacked_run_keeps_one_cross_validate_per_method_and_replication(monkeypatch):
+    calls, irls = [], []
+    cross_validate, logistic = simulation.cross_validate, weights._logistic_irls
+
+    def counted_cv(d, grid, method, **kwargs):
+        calls.append((id(d), method))
+        return cross_validate(d, grid, method, **kwargs)
+
+    def counted_irls(*args, **kwargs):
+        irls.append(1)
+        return logistic(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "cross_validate", counted_cv)
+    monkeypatch.setattr(weights, "_logistic_irls", counted_irls)
+    monkeypatch.setattr(model_selection, "_logistic_irls", counted_irls)
+    monkeypatch.setattr(simulation, "_STACK_DOUBLES", 1 << 60)
+    spec = ScenarioSpec(scenario=3, design="observational", seed=3,
+                        **{**_FAST, "n": 120, "replications": 3})
+    grid = CvGrid(lambdas=(1.0,), phis=(1.0,), ranks=(1,), folds=3)
+    names = ["wmcmr4", "mcmrrr", "wmcmrrr", "mcm"]
+    rows = run_scenario(spec, names, cv=True, grid=grid)
+    assert not any(r["metric"] == "error" for r in rows)
+    datasets = list(dict.fromkeys(d for d, _ in calls))
+    assert len(datasets) == spec.replications
+    assert calls == [(d, model_selection.METHOD_ALIASES[n]) for d in datasets for n in names]
+    # per replication: its weights, then one fit per training fold, shared by every method
+    assert len(irls) == spec.replications * (1 + 3)

@@ -3,14 +3,18 @@
 leaves them bit for bit as they were.
 
 For each seed, runs the ops of pass 0 of one workload of
-``perfbench/workloads.py`` once and prints one line per op,
-``seed/workload/op  digest``, then one per file the pass wrote,
-``seed/workload/file:name  digest``. An op's digest covers what it returns
-(models and baseline fits with their traces, replication rows, the CLI's exit
-code and stdout) and the result of every fit, cross-validation and
-evaluation called inside it. Arrays and floats are hashed as their bytes, so
--0.0 and 0.0 differ; the work directory and the checkout's path are masked
-in strings and files.
+``perfbench/workloads.py``, or of one built-in entry (below), once and prints
+one line per op, ``seed/workload/op  digest``, then one per file the pass
+wrote, ``seed/workload/file:name  digest``. An op's digest covers what it
+returns (models and baseline fits with their traces, replication rows, the
+CLI's exit code and stdout), the result of every baseline fit,
+cross-validation and evaluation called inside it, in call order, and every
+model the lockstep descent ``solver._fit_groups`` yields inside it, as a
+multiset (sorted per-model digests): ``fit``, ``fit_batch``, the rank-using
+baselines and CV all fit through it, and the order in which problems stop
+depends on which problems share a descent. Arrays and floats are hashed as
+their bytes, so -0.0 and 0.0 differ; the work directory and the checkout's
+path are masked in strings and files.
 
     python3 tools/output_digests.py --workload cli-trial --seeds 0 1 2
     python3 tools/output_digests.py --workload cli-trial --seeds 0 1 2 --root ../parent
@@ -19,6 +23,14 @@ in strings and files.
 imported (default: the one holding this script), so two runs, one per
 checkout, compared with ``diff``, show whether a change moved any output.
 BLAS is pinned to one thread, as in ``perfbench/run.py``.
+
+Built-in entries, each one ``run_scenario`` call seeded by the seed:
+
+* ``a06-cell``: the A06 acceptance cell (scenario 1, 5% contamination, RCT,
+  n=300) with CV over A06's grid, 3 replications of ``wmcmr4``, ``mcm`` and
+  ``full``;
+* ``obs-nocv``: an observational scenario-4 cell (n=300, p=q=10) without
+  CV, 4 replications of every method at lambda_w = phi_c = 5.
 """
 
 import os
@@ -33,19 +45,57 @@ import struct  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from importlib import import_module  # noqa: E402
+from typing import Callable, NamedTuple  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 # (module, attribute) of every call whose result goes into its op's digest
 CAPTURED = (
-    ("multicate.solver", "fit"),
-    ("multicate.baselines", "fit_wmcmrrr"),
     ("multicate.baselines", "fit_wmcm"),
     ("multicate.baselines", "fit_wfull"),
     ("multicate.baselines", "fit_wmcm_l1"),
     ("multicate.model_selection", "cross_validate"),
     ("multicate.metrics", "evaluate"),
 )
+# the lockstep descent, whose yielded models go into the digest as a multiset
+DESCENT = ("multicate.solver", "_fit_groups")
+
+
+class Op(NamedTuple):
+    label: str
+    fn: Callable
+
+
+class Scenario:
+    """A built-in entry: one op, ``run(mc, seed)`` with ``multicate`` as mc."""
+
+    def __init__(self, name, run):
+        self.name, self.run = name, run
+
+    def make_inputs(self, seed: int, k: int, workdir: str) -> dict:
+        return {"seed": seed}
+
+    def ops(self, inputs: dict) -> list:
+        mc = import_module("multicate")
+        return [Op("run", lambda: self.run(mc, inputs["seed"]))]
+
+
+def _a06_cell(mc, seed):
+    spec = mc.ScenarioSpec(scenario=1, p=10, q=10, g=0.0, tau_pct=5.0, z=0.0, design="rct",
+                           n=300, replications=3, seed=seed)
+    grid = mc.CvGrid(lambdas=(1.0, 5.0, 20.0, 80.0), phis=(0.5, 5.0, 20.0, 80.0),
+                     ranks=(1, 2), folds=5, seed=20260817)
+    return mc.run_scenario(spec, ["wmcmr4", "mcm", "full"], cv=True, grid=grid)
+
+
+def _obs_nocv(mc, seed):
+    spec = mc.ScenarioSpec(scenario=4, p=10, q=10, g=1.0 / 3.0, tau_pct=5.0, z=1.0 / 3.0,
+                           design="observational", n=300, replications=4, seed=seed)
+    return mc.run_scenario(spec, ["wmcmr4", "wmcmrrr", "wmcml1", "wmcm", "wfull"],
+                           cfg=mc.FitConfig(rank=1, lambda_w=5.0, phi_c=5.0))
+
+
+BUILT_IN = {s.name: s for s in (Scenario("a06-cell", _a06_cell), Scenario("obs-nocv", _obs_nocv))}
 
 
 def feed(h, x, masks) -> None:
@@ -83,9 +133,16 @@ def feed(h, x, masks) -> None:
         raise TypeError(f"cannot digest a {type(x).__name__}")
 
 
-def interpose(record) -> list:
+def _bindings(modules, orig):
+    # (module, key) of every binding of orig in modules, by identity
+    return [(mod, key) for mod in modules for key, value in list(vars(mod).items())
+            if value is orig]
+
+
+def interpose(record, models) -> list:
     """Wrap each CAPTURED entry point, by identity, in every loaded multicate
-    module that binds it, appending (name, result) of each call to record;
+    module that binds it, appending (name, result) of each call to record,
+    and wrap the DESCENT so that each model it yields is appended to models;
     returns the (module, key, original) bindings to restore."""
     modules = [m for k, m in list(sys.modules.items())
                if m is not None and (k == "multicate" or k.startswith("multicate."))]
@@ -98,11 +155,22 @@ def interpose(record) -> list:
             record.append((_name, out))
             return out
 
-        for mod in modules:
-            for key, value in list(vars(mod).items()):
-                if value is orig:
-                    setattr(mod, key, wrapper)
-                    undo.append((mod, key, orig))
+        for mod, key in _bindings(modules, orig):
+            setattr(mod, key, wrapper)
+            undo.append((mod, key, orig))
+    descent = getattr(import_module(DESCENT[0]), DESCENT[1])
+
+    def yielded(fits):
+        for fit in fits:
+            models.append(fit[-1])
+            yield fit
+
+    def descent_wrapper(*args, **kwargs):
+        return yielded(descent(*args, **kwargs))  # the call checks its arguments eagerly
+
+    for mod, key in _bindings(modules, descent):
+        setattr(mod, key, descent_wrapper)
+        undo.append((mod, key, descent))
     return undo
 
 
@@ -113,8 +181,8 @@ def digests(workload, seed: int, root: str) -> list:
         inputs = workload.make_inputs(seed, 0, workdir)
         masks = [(workdir, "<workdir>"), (root, "<root>")]
         for op in workload.ops(inputs):
-            record = []
-            undo = interpose(record)
+            record, models = [], []
+            undo = interpose(record, models)
             try:
                 out = op.fn()
             except Exception as e:  # a failing op is digested by its error
@@ -122,8 +190,13 @@ def digests(workload, seed: int, root: str) -> list:
             finally:
                 for mod, key, orig in reversed(undo):
                     setattr(mod, key, orig)
+            fits = []
+            for model in models:
+                hm = hashlib.sha256()
+                feed(hm, model, masks)
+                fits.append(hm.hexdigest())
             h = hashlib.sha256()
-            feed(h, [out, record], masks)
+            feed(h, [out, record, sorted(fits)], masks)
             lines.append((f"{seed}/{workload.name}/{op.label}", h.hexdigest()))
         for name in sorted(os.listdir(workdir)):
             with open(os.path.join(workdir, name), "rb") as fh:
@@ -138,14 +211,14 @@ def main(argv=None) -> int:
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True,
-                        choices=("sim-cv-rct", "fit-obs50", "cli-trial"))
+                        choices=("sim-cv-rct", "fit-obs50", "cli-trial", *BUILT_IN))
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     parser.add_argument("--root", default=here,
                         help="source checkout to import src/ and perfbench/ from")
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
-    workload = import_module("workloads").WORKLOADS[args.workload]
+    workload = BUILT_IN.get(args.workload) or import_module("workloads").WORKLOADS[args.workload]
     for seed in args.seeds:
         for label, digest in digests(workload, seed, root):
             print(f"{label}  {digest}", flush=True)
