@@ -12,19 +12,24 @@ structure:
 In a half-half randomized trial the weights are constant, so these reduce to
 their unweighted versions. Each fit stops by the solver's one outer rule
 (``solver._outer_loop``), so a non-finite objective raises NumericalError, as
-in ``fit``.
+in ``fit``. ``fit_wmcm`` and ``fit_wfull`` are stacks of one in
+``_fit_stack``, which cross-validation and the simulation study use to fit
+every penalty on every training fold or replication in lockstep, bit for bit
+as each alone; ``fit_wmcmrrr`` fits through the solver's lockstep descent,
+and ``fit_wmcm_l1`` alone.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
 from .data import Dataset, FitConfig, NumericalError, assemble_design
-from .solver import (FitTrace, _avec, _outer_loop, _row_norms, _sweep_one, _sweep_run,
-                     _sweep_setup, _weighted, fit as _fit_factor)
+from .solver import (FitTrace, _alone, _check_stack, _Groups, _outer_loop, _row_norms,
+                     _sweep_rows, _sweep_run, _sweep_setup, _weighted, fit as _fit_factor)
 
 HUBER_DELTA = 1e-4
 
@@ -37,13 +42,6 @@ class BaselineModel:
     method: str
     B: np.ndarray | None = None
     trace: "FitTrace | None" = field(default=None, compare=False, repr=False)
-
-
-def _trace(obj, step, outer_tol, cap) -> FitTrace:
-    # one problem through the solver's outer loop: obj() its objective, step() one step
-    ((_, _, objs, _, converged, n_outer),) = _outer_loop(lambda: ([obj()], [0]),
-                                                         lambda keep: step(), outer_tol, cap)
-    return FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
 
 
 def fit_wmcmrrr(d: Dataset, a, rank: int, lambda_w: float = 0.0,
@@ -62,23 +60,10 @@ def fit_wmcm(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> Ba
     """Row-sparse multivariate fit: min ||A(Y - Z Gamma)||_F^2 + lambda ||Gamma||_{2,1}.
 
     Cyclic exact row updates, one sweep per outer iteration; the Gram matrix
-    and the targets never change, so the sweep set-up is built once. The
-    recorded objective is non-increasing.
+    and the targets never change. The recorded objective is non-increasing.
+    A stack of one in ``_fit_stack``.
     """
-    cfg = replace(cfg or FitConfig(rank=1), lambda_w=lambda_w)
-    _, G, Yw = _weighted(d, a)
-    setup = _sweep_setup(G.T @ G, G.T @ Yw, lambda_w / 2.0)
-    gamma = np.zeros((d.n_features, d.q))
-
-    def step():
-        _sweep_run(setup, gamma, cfg.inner_tol, 1)
-
-    def obj():
-        R = Yw - G @ gamma
-        return float(np.sum(R * R)) + lambda_w * _row_norms(gamma).sum()
-
-    trace = _trace(obj, step, cfg.outer_tol, cfg.max_outer)
-    return BaselineModel(gamma=gamma, method="wmcm", trace=trace)
+    return _fit_one("wmcm", d, a, lambda_w, cfg)
 
 
 def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> BaselineModel:
@@ -87,35 +72,103 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
         min ||A(Y - X B - Z Gamma)||_F^2 + lambda ||Gamma||_{2,1}
 
     alternating an exact weighted least-squares solve for B with cyclic row
-    updates for Gamma.
+    updates for Gamma. A stack of one in ``_fit_stack``.
     """
-    a = _avec(a, d.n)
+    return _fit_one("wfull", d, a, lambda_w, cfg)
+
+
+def _fit_one(method, d, a, lambda_w, cfg):
     cfg = replace(cfg or FitConfig(rank=1), lambda_w=lambda_w)
-    X, Y, Z = d.X, d.Y, assemble_design(d)
-    aa = a * a
-    G = a[:, None] * Z
-    gram = G.T @ G
-    H = X.T @ (X * aa[:, None])
-    gamma = np.zeros((d.n_features, d.q))
-    B = np.zeros((d.n_features, d.q))
+    ((_, _, model),) = _fit_stack(method, [(d, a)], [[cfg]])
+    return model
 
-    def step():
-        rhs = X.T @ ((Y - Z @ gamma) * aa[:, None])
-        try:
-            B[...] = np.linalg.solve(H, rhs)
-        except np.linalg.LinAlgError:
-            warnings.warn("singular main-effect normal equations; ridge jitter applied",
-                          RuntimeWarning, stacklevel=3)
-            B[...] = np.linalg.solve(H + 1e-8 * np.eye(H.shape[0]), rhs)
-        T0 = G.T @ (a[:, None] * (Y - X @ B))
-        _sweep_one(gram, T0, gamma, lambda_w / 2.0, cfg.inner_tol, cfg.max_inner)
 
-    def obj():
-        R = a[:, None] * (Y - X @ B - Z @ gamma)
-        return float(np.sum(R * R)) + lambda_w * _row_norms(gamma).sum()
+def _main_effects(H, rhs):
+    # B from one problem's main-effect normal equations, with a jitter if singular
+    try:
+        return np.linalg.solve(H, rhs)
+    except np.linalg.LinAlgError:
+        warnings.warn("singular main-effect normal equations; ridge jitter applied",
+                      RuntimeWarning)
+        return np.linalg.solve(H + 1e-8 * np.eye(H.shape[0]), rhs)
 
-    trace = _trace(obj, step, cfg.outer_tol, cfg.max_outer)
-    return BaselineModel(gamma=gamma, method="wfull", B=B, trace=trace)
+
+def _fit_stack(method, parts, cfgs):
+    """Fit the squared-loss baseline method, "wmcm" or "wfull", at the
+    configurations cfgs[g] to each (d, a) = parts[g] in one lockstep stack; an
+    iterator of (g, j, model) for cfgs[g][j], in the order the problems stop.
+
+    The configurations may differ only in lambda_w and phi_c (which these
+    fits do not use). An outer step of the stack: for wfull, per group the
+    main-effect right-hand sides, one stacked solve for B (problem by problem
+    if it is singular, so that only a singular problem warns and takes the
+    jitter) and per group the sweep targets G^T A (Y - X B); then one
+    ``_sweep_rows`` call, of one sweep for wmcm and up to max_inner for wfull.
+    A wmcm stack that ``_sweep_rows`` would sweep one problem at a time runs
+    each problem's own sweep set-up instead, built once, as its targets never
+    change. Every operation acts per problem, so each model, trace included,
+    equals the one the method fits alone, bit for bit.
+    """
+    parts, cfgs, cfg = _check_stack(parts, cfgs)
+    stack, full = _Groups(map(len, cfgs)), method == "wfull"
+    lam = np.array([c.lambda_w for cs in cfgs for c in cs], dtype=float)
+    # per group: a, A Z, A Y, X, Y, Z and a^2; per problem: the Gram matrix, and
+    # what else stays fixed: the main-effect normal matrix (wfull) or the targets
+    data, gram, fixed = [], [], []
+    for (d, a), m in zip(parts, stack.counts):
+        a, G, Yw = _weighted(d, a)
+        aa, Z = a * a, assemble_design(d) if full else None
+        data.append((a, G, Yw, d.X, d.Y, Z, aa))
+        H = d.X.T @ (d.X * aa[:, None]) if full else G.T @ Yw
+        for x, x0 in ((gram, G.T @ G), (fixed, H)):
+            x.append(np.repeat(x0[None], m, axis=0))
+    gram, fixed = np.concatenate(gram), np.concatenate(fixed)
+    gamma = np.zeros((len(lam), gram.shape[1], parts[0][0].q))
+    B, setups, alone = np.zeros_like(gamma), [None] * len(lam), _alone(*gamma.shape[1:])
+
+    def objectives():
+        fid = []
+        for g, s in stack.spans:
+            a, G, Yw, X, Y, Z, _ = data[g]
+            R = a[:, None] * (Y - X @ B[s] - Z @ gamma[s]) if full else Yw - G @ gamma[s]
+            fid.append((R * R).reshape(len(R), -1).sum(axis=1))
+        # each problem's float(np.sum(R * R)) + lambda * _row_norms(gamma).sum(), bit for bit
+        new = (np.concatenate(fid) + lam * _row_norms(gamma).sum(axis=1)).tolist()
+        return new, [0] * len(new)
+
+    def step(keep):
+        nonlocal gram, fixed, gamma, B, lam, setups
+        if not all(keep):
+            keep = stack.drop(keep)
+            gram, fixed, gamma, B, lam = (x[keep] for x in (gram, fixed, gamma, B, lam))
+            setups = list(compress(setups, keep))
+        if full:
+            rhs, T0 = [], []
+            for g, s in stack.spans:
+                a, _, _, X, Y, Z, aa = data[g]
+                rhs.append(X.T @ ((Y - Z @ gamma[s]) * aa[:, None]))
+            rhs = np.concatenate(rhs)
+            try:
+                B = np.linalg.solve(fixed, rhs)
+            except np.linalg.LinAlgError:
+                B = np.stack([_main_effects(H, b) for H, b in zip(fixed, rhs)])
+            for g, s in stack.spans:
+                a, G, _, X, Y, _, _ = data[g]
+                T0.append(G.T @ (a[:, None] * (Y - X @ B[s])))
+            _sweep_rows(gram, np.concatenate(T0), gamma, lam / 2.0, cfg.inner_tol, cfg.max_inner)
+        elif len(gamma) > alone:
+            _sweep_rows(gram, fixed, gamma, lam / 2.0, cfg.inner_tol, 1)
+        else:  # each problem alone, on the set-up it keeps
+            for i, w in enumerate(gamma):
+                setups[i] = setups[i] or _sweep_setup(gram[i], fixed[i], lam[i] / 2.0)
+                _sweep_run(setups[i], w, cfg.inner_tol, 1)
+
+    stops = _outer_loop(objectives, step, cfg.outer_tol, cfg.max_outer)
+    for i, p, objs, _, converged, n_outer in stops:
+        g, j, _ = stack.stopped(i, p)
+        trace = FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
+        yield g, j, BaselineModel(gamma=gamma[i].copy(), method=method,
+                                  B=B[i].copy() if full else None, trace=trace)
 
 
 def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> BaselineModel:
@@ -146,7 +199,7 @@ def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) ->
     R = Yw - G @ gamma
     loss, eta = smooth_loss(R), 1.0
 
-    def step():
+    def step(keep):  # keep: one problem, which steps while it is in the loop
         nonlocal gamma, R, loss, eta
         grad = -G.T @ np.clip(R / delta, -1.0, 1.0)
         while True:
@@ -163,11 +216,12 @@ def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) ->
         gamma, R, loss = cand, R_cand, lhs
         eta *= 1.5
 
-    def obj():
-        return loss + lambda_w * _row_norms(gamma).sum()
+    def objectives():
+        return [loss + lambda_w * _row_norms(gamma).sum()], [0]
 
     cap = cfg.max_outer * cfg.max_inner
-    trace = _trace(obj, step, cfg.outer_tol, cap)
+    ((_, _, objs, _, converged, n_outer),) = _outer_loop(objectives, step, cfg.outer_tol, cap)
+    trace = FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
     if not trace.converged:
         raise NumericalError(f"absolute-loss fit did not converge in {cap} iterations")
     return BaselineModel(gamma=gamma, method="wmcml1", trace=trace)

@@ -25,17 +25,30 @@ from .weights import WeightVector, _logistic_irls, _propensity, compute_weights,
 class _Estimator(NamedTuple):
     axes: tuple     # grid axes used besides lambda: "phi" (the C penalty), "rank"
     fit: Callable   # (d, a, cfg) -> model; cfg holds rank, lambda_w and phi_c
+    # (parts, cfgs) -> an iterator of (g, j, model), cfgs[g][j] fit to parts[g] = (d, a)
+    # in one lockstep stack, each model the one fit gives, bit for bit; None: fit alone
+    stack: Callable | None
 
 
-# Every estimator, named once. The fits look _fit_factor and baselines.fit_* up
-# when called, so rebinding those module attributes reaches every caller.
+def _frozen_c(parts, cfgs):
+    # wmcmrrr: C frozen at zero, at phi_c = 0.0, as fit_wmcmrrr fits it
+    return _fit_groups(parts, [[replace(c, phi_c=0.0) for c in cs] for cs in cfgs], update_c=False)
+
+
+# Every estimator, named once. The fits and stacks look _fit_factor, _fit_groups
+# and the baselines' functions up when called, so rebinding those module
+# attributes reaches every caller.
 _ESTIMATORS = {
-    "wmcmr4": _Estimator(("phi", "rank"), lambda d, a, cfg: _fit_factor(d, a, cfg)),
+    "wmcmr4": _Estimator(("phi", "rank"), lambda d, a, cfg: _fit_factor(d, a, cfg),
+                         lambda parts, cfgs: _fit_groups(parts, cfgs)),
     "wmcmrrr": _Estimator(("rank",), lambda d, a, cfg: baselines.fit_wmcmrrr(
-        d, a, cfg.rank, cfg.lambda_w, cfg)),
-    "wmcml1": _Estimator((), lambda d, a, cfg: baselines.fit_wmcm_l1(d, a, cfg.lambda_w, cfg)),
-    "wmcm": _Estimator((), lambda d, a, cfg: baselines.fit_wmcm(d, a, cfg.lambda_w, cfg)),
-    "wfull": _Estimator((), lambda d, a, cfg: baselines.fit_wfull(d, a, cfg.lambda_w, cfg)),
+        d, a, cfg.rank, cfg.lambda_w, cfg), _frozen_c),
+    "wmcml1": _Estimator((), lambda d, a, cfg: baselines.fit_wmcm_l1(d, a, cfg.lambda_w, cfg),
+                         None),
+    "wmcm": _Estimator((), lambda d, a, cfg: baselines.fit_wmcm(d, a, cfg.lambda_w, cfg),
+                       lambda parts, cfgs: baselines._fit_stack("wmcm", parts, cfgs)),
+    "wfull": _Estimator((), lambda d, a, cfg: baselines.fit_wfull(d, a, cfg.lambda_w, cfg),
+                        lambda parts, cfgs: baselines._fit_stack("wfull", parts, cfgs)),
 }
 METHODS = tuple(_ESTIMATORS)
 # names used when the design is a randomized trial (identity weights)
@@ -165,16 +178,6 @@ def _fit_gamma(method, d, a, lam, phi, rank, cfg):
     return _estimator(method).fit(d, a, cfg).gamma
 
 
-def _lockstep(method, parts, cfgs):
-    """A rank-using method's fits of cfgs[g] to parts[g] by one ``_fit_groups``
-    descent, each the model its estimator fits, bit for bit: a method
-    without the phi axis freezes C at zero, at phi_c = 0.0."""
-    update_c = "phi" in _estimator(method).axes
-    if not update_c:
-        cfgs = [[replace(c, phi_c=0.0) for c in cs] for cs in cfgs]
-    return _fit_groups(parts, cfgs, update_c=update_c)
-
-
 def _method_grid(grid: CvGrid, method: str) -> CvGrid:
     # collapse the axes a method does not use
     axes = _estimator(method).axes
@@ -237,9 +240,9 @@ def _grid_fits(method, tasks, cfg):
     convergence and capped W blocks of every point of the grid fit on every
     training fold, each shaped (lambdas, phis, ranks, folds).
 
-    A method that uses the rank runs one lockstep descent per rank over the
-    folds of every task whose grid holds it, with that task's penalties;
-    any other method runs its own fit per point and fold. Each model is
+    A method with a stack (every one but wmcml1) runs one lockstep stack per
+    rank over the folds of every task whose grid holds it, with that task's
+    penalties; wmcml1 runs its own fit per point and fold. Each model is
     scored as it arrives.
     """
     est = _estimator(method)
@@ -251,9 +254,9 @@ def _grid_fits(method, tasks, cfg):
                  if rank in g.ranks for f, p in enumerate(folds)]
         cfgs = [[replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)
                  for lam in g.lambdas for phi in g.phis] for g, _ in tasks]
-        if "rank" in est.axes:
-            fits = ((parts[i], j, model) for i, j, model in _lockstep(
-                method, [(p.d_tr, p.a_tr) for *_, p in parts], [cfgs[t] for t, *_ in parts]))
+        if est.stack is not None:
+            fits = ((parts[i], j, model) for i, j, model in est.stack(
+                [(p.d_tr, p.a_tr) for *_, p in parts], [cfgs[t] for t, *_ in parts]))
         else:
             fits = ((part, j, est.fit(part[3].d_tr, part[3].a_tr, c))
                     for part in parts for j, c in enumerate(cfgs[part[0]]))
@@ -267,11 +270,11 @@ def _grid_fits(method, tasks, cfg):
 
 
 def _stack_cv(method, jobs, propensity: str, cfg: FitConfig) -> None:
-    """Inside a ``_shared_folds`` block, fit a rank-using method's grid on the
-    folds of every (d, grid) of jobs, one lockstep descent per rank, and
-    store each dataset's fits where ``cross_validate(d, grid, method,
-    propensity, cfg)`` reads them. grid is the method's own
-    (``_method_grid``). If a fit raises, nothing is stored."""
+    """Inside a ``_shared_folds`` block, fit a method's grid on the folds of
+    every (d, grid) of jobs, one lockstep stack per rank, and store each
+    dataset's fits where ``cross_validate(d, grid, method, propensity, cfg)``
+    reads them. grid is the method's own (``_method_grid``), and the method
+    has a stack. If a fit raises, nothing is stored."""
     tasks = [(grid, _fold_parts(d, grid, propensity)[1]) for d, grid in jobs]
     fits = _grid_fits(method, tasks, cfg)
     memo = _FOLD_MEMO.get()
@@ -285,8 +288,9 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
 
     Ties in the mean loss break toward smaller rank, then larger lambda,
     then larger phi. The method's own grid (``_method_grid``) is fit, the
-    points of one rank on all folds together by one lockstep descent, and
-    its results are broadcast over the axes the method ignores; the losses
+    points of one rank on all folds together by one lockstep stack (wmcml1
+    point by point and fold by fold), and its results are broadcast over
+    the axes the method ignores; the losses
     equal those of fitting every grid point with ``fit`` or the baseline
     alone. Inside a ``_shared_folds`` block, the fits ``_stack_cv`` stored
     for d are read, not refit.

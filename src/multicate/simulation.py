@@ -28,7 +28,6 @@ from .model_selection import (
     METHOD_ALIASES,
     CvGrid,
     _fit_gamma,
-    _lockstep,
     _method_grid,
     _shared_folds,
     _stack_cv,
@@ -252,16 +251,18 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
     of a replication share its folds and fold weights.
 
     Replications run in chunks, each drawn and weighted first. Then each
-    rank-using method (wmcmr4, wmcmrrr) is fit for the whole chunk by one
-    lockstep descent: on every replication's dataset without CV, and with
-    CV one descent per rank on every replication's training folds, whose
-    results the per-replication ``cross_validate`` calls read. A chunk holds
-    as many replications as keep what it holds for them (chiefly the offsets
-    C and residuals D of its descents, and their data) within
-    ``_STACK_DOUBLES`` doubles, and at least one. If a
-    chunk's descent raises, its results are dropped and its replications
-    run one at a time. A problem's iterates do not depend on its stack, so
-    the rows are those of one replication at a time, byte for byte.
+    method but wmcml1 is fit for the whole chunk by one lockstep stack (its
+    ``_ESTIMATORS`` entry's: the solver's descent for wmcmr4 and wmcmrrr,
+    ``baselines._fit_stack`` for wmcm and wfull): on every replication's
+    dataset without CV, and with CV one stack per rank on every
+    replication's training folds, whose results the per-replication
+    ``cross_validate`` calls read; wmcml1 fits one replication at a time. A
+    chunk holds as many replications as keep what it holds for them (chiefly
+    the offsets C and residuals D of its descents, and their data) within
+    ``_STACK_DOUBLES`` doubles, and at least one. If a chunk's stack raises,
+    its results are dropped and its replications run one at a time. A
+    problem's iterates do not depend on its stack, so the rows are those of
+    one replication at a time, byte for byte.
     """
     requested = list(methods)
     for name in requested:
@@ -327,19 +328,20 @@ def _draw(spec, rep, propensity):
 
 
 def _fit_chunk(chunk, run: _Run) -> dict:
-    """The stacked fits of a chunk's rank-using methods: without CV, each
-    {(replication, method): gamma}; with CV, stored by ``_stack_cv``."""
+    """The stacked fits of a chunk's methods (all but wmcml1): without CV,
+    each {(replication, method): gamma}; with CV, stored by ``_stack_cv``."""
     drawn = [(rep, x[0].dataset, x[1]) for rep, x in chunk.items() if x is not None]
     fitted = {}
     for method in dict.fromkeys(METHOD_ALIASES[str(n).lower()] for n in run.names):
-        if "rank" not in _ESTIMATORS[method].axes or not drawn:
+        stack = _ESTIMATORS[method].stack
+        if stack is None or not drawn:
             continue
         if run.cv:
             jobs = [(d, _method_grid(_cv_grid(run, d, a), method)) for _, d, a in drawn]
             _stack_cv(method, jobs, run.propensity, run.cfg)
         else:
             cfgs = [[replace(run.cfg, rank=_true_rank(run.spec, d))] for _, d, _ in drawn]
-            for g, _, model in _lockstep(method, [(d, a) for _, d, a in drawn], cfgs):
+            for g, _, model in stack([(d, a) for _, d, a in drawn], cfgs):
                 fitted[drawn[g][0], method] = model.gamma
     return fitted
 

@@ -16,7 +16,9 @@ Every fit, the baselines' too, runs one outer loop with one stop rule,
 ``_outer_loop``. ``_descend`` runs it on many problems in lockstep along a
 leading stack axis: all share the rank, each has its own penalties, and each
 group of them shares one dataset (in cross-validation, one group per
-training fold). ``fit_batch`` is one group and ``fit`` a batch of one. The W
+training fold). ``fit_batch`` is one group and ``fit`` a batch of one.
+``_Groups`` keeps a stack's groups (their spans, and the compaction when
+problems stop); ``baselines._fit_stack`` stacks wmcm and wfull with it. The W
 row sweep is ``_sweep_rows`` for a stack and ``_sweep_one`` (a set-up, then
 a run) for one problem, with the same IEEE operations; small stacks at
 r <= 2 sweep each problem alone (``_ALONE_MAX``).
@@ -25,7 +27,7 @@ r <= 2 sweep each problem alone (``_ALONE_MAX``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, compress
 
 import numpy as np
@@ -125,6 +127,11 @@ _ALONE_MAX = {1: lambda P: 1 if P <= 2 else min(12, 510 // (P + 30)) if P <= _BL
               2: lambda P: 1 if P <= 3 else 3 if P <= _BLOCK else 4}
 
 
+def _alone(P, r):
+    # the largest stack of P rows and r columns that _sweep_rows sweeps one problem at a time
+    return _ALONE_MAX[r](P) if r in _ALONE_MAX else 1
+
+
 def _converged(delta, W, inner_tol):
     # the largest row change below inner_tol relative to the iterate scale,
     # matching the outlier block (max and sqrt commute); np.max keeps a NaN
@@ -144,18 +151,19 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
     the stack, so each problem stops at the sweep where it would stop alone.
 
     The stack steps (m, 1, r) NumPy rows. A design column that is zero in a
-    problem gets a unit pivot there, so its row's update is exactly 0.0 and
-    no other row moves; rows zero in every problem are skipped. Row k's
-    outer product (exact: one term) goes only to the rows of M = G W after
-    k, the only ones read before the next sweep recomputes M. Once the stack
-    holds one problem, or at r <= 2 no more than ``_ALONE_MAX``, each problem
-    left is handed to ``_sweep_one`` for the sweeps left.
+    problem gets a unit pivot there and its row's update is set to 0.0, so
+    no other row moves, even on a non-finite target or W; rows zero in every
+    problem are skipped. Row k's outer product (exact: one term) goes only
+    to the rows of M = G W after k, the only ones read before the next
+    sweep recomputes M. Once the stack holds one problem, or at r <= 2 no
+    more than ``_ALONE_MAX``, each problem left is handed to ``_sweep_one``
+    for the sweeps left.
     """
     sweeps = np.empty(len(W), dtype=int)
     todo = np.arange(len(W))
     Ga, Wa, T0a, half_a = gram, W, T0, np.asarray(half, dtype=float)[:, None, None]
     count, (P, r) = 0, W.shape[1:]
-    alone = _ALONE_MAX[r](P) if r in _ALONE_MAX else 1
+    alone = _alone(P, r)
     while len(todo) > alone:
         # work buffers, C-contiguous whatever the inputs' layout (BLAS sums
         # another layout in another order), and per-row views of this stack
@@ -167,19 +175,24 @@ def _sweep_rows(gram, T0, W, half, inner_tol, max_inner):
         dead = diag == 0.0  # (m, P): the zero design columns
         Wb[dead] = 0.0
         # per-row views, by iterating over transposed buffers: (m, 1, 1)
-        # pivots, (m, P, 1) columns and (m, 1, r) rows
+        # pivots, (m, P, 1) columns and (m, 1, r) rows; a row dead in some
+        # problems only also gets their mask
         pivots = np.where(dead, 1.0, diag).T[:, :, None, None]
         cols = Gb[..., None].transpose(2, 0, 1, 3)
         views = (v[:, :, None].swapaxes(0, 1) for v in (Wb, Tb, M, delta))
+        some, live = dead.any(axis=0).tolist(), (~dead.all(axis=0)).tolist()
         rows = [(dk, col[..., k + 1:, :], wk, tk, mk, dl, M[..., k + 1:, :],
-                 outer[..., k + 1:, :]) for k, (dk, col, wk, tk, mk, dl, live)
-                in enumerate(zip(pivots, cols, *views, (~dead.all(axis=0)).tolist())) if live]
+                 outer[..., k + 1:, :], dead[:, k] if some[k] else None)
+                for k, (dk, col, wk, tk, mk, dl) in enumerate(zip(pivots, cols, *views))
+                if live[k]]
         for count in range(count + 1, max_inner + 1):
             np.matmul(Gb, Wb, out=M)
-            for dk, col, wk, tk, mk, dl, m_rest, o_rest in rows:
+            for dk, col, wk, tk, mk, dl, m_rest, o_rest, part in rows:
                 h = tk - mk + dk * wk
                 nv = np.sqrt(np.vecdot(h, h, keepdims=True))
                 w_new = np.fmax(_ONE - half_a / nv, 0.0) * h / dk
+                if part is not None:  # 0.0 where the column is zero, as alone
+                    w_new[part] = 0.0
                 np.subtract(w_new, wk, out=dl)
                 m_rest += np.matmul(col, dl, out=o_rest)
                 wk[...] = w_new
@@ -469,6 +482,52 @@ def _outer_loop(objectives, step, outer_tol, cap):
         step(keep)
 
 
+class _Groups:
+    """The bookkeeping of a lockstep stack whose problems come in groups, one
+    per dataset: problem p at entry is where[p] = (g, j), the j-th of group
+    g, and the live problems lie group after group, counts[g] of group g."""
+
+    def __init__(self, sizes):
+        self.counts = list(sizes)
+        self.where = [(g, j) for g, m in enumerate(self.counts) for j in range(m)]
+        self._span()
+
+    def _span(self):
+        # spans: (g, the slice of the live stack holding group g's problems), per group with any
+        ends = accumulate(self.counts)
+        self.spans = [(g, slice(e - k, e)) for g, (e, k) in enumerate(zip(ends, self.counts)) if k]
+
+    def drop(self, keep, *per_group):
+        """Keep the live problems whose keep is True, in the counts and in each
+        list of per-group stacks; returns keep as an array, to index the rest."""
+        keep = np.array(keep)
+        for g, s in self.spans:
+            for stacks in per_group:
+                stacks[g] = stacks[g][keep[s]]
+            self.counts[g] = int(np.count_nonzero(keep[s]))
+        self._span()
+        return keep
+
+    def stopped(self, i, p):
+        # (g, j, its place in group g) of problem p, at place i of the live stack
+        g, j = self.where[p]
+        return g, j, i - sum(self.counts[:g])
+
+
+def _check_stack(parts, cfgs):
+    # parts and cfgs as lists, and the first configuration, which the others
+    # equal up to lambda_w and phi_c
+    parts, cfgs = list(parts), [list(cs) for cs in cfgs]
+    if not cfgs or len(cfgs) != len(parts) or not all(cfgs):
+        raise DataError("a stack needs one list of at least one configuration per dataset")
+    first = cfgs[0][0]
+    # field by field: a replace() per configuration costs 8 us (its settings check)
+    rest = [(k, v) for k, v in vars(first).items() if k not in ("lambda_w", "phi_c")]
+    if any(getattr(c, k) != v for cs in cfgs for c in cs for k, v in rest):
+        raise DataError("configurations in one batch may differ only in lambda_w and phi_c")
+    return parts, cfgs, first
+
+
 def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
     """Block descent on the problems (g, j): the data (Y, Z, a) of groups[g] with
     the penalties lambdas[g][j] and phis[g][j], at the rank and tolerances of
@@ -480,28 +539,24 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
     the stack; one V step. Each problem's iterates, trace and stop are those
     it has alone, since every operation acts per problem.
     """
-    where = [(g, j) for g, lams in enumerate(lambdas) for j in range(len(lams))]
+    stack = _Groups(map(len, lambdas))
     lam, phi = (np.array([v for vs in x for v in vs], dtype=float) for x in (lambdas, phis))
     # per group: its data and 2 a^2, and the C of its problems still iterating
     data, C, W, V, gram = [], [], [], [], []
-    for (Y, Z, a), m in zip(groups, map(len, lambdas)):
+    for (Y, Z, a), m in zip(groups, stack.counts):
         G = a[:, None] * Z
         W0, V0 = _initialize(Y, Z, a, cfg.rank)
         data.append((Y, Z, a, G, 2.0 * a * a))
         C.append(np.zeros((m,) + Y.shape))
-        for stack, x in ((W, W0), (V, V0), (gram, G.T @ G)):
-            stack.append(np.repeat(x[None], m, axis=0))
+        for x, x0 in ((W, W0), (V, V0), (gram, G.T @ G)):
+            x.append(np.repeat(x0[None], m, axis=0))
     W, V, gram = map(np.concatenate, (W, V, gram))
-    # per group: its count of problems and residual D; per problem: its last W sweeps
-    counts, D, ws = [len(c) for c in C], [None] * len(groups), [0] * len(W)
-
-    def spans():  # (g, the slice of the stack holding group g's problems)
-        ends = accumulate(counts)
-        return [(g, slice(e - k, e)) for g, (e, k) in enumerate(zip(ends, counts)) if k]
+    # per group: its residual D; per problem: its last W sweeps
+    D, ws = [None] * len(groups), [0] * len(W)
 
     def objectives():
         new = []
-        for g, s in spans():
+        for g, s in stack.spans:
             obj, D[g] = _objectives(*data[g][:3], W[s], V[s], C[g], lam[s], phi[s])
             new += obj.tolist()
         return new, ws
@@ -509,13 +564,10 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
     def step(keep):
         nonlocal W, V, gram, lam, phi, ws
         if not all(keep):
-            keep = np.array(keep)
-            for g, s in spans():
-                C[g], D[g] = C[g][keep[s]], D[g][keep[s]]
-                counts[g] = len(C[g])
+            keep = stack.drop(keep, C, D)
             W, V, gram, lam, phi = W[keep], V[keep], gram[keep], lam[keep], phi[keep]
         T0, GF = [], []
-        for g, s in spans():
+        for g, s in stack.spans:
             Y, _, a, G, aa2 = data[g]
             C[g] = _shrink_rows(D[g], phi[s, None] / aa2) if update_c else C[g]
             D[g] = None
@@ -528,12 +580,11 @@ def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
 
     stops = _outer_loop(objectives, step, cfg.outer_tol, cfg.max_outer)
     for i, p, objs, sweeps, converged, n_outer in stops:
-        g, j = where[p]
+        g, j, k = stack.stopped(i, p)
         trace = FitTrace(objective=np.asarray(objs), w_sweeps=sweeps[1:],
                          c_sweeps=[int(update_c)] * n_outer, converged=converged,
                          n_outer=n_outer, w_capped=sweeps.count(cfg.max_inner))
-        yield g, j, FactorModel(W=W[i], V=V[i], C=C[g][i - sum(counts[:g])],
-                                rank=cfg.rank, trace=trace)
+        yield g, j, FactorModel(W=W[i], V=V[i], C=C[g][k], rank=cfg.rank, trace=trace)
 
 
 def _fit_groups(parts, cfgs, update_c: bool = True):
@@ -545,13 +596,7 @@ def _fit_groups(parts, cfgs, update_c: bool = True):
     trace included, equals the one ``fit`` returns for its data and
     configuration, bit for bit.
     """
-    parts, cfgs = list(parts), [list(cs) for cs in cfgs]
-    if not cfgs or len(cfgs) != len(parts) or not all(cfgs):
-        raise DataError("fit_batch needs one list of at least one configuration per dataset")
-    first = cfgs[0][0]
-    if any(replace(c, lambda_w=first.lambda_w, phi_c=first.phi_c) != first
-           for cs in cfgs for c in cs):
-        raise DataError("configurations in one batch may differ only in lambda_w and phi_c")
+    parts, cfgs, first = _check_stack(parts, cfgs)
     groups = []
     for d, a in parts:
         a = _avec(a, d.n)

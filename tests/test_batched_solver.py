@@ -1,8 +1,9 @@
 """The lockstep batched solver against serial fits, bit for bit.
 
 ``fit_batch`` steps many problems together, and ``solver._fit_groups`` steps
-them across several datasets (the training folds of CV) with one W sweep;
-each problem must come out exactly as when solved alone. ``_serial_fit``
+them across several datasets (the training folds of CV) with one W sweep, as
+``baselines._fit_stack`` does for the wmcm and wfull baselines; each problem
+must come out exactly as when solved alone. ``_serial_fit``
 below is a plain one-problem reference of the block descent (a Python loop
 over loading rows, the C step applied once per outer iteration) and is the
 oracle for ``fit``, ``fit_batch``, ``_fit_groups`` and the squared-loss
@@ -10,6 +11,7 @@ baselines.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +32,7 @@ from multicate import (
     update_loading_rows,
     validate_dataset,
 )
-from multicate import model_selection, solver
+from multicate import baselines, model_selection, solver
 
 from conftest import make_dataset
 
@@ -363,6 +365,182 @@ def test_loading_rows_with_zero_design_column_equal_reference():
             ref, _ = _ref_w_block(G.T @ G, T0, W, lam, 1e-8, max_inner)
             assert np.array_equal(got, ref)
             assert not got[2].any() and not np.signbit(got[2]).any()
+
+
+# =============================================================================
+# the baseline stack: wmcm and wfull over groups of problems = each alone
+# =============================================================================
+
+
+def _baseline_parts(q, zero_column_in=None, duplicate_in=None):
+    # three datasets of different n (like replications or training folds); the
+    # group zero_column_in has design column 2 zero, duplicate_in a covariate twice
+    parts = []
+    for g, (n, seed) in enumerate(((60, 41), (85, 42), (110, 43))):
+        d = _contaminated(n=n, q=q, seed=seed)
+        X = np.array(d.X)
+        if g == zero_column_in:
+            X[:, 2] = 0.0
+        if g == duplicate_in:
+            X[:, 3] = X[:, 2]
+        a = np.random.default_rng(seed).uniform(0.6, 1.6, n)
+        parts.append((validate_dataset(X, d.Y, d.T), a))
+    return parts
+
+
+def _baseline_stack(method, parts, lambdas, **kw):
+    # every part at every lambda in one stack: {(g, j): model}, the problems in stop order
+    cfgs = [[FitConfig(rank=1, lambda_w=lam, **kw) for lam in lambdas]] * len(parts)
+    fits = list(baselines._fit_stack(method, parts, cfgs))
+    return {(g, j): m for g, j, m in fits}, [(g, j) for g, j, _ in fits]
+
+
+def _assert_same_baseline(got, alone):
+    assert got.method == alone.method
+    assert got.gamma.tobytes() == alone.gamma.tobytes()
+    assert (got.B is None and alone.B is None) or got.B.tobytes() == alone.B.tobytes()
+    t1, t2 = got.trace, alone.trace
+    assert t1.objective.tobytes() == t2.objective.tobytes()
+    assert (t1.n_outer, t1.converged, t1.w_sweeps, t1.c_sweeps, t1.w_capped) == \
+        (t2.n_outer, t2.converged, t2.w_sweeps, t2.c_sweeps, t2.w_capped)
+
+
+_BASELINE_LAMBDAS = (0.0, 1.0, 3.0, 40.0, 400.0)
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 10])
+@pytest.mark.parametrize("method", ["wmcm", "wfull"])
+def test_baseline_stack_equals_each_fit_alone(method, q):
+    # groups of different n, lambda = 0 among the penalties, and a cap that
+    # stops some problems and not others
+    parts = _baseline_parts(q)
+    fit_alone = fit_wmcm if method == "wmcm" else fit_wfull
+    # one iteration under the slowest fit's count: it stops there, the fastest converge
+    n_outer = [fit_alone(d, a, lam).trace.n_outer for d, a in parts for lam in _BASELINE_LAMBDAS]
+    assert min(n_outer) < max(n_outer)
+    cfg = FitConfig(rank=1, max_outer=max(n_outer) - 1)
+    stacked, order = _baseline_stack(method, parts, _BASELINE_LAMBDAS, max_outer=cfg.max_outer)
+    assert len(stacked) == 15 and {m.trace.converged for m in stacked.values()} == {True, False}
+    # problems stop by iteration, then group, then penalty
+    assert [(stacked[k].trace.n_outer, *k) for k in order] == sorted(
+        (stacked[k].trace.n_outer, *k) for k in order)
+    for g, (d, a) in enumerate(parts):
+        for j, lam in enumerate(_BASELINE_LAMBDAS):
+            _assert_same_baseline(stacked[g, j], fit_alone(d, a, lam, cfg))
+            gamma, B, objs = _ref_baseline(d, a, lam, cfg, main_effect=method == "wfull")
+            assert np.array_equal(stacked[g, j].gamma, gamma)
+            assert np.array_equal(stacked[g, j].trace.objective, objs)
+
+
+@pytest.mark.parametrize("q, groups, lambdas", [(1, 3, _BASELINE_LAMBDAS), (2, 2, (3.0, 400.0)),
+                                                (10, 1, (3.0, 400.0))])
+def test_wmcm_stack_sweeps_the_last_few_problems_on_set_ups_they_keep(monkeypatch, q, groups,
+                                                                      lambdas):
+    # more problems than _sweep_rows would sweep one at a time (_ALONE_MAX at
+    # q <= 2, else 1): the stack is swept whole until the heavy penalties stop,
+    # then each problem left runs its own set-up, built once for the rest of its fit
+    parts = _baseline_parts(q)[:groups]
+    alone = solver._alone(parts[0][0].n_features, q)
+    assert groups * len(lambdas) > alone
+    calls = []
+    for name in ("_sweep_rows", "_sweep_setup", "_sweep_run"):
+        def recording(*args, _fn=getattr(baselines, name), _name=name):
+            calls.append((_name, len(args[0])))
+            return _fn(*args)
+        monkeypatch.setattr(baselines, name, recording)
+    stacked, _ = _baseline_stack("wmcm", parts, lambdas)
+    monkeypatch.undo()
+    names = [name for name, _ in calls]
+    assert all(m > alone for name, m in calls if name == "_sweep_rows") and "_sweep_rows" in names
+    assert 0 < names.count("_sweep_setup") <= alone < names.count("_sweep_run")
+    for g, (d, a) in enumerate(parts):
+        for j, lam in enumerate(lambdas):
+            _assert_same_baseline(stacked[g, j], fit_wmcm(d, a, lam))
+
+
+@pytest.mark.parametrize("method", ["wmcm", "wfull"])
+def test_baseline_stack_with_zero_design_column_in_one_group(method):
+    # column 2 zero in group 1 only: the stacked sweep steps that row with a unit
+    # pivot in group 1's problems; for wfull the group's normal equations are singular
+    parts = _baseline_parts(4, zero_column_in=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        stacked, _ = _baseline_stack(method, parts, _BASELINE_LAMBDAS)
+        fit_alone = fit_wmcm if method == "wmcm" else fit_wfull
+        for g, (d, a) in enumerate(parts):
+            for j, lam in enumerate(_BASELINE_LAMBDAS):
+                model = stacked[g, j]
+                _assert_same_baseline(model, fit_alone(d, a, lam, FitConfig(rank=1)))
+                assert (g == 1) <= (model.gamma[2].tobytes() == bytes(8 * 4))
+    assert any(stacked[0, j].gamma[2].any() for j in range(len(_BASELINE_LAMBDAS)))
+
+
+def test_baseline_stack_warns_only_for_the_singular_group():
+    # group 2 repeats a covariate: its main-effect normal equations are singular
+    parts = _baseline_parts(3, duplicate_in=2)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        stacked, _ = _baseline_stack("wfull", parts, _BASELINE_LAMBDAS)
+    jitter = [w for w in rec if "jitter" in str(w.message)]
+    # one warning per outer step of each of group 2's problems, as when each is fit alone
+    assert len(jitter) == len(rec) == sum(stacked[2, j].trace.n_outer
+                                          for j in range(len(_BASELINE_LAMBDAS))) > 0
+    for g, (d, a) in enumerate(parts):
+        for j, lam in enumerate(_BASELINE_LAMBDAS):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                alone = fit_wfull(d, a, lam)
+            assert len(rec) == (alone.trace.n_outer if g == 2 else 0)
+            _assert_same_baseline(stacked[g, j], alone)
+
+
+def test_baseline_stack_rejects_configurations_that_differ_beyond_penalties():
+    parts = _baseline_parts(2)[:2]
+    with pytest.raises(DataError, match="differ only"):
+        list(baselines._fit_stack("wmcm", parts, [[FitConfig(rank=1)],
+                                                  [FitConfig(rank=1, max_outer=3)]]))
+    with pytest.raises(DataError, match="one list of at least one configuration per dataset"):
+        list(baselines._fit_stack("wfull", parts, [[FitConfig(rank=1)]]))
+
+
+# =============================================================================
+# a design column zero in some problems of a stack but not all
+# =============================================================================
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_stack_with_partly_zero_columns_equals_alone_on_non_finite_values(monkeypatch, r):
+    # stacks mixing per-problem zero design columns with NaN/inf targets or NaN
+    # in W: a column zero in a problem gives its row 0.0 there, as alone, so no
+    # NaN from that row reaches the problem's other rows
+    monkeypatch.setattr(solver, "_ALONE_MAX", {})  # the stack steps NumPy rows throughout
+    rng = np.random.default_rng(101 + r)
+    compared = partly = 0
+    for _ in range(40):
+        m, P = int(rng.integers(2, 6)), int(rng.integers(2, 8))
+        gram, T0, W0 = (np.stack(v) for v in zip(*(
+            _sweep_problem(rng, P=P, r=r, n=P + 4) for _ in range(m))))
+        dead = rng.random((m, P)) < 0.3
+        for j, k in zip(*np.nonzero(dead)):
+            gram[j, k, :] = gram[j, :, k] = 0.0
+            T0[j, k] = 0.0
+        bad = rng.random((m, P, r)) < 0.15
+        T0[bad] = rng.choice([np.nan, np.inf, -np.inf], int(bad.sum()))
+        W0[rng.random((m, P, r)) < 0.05] = np.nan
+        half = rng.uniform(0.0, 3.0, m)
+        W = W0.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            counts = solver._sweep_rows(gram, T0, W, half, 1e-8, 6)
+            for j in range(m):
+                one = W0[j].copy()
+                n_one = solver._sweep_one(gram[j], T0[j], one, half[j], 1e-8, 6)
+                assert counts[j] == n_one
+                assert np.array_equal(W[j], one, equal_nan=True)
+                fin = np.isfinite(one)
+                assert W[j][fin].tobytes() == one[fin].tobytes()
+                compared += 1
+        partly += int((dead.any(axis=0) & ~dead.all(axis=0)).any())
+    assert compared > 100 and partly > 20
 
 
 # =============================================================================

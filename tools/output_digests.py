@@ -7,14 +7,17 @@ For each seed, runs the ops of pass 0 of one workload of
 one line per op, ``seed/workload/op  digest``, then one per file the pass
 wrote, ``seed/workload/file:name  digest``. An op's digest covers what it
 returns (models and baseline fits with their traces, replication rows, the
-CLI's exit code and stdout), the result of every baseline fit,
+CLI's exit code and stdout), the result of every ``wmcml1`` fit,
 cross-validation and evaluation called inside it, in call order, and every
-model the lockstep descent ``solver._fit_groups`` yields inside it, as a
-multiset (sorted per-model digests): ``fit``, ``fit_batch``, the rank-using
-baselines and CV all fit through it, and the order in which problems stop
-depends on which problems share a descent. Arrays and floats are hashed as
-their bytes, so -0.0 and 0.0 differ; the work directory and the checkout's
-path are masked in strings and files.
+model the lockstep stacks ``solver._fit_groups`` and
+``baselines._fit_stack`` yield inside it, as a multiset (sorted per-model
+digests): ``fit``, ``fit_batch``, every other baseline and CV fit through
+them, and the order in which problems stop depends on which problems share
+a stack. On a checkout without ``baselines._fit_stack``, the results of
+``fit_wmcm`` and ``fit_wfull`` join the multiset instead, so the digests of
+two checkouts compare. Arrays and floats are hashed as their bytes, so -0.0
+and 0.0 differ; the work directory and the checkout's path are masked in
+strings and files.
 
     python3 tools/output_digests.py --workload cli-trial --seeds 0 1 2
     python3 tools/output_digests.py --workload cli-trial --seeds 0 1 2 --root ../parent
@@ -51,14 +54,14 @@ import numpy as np  # noqa: E402
 
 # (module, attribute) of every call whose result goes into its op's digest
 CAPTURED = (
-    ("multicate.baselines", "fit_wmcm"),
-    ("multicate.baselines", "fit_wfull"),
     ("multicate.baselines", "fit_wmcm_l1"),
     ("multicate.model_selection", "cross_validate"),
     ("multicate.metrics", "evaluate"),
 )
-# the lockstep descent, whose yielded models go into the digest as a multiset
-DESCENT = ("multicate.solver", "_fit_groups")
+# the lockstep stacks, whose yielded models go into the digest as a multiset
+STACKS = (("multicate.solver", "_fit_groups"), ("multicate.baselines", "_fit_stack"))
+# fits whose results join the multiset on a checkout without the baseline stack
+UNSTACKED = (("multicate.baselines", "fit_wmcm"), ("multicate.baselines", "fit_wfull"))
 
 
 class Op(NamedTuple):
@@ -141,12 +144,19 @@ def _bindings(modules, orig):
 
 def interpose(record, models) -> list:
     """Wrap each CAPTURED entry point, by identity, in every loaded multicate
-    module that binds it, appending (name, result) of each call to record,
-    and wrap the DESCENT so that each model it yields is appended to models;
-    returns the (module, key, original) bindings to restore."""
+    module that binds it, appending (name, result) of each call to record;
+    wrap each of the STACKS so that each model it yields is appended to
+    models, and, without the baseline stack, each UNSTACKED fit so that its
+    result is; returns the (module, key, original) bindings to restore."""
     modules = [m for k, m in list(sys.modules.items())
                if m is not None and (k == "multicate" or k.startswith("multicate."))]
     undo = []
+
+    def wrap(orig, wrapper):
+        for mod, key in _bindings(modules, orig):
+            setattr(mod, key, wrapper)
+            undo.append((mod, key, orig))
+
     for modname, attr in CAPTURED:
         orig = getattr(import_module(modname), attr)
 
@@ -155,22 +165,26 @@ def interpose(record, models) -> list:
             record.append((_name, out))
             return out
 
-        for mod, key in _bindings(modules, orig):
-            setattr(mod, key, wrapper)
-            undo.append((mod, key, orig))
-    descent = getattr(import_module(DESCENT[0]), DESCENT[1])
+        wrap(orig, wrapper)
 
     def yielded(fits):
         for fit in fits:
             models.append(fit[-1])
             yield fit
 
-    def descent_wrapper(*args, **kwargs):
-        return yielded(descent(*args, **kwargs))  # the call checks its arguments eagerly
+    stacks = [getattr(import_module(m), a, None) for m, a in STACKS]
+    for stack in filter(None, stacks):
+        # the call checks its arguments as the stack does (eagerly for _fit_groups)
+        wrap(stack, lambda *args, _fn=stack, **kwargs: yielded(_fn(*args, **kwargs)))
+    for modname, attr in UNSTACKED if stacks[-1] is None else ():
+        orig = getattr(import_module(modname), attr)
 
-    for mod, key in _bindings(modules, descent):
-        setattr(mod, key, descent_wrapper)
-        undo.append((mod, key, descent))
+        def single(*args, _fn=orig, **kwargs):
+            out = _fn(*args, **kwargs)
+            models.append(out)
+            return out
+
+        wrap(orig, single)
     return undo
 
 
