@@ -15,21 +15,21 @@ their unweighted versions. Each fit stops by the solver's one outer rule
 in ``fit``. ``fit_wmcm`` and ``fit_wfull`` are stacks of one in
 ``_fit_stack``, which cross-validation and the simulation study use to fit
 every penalty on every training fold or replication in lockstep, bit for bit
-as each alone; ``fit_wmcmrrr`` fits through the solver's lockstep descent,
-and ``fit_wmcm_l1`` alone.
+as each alone. It runs on ``solver._lockstep``, the loop of the solver's
+lockstep descent, which ``fit_wmcmrrr`` fits through; ``fit_wmcm_l1`` fits
+alone.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import compress
 
 import numpy as np
 
 from .data import Dataset, FitConfig, NumericalError, assemble_design
-from .solver import (FitTrace, _alone, _check_stack, _Groups, _outer_loop, _row_norms,
-                     _sweep_rows, _sweep_run, _sweep_setup, _weighted, fit as _fit_factor)
+from .solver import (FitTrace, _check_stack, _lockstep, _outer_loop, _row_norms, _weighted,
+                     fit as _fit_factor)
 
 HUBER_DELTA = 1e-4
 
@@ -95,80 +95,60 @@ def _main_effects(H, rhs):
 
 def _fit_stack(method, parts, cfgs):
     """Fit the squared-loss baseline method, "wmcm" or "wfull", at the
-    configurations cfgs[g] to each (d, a) = parts[g] in one lockstep stack; an
-    iterator of (g, j, model) for cfgs[g][j], in the order the problems stop.
+    configurations cfgs[g] to each (d, a) = parts[g] in one lockstep stack
+    (``solver._lockstep``); an iterator of (g, j, model) for cfgs[g][j], in
+    the order the problems stop.
 
     The configurations may differ only in lambda_w and phi_c (which these
-    fits do not use). An outer step of the stack: for wfull, per group the
-    main-effect right-hand sides, one stacked solve for B (problem by problem
-    if it is singular, so that only a singular problem warns and takes the
-    jitter) and per group the sweep targets G^T A (Y - X B); then one
-    ``_sweep_rows`` call, of one sweep for wmcm and up to max_inner for wfull.
-    A wmcm stack that ``_sweep_rows`` would sweep one problem at a time runs
-    each problem's own sweep set-up instead, built once, as its targets never
-    change. Every operation acts per problem, so each model, trace included,
+    fits do not use). Before the sweep, wfull takes per group the
+    main-effect right-hand sides, one stacked solve for B (problem by
+    problem if it is singular, so that only a singular problem warns and
+    takes the jitter) and per group the sweep targets G^T A (Y - X B), and
+    sweeps up to max_inner times; wmcm's targets never change, and it sweeps
+    once. Every operation acts per problem, so each model, trace included,
     equals the one the method fits alone, bit for bit.
     """
     parts, cfgs, cfg = _check_stack(parts, cfgs)
-    stack, full = _Groups(map(len, cfgs)), method == "wfull"
-    lam = np.array([c.lambda_w for cs in cfgs for c in cs], dtype=float)
-    # per group: a, A Z, A Y, X, Y, Z and a^2; per problem: the Gram matrix, and
-    # what else stays fixed: the main-effect normal matrix (wfull) or the targets
-    data, gram, fixed = [], [], []
-    for (d, a), m in zip(parts, stack.counts):
+    full = method == "wfull"
+    # per group: a, A Z, A Y, X, Y, Z and a^2, and its problems' first Gamma ("W") and
+    # Gram matrix, and B and the main-effect normal matrix (wfull) or the fixed targets
+    data, firsts = [], []
+    for d, a in parts:
         a, G, Yw = _weighted(d, a)
-        aa, Z = a * a, assemble_design(d) if full else None
+        aa, Z, zero = a * a, assemble_design(d) if full else None, np.zeros((d.n_features, d.q))
         data.append((a, G, Yw, d.X, d.Y, Z, aa))
-        H = d.X.T @ (d.X * aa[:, None]) if full else G.T @ Yw
-        for x, x0 in ((gram, G.T @ G), (fixed, H)):
-            x.append(np.repeat(x0[None], m, axis=0))
-    gram, fixed = np.concatenate(gram), np.concatenate(fixed)
-    gamma = np.zeros((len(lam), gram.shape[1], parts[0][0].q))
-    B, setups, alone = np.zeros_like(gamma), [None] * len(lam), _alone(*gamma.shape[1:])
+        fixed = {"B": zero, "H": d.X.T @ (d.X * aa[:, None])} if full else {"T0": G.T @ Yw}
+        firsts.append({"W": zero, "gram": G.T @ G, **fixed})
 
-    def objectives():
-        fid = []
-        for g, s in stack.spans:
-            a, G, Yw, X, Y, Z, _ = data[g]
-            R = a[:, None] * (Y - X @ B[s] - Z @ gamma[s]) if full else Yw - G @ gamma[s]
-            fid.append((R * R).reshape(len(R), -1).sum(axis=1))
-        # each problem's float(np.sum(R * R)) + lambda * _row_norms(gamma).sum(), bit for bit
-        new = (np.concatenate(fid) + lam * _row_norms(gamma).sum(axis=1)).tolist()
-        return new, [0] * len(new)
+    def objective(st, g, s):
+        a, G, Yw, X, Y, Z, _ = data[g]
+        gamma = st["W"][s]
+        R = a[:, None] * (Y - X @ st["B"][s] - Z @ gamma) if full else Yw - G @ gamma
+        return (R * R).reshape(len(R), -1).sum(axis=1)  # each problem's float(np.sum(R * R))
 
-    def step(keep):
-        nonlocal gram, fixed, gamma, B, lam, setups
-        if not all(keep):
-            keep = stack.drop(keep)
-            gram, fixed, gamma, B, lam = (x[keep] for x in (gram, fixed, gamma, B, lam))
-            setups = list(compress(setups, keep))
-        if full:
-            rhs, T0 = [], []
-            for g, s in stack.spans:
-                a, _, _, X, Y, Z, aa = data[g]
-                rhs.append(X.T @ ((Y - Z @ gamma[s]) * aa[:, None]))
-            rhs = np.concatenate(rhs)
-            try:
-                B = np.linalg.solve(fixed, rhs)
-            except np.linalg.LinAlgError:
-                B = np.stack([_main_effects(H, b) for H, b in zip(fixed, rhs)])
-            for g, s in stack.spans:
-                a, G, _, X, Y, _, _ = data[g]
-                T0.append(G.T @ (a[:, None] * (Y - X @ B[s])))
-            _sweep_rows(gram, np.concatenate(T0), gamma, lam / 2.0, cfg.inner_tol, cfg.max_inner)
-        elif len(gamma) > alone:
-            _sweep_rows(gram, fixed, gamma, lam / 2.0, cfg.inner_tol, 1)
-        else:  # each problem alone, on the set-up it keeps
-            for i, w in enumerate(gamma):
-                setups[i] = setups[i] or _sweep_setup(gram[i], fixed[i], lam[i] / 2.0)
-                _sweep_run(setups[i], w, cfg.inner_tol, 1)
+    def targets(st, spans):
+        if not full:
+            return st["T0"]
+        rhs, T0 = [], []
+        for g, s in spans:
+            _, _, _, X, Y, Z, aa = data[g]
+            rhs.append(X.T @ ((Y - Z @ st["W"][s]) * aa[:, None]))
+        rhs = np.concatenate(rhs)
+        try:
+            st["B"] = np.linalg.solve(st["H"], rhs)
+        except np.linalg.LinAlgError:
+            st["B"] = np.stack([_main_effects(H, b) for H, b in zip(st["H"], rhs)])
+        for g, s in spans:
+            a, G, _, X, Y, _, _ = data[g]
+            T0.append(G.T @ (a[:, None] * (Y - X @ st["B"][s])))
+        return np.concatenate(T0)
 
-    stops = _outer_loop(objectives, step, cfg.outer_tol, cfg.max_outer)
-    for i, p, objs, _, converged, n_outer in stops:
-        g, j, _ = stack.stopped(i, p)
+    def model(st, g, i, k, objs, sweeps, converged, n_outer):
         trace = FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
-        yield g, j, BaselineModel(gamma=gamma[i].copy(), method=method,
-                                  B=B[i].copy() if full else None, trace=trace)
+        return BaselineModel(gamma=st["W"][i].copy(), method=method,
+                             B=st["B"][i].copy() if full else None, trace=trace)
+
+    yield from _lockstep(cfgs, firsts, objective, targets, model, cfg.max_inner if full else 1)
 
 
 def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> BaselineModel:

@@ -13,15 +13,17 @@ With z_i = T_i x_i / 2 the fidelity term is ||A (Y - Z W V^T - C)||_F^2,
 which is the form the updates below work with.
 
 Every fit, the baselines' too, runs one outer loop with one stop rule,
-``_outer_loop``. ``_descend`` runs it on many problems in lockstep along a
-leading stack axis: all share the rank, each has its own penalties, and each
-group of them shares one dataset (in cross-validation, one group per
-training fold). ``fit_batch`` is one group and ``fit`` a batch of one.
-``_Groups`` keeps a stack's groups (their spans, and the compaction when
-problems stop); ``baselines._fit_stack`` stacks wmcm and wfull with it. The W
-row sweep is ``_sweep_rows`` for a stack and ``_sweep_one`` (a set-up, then
-a run) for one problem, with the same IEEE operations; small stacks at
-r <= 2 sweep each problem alone (``_ALONE_MAX``).
+``_outer_loop``. ``_lockstep`` runs it on many problems in lockstep along a
+leading stack axis: all share the rank and tolerances, each has its own
+penalties, and each group of them shares one dataset (in cross-validation,
+one group per training fold). It keeps the groups' spans, drops the
+problems that stop and makes the one ``_sweep_rows`` call of every stack;
+its users give only what differs: ``_descend`` the C step before the sweep
+and the V step after it (``fit_batch`` is one group and ``fit`` a batch of
+one), and ``baselines._fit_stack`` the wmcm and wfull steps. The W row
+sweep is ``_sweep_rows`` for a stack and ``_sweep_one`` for one problem,
+with the same IEEE operations; small stacks at r <= 2 sweep each problem
+alone (``_ALONE_MAX``).
 """
 
 from __future__ import annotations
@@ -222,6 +224,7 @@ def _pull(delta, dls, ms, pull):
     return [m + tail for m, tail in zip(ms, np.add.accumulate(buf, axis=0, out=buf)[-1].tolist())]
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # NumPy steps on non-finite rows
 def _sweep_one(gram, t0, w, half, inner_tol, max_inner):
     """``_sweep_rows`` for one problem: gram (P, P), t0 and w (P, r); sweeps w
     in place and returns the sweep count, with the stack's bits.
@@ -243,19 +246,12 @@ def _sweep_one(gram, t0, w, half, inner_tol, max_inner):
     one at a time in the order of k, as the floats do (np.add.reduce may add
     pairwise). A zero row's products, -0.0 * 0.0, change no m_j.
 
-    It is ``_sweep_setup(gram, t0, half)`` plus one ``_sweep_run``. gram, t0
-    and half are fixed for the life of a set-up; w is read afresh on each run,
-    and a run writes every buffer before it reads it, so k runs of one set-up
-    equal k fresh calls bit for bit.
+    Each call builds its set-up from gram, t0 and half before the first
+    sweep: the zero columns, the work buffers, and the r <= 2 blocks and
+    change lists or the r >= 3 row views; half becomes a Python float (a
+    NumPy scalar slows the float rows).
     """
-    return _sweep_run(_sweep_setup(gram, t0, half), w, inner_tol, max_inner)
-
-
-def _sweep_setup(gram, t0, half):
-    # all _sweep_one builds from (gram, t0, half): G, half (a float: a NumPy scalar
-    # slows the float rows), the zero columns, the work array, M, delta, the
-    # r <= 2 blocks and change lists and the r = 2 h, or the r >= 3 rows and buffers
-    G, (P, r) = np.ascontiguousarray(gram), t0.shape
+    G, (P, r), half = np.ascontiguousarray(gram), t0.shape, float(half)
     dead = G.diagonal() == 0.0
     wb, M, outer, delta = np.zeros((4, P, r))
     if r <= 2:
@@ -272,17 +268,9 @@ def _sweep_setup(gram, t0, half):
     else:
         steps = [(dk, G[k + 1:, k, None], wb[k], t0[k], M[k], delta[k], M[k + 1:], outer[k + 1:])
                  for k, dk in enumerate(G.diagonal().tolist()) if dk != 0.0]
-        dls, hb = None, tuple(np.empty((3, r)))  # h, d w and the new row
-    return G, float(half), dead, wb, M, delta, steps, dls, hb
-
-
-@np.errstate(divide="ignore", invalid="ignore")  # NumPy steps on non-finite rows
-def _sweep_run(setup, w, inner_tol, max_inner):
-    # one run of a _sweep_setup on w: the sweeps of _sweep_one
-    G, half, dead, wb, M, delta, steps, dls, hb = setup
+        hb = tuple(np.empty((3, r)))  # h, d w and the new row
     wb[...] = w
     wb[dead] = 0.0
-    r = wb.shape[1]
     for count in range(1, max_inner + 1):
         np.matmul(G, wb, out=M)
         if r == 1:
@@ -399,15 +387,14 @@ def update_orthogonal_factor(W, d: Dataset, a, C, V=None) -> np.ndarray:
 # =============================================================================
 
 
-def _objectives(Y, Z, a, W, V, C, lambdas, phis):
-    """Penalized objective of each problem in a stack, and its residual
-    Y - Z W V^T before offsets, which the next C step reuses."""
+def _objectives(Y, Z, a, W, V, C, phis):
+    """Objective of each problem in a stack but for its W penalty, which
+    ``_lockstep`` adds, and its residual Y - Z W V^T before offsets, which
+    the next C step reuses."""
     D = Y - Z @ (W @ V.mT)
     R = a[:, None] * (D - C)
     fid = (R * R).reshape(len(R), -1).sum(axis=1)
-    pen_c = phis * _row_norms(C).sum(axis=1)
-    pen_w = lambdas * _row_norms(W).sum(axis=1)
-    return fid + pen_c + pen_w, D
+    return fid + phis * _row_norms(C).sum(axis=1), D
 
 
 def objective(model: FactorModel, d: Dataset, a, cfg: FitConfig) -> float:
@@ -415,8 +402,8 @@ def objective(model: FactorModel, d: Dataset, a, cfg: FitConfig) -> float:
     a = _avec(a, d.n)
     _block_inputs(d, model.W, model.V, model.C)
     obj, _ = _objectives(d.Y, assemble_design(d), a, model.W[None], model.V[None],
-                         model.C[None], np.array([cfg.lambda_w]), np.array([cfg.phi_c]))
-    return float(obj[0])
+                         model.C[None], np.array([cfg.phi_c]))
+    return float((obj + cfg.lambda_w * _row_norms(model.W[None]).sum(axis=1))[0])
 
 
 @dataclass(frozen=True)
@@ -482,38 +469,6 @@ def _outer_loop(objectives, step, outer_tol, cap):
         step(keep)
 
 
-class _Groups:
-    """The bookkeeping of a lockstep stack whose problems come in groups, one
-    per dataset: problem p at entry is where[p] = (g, j), the j-th of group
-    g, and the live problems lie group after group, counts[g] of group g."""
-
-    def __init__(self, sizes):
-        self.counts = list(sizes)
-        self.where = [(g, j) for g, m in enumerate(self.counts) for j in range(m)]
-        self._span()
-
-    def _span(self):
-        # spans: (g, the slice of the live stack holding group g's problems), per group with any
-        ends = accumulate(self.counts)
-        self.spans = [(g, slice(e - k, e)) for g, (e, k) in enumerate(zip(ends, self.counts)) if k]
-
-    def drop(self, keep, *per_group):
-        """Keep the live problems whose keep is True, in the counts and in each
-        list of per-group stacks; returns keep as an array, to index the rest."""
-        keep = np.array(keep)
-        for g, s in self.spans:
-            for stacks in per_group:
-                stacks[g] = stacks[g][keep[s]]
-            self.counts[g] = int(np.count_nonzero(keep[s]))
-        self._span()
-        return keep
-
-    def stopped(self, i, p):
-        # (g, j, its place in group g) of problem p, at place i of the live stack
-        g, j = self.where[p]
-        return g, j, i - sum(self.counts[:g])
-
-
 def _check_stack(parts, cfgs):
     # parts and cfgs as lists, and the first configuration, which the others
     # equal up to lambda_w and phi_c
@@ -528,63 +483,112 @@ def _check_stack(parts, cfgs):
     return parts, cfgs, first
 
 
-def _descend(groups, cfg: FitConfig, lambdas, phis, update_c: bool):
-    """Block descent on the problems (g, j): the data (Y, Z, a) of groups[g] with
-    the penalties lambdas[g][j] and phis[g][j], at the rank and tolerances of
-    cfg. Yields (g, j, model) as each problem stops in ``_outer_loop``.
+def _lockstep(cfgs, firsts, objective, targets, model, max_inner, v_step=None, per_group=()):
+    """The skeleton of every lockstep stack: the problems (g, j), at the
+    configurations cfgs[g][j] (``_check_stack``'s), in one ``_outer_loop``.
+    Yields (g, j, model(st, g, i, k, objs, sweeps, converged, n_outer)) as
+    problem (g, j) stops, at place i of the live stack and k of its group.
+
+    st holds the live problems' stacks by name: each of firsts[g]'s, group
+    g's initial value once per problem ("W", which the sweep steps, and its
+    Gram matrix "gram" among them; the same shapes in every group), and
+    "lam" and "phi", each problem's lambda_w and phi_c. objective(st, g, s)
+    gives the objectives of group g's problems, at slice s of st, but for
+    the W penalty lambda_w sum_k ||w_k||, which is added over the whole
+    stack. An outer step drops the problems that stopped, if any, from st
+    and from each list of per-group stacks in per_group; targets(st, spans),
+    spans the groups' (g, s), gives the sweep targets; one ``_sweep_rows``
+    call of up to max_inner sweeps steps W; then v_step(st), if given.
+    Every operation acts per problem, so each problem's iterates and stop
+    are those it has alone.
+    """
+    # problem p at entry is where[p] = (g, j), the j-th of group g; the live
+    # problems lie group after group, counts[g] of group g
+    cfg, counts = cfgs[0][0], [len(cs) for cs in cfgs]
+    where = [(g, j) for g, m in enumerate(counts) for j in range(m)]
+    st = {k: np.repeat(np.stack([f[k] for f in firsts]), counts, axis=0) for k in firsts[0]}
+    for k, name in (("lam", "lambda_w"), ("phi", "phi_c")):
+        st[k] = np.array([getattr(c, name) for cs in cfgs for c in cs], dtype=float)
+    ws = [0] * len(st["lam"])  # per problem: its last W sweeps
+
+    def span():  # (g, the slice of the live stack holding group g's problems), per group with any
+        ends = accumulate(counts)
+        return [(g, slice(e - m, e)) for g, (e, m) in enumerate(zip(ends, counts)) if m]
+
+    spans = span()
+
+    def objectives():
+        new = np.concatenate([objective(st, g, s) for g, s in spans])
+        return (new + st["lam"] * _row_norms(st["W"]).sum(axis=1)).tolist(), ws
+
+    def step(keep):
+        nonlocal ws, spans
+        if not all(keep):
+            keep = np.array(keep)
+            for g, s in spans:
+                for stacks in per_group:
+                    stacks[g] = stacks[g][keep[s]]
+                counts[g] = int(np.count_nonzero(keep[s]))
+            spans = span()
+            st.update({k: x[keep] for k, x in st.items()})
+        T0 = targets(st, spans)
+        ws = _sweep_rows(st["gram"], T0, st["W"], st["lam"] / 2.0, cfg.inner_tol,
+                         max_inner).tolist()
+        if v_step:
+            v_step(st)
+
+    for i, p, *stop in _outer_loop(objectives, step, cfg.outer_tol, cfg.max_outer):
+        g, j = where[p]
+        yield g, j, model(st, g, i, i - sum(counts[:g]), *stop)
+
+
+def _descend(groups, cfgs, update_c: bool):
+    """Block descent on the problems (g, j): the data (Y, Z, a) of groups[g]
+    at the configuration cfgs[g][j], in one ``_lockstep`` stack. Yields
+    (g, j, model) as each problem stops.
 
     Each group's Gram matrix and initializer are computed once, and its
     objectives keep its residual D. An outer step, in block order: per group,
     the C step from D and the sweep targets G^T F V and G^T F; one W sweep of
-    the stack; one V step. Each problem's iterates, trace and stop are those
-    it has alone, since every operation acts per problem.
+    the stack; one V step.
     """
-    stack = _Groups(map(len, lambdas))
-    lam, phi = (np.array([v for vs in x for v in vs], dtype=float) for x in (lambdas, phis))
-    # per group: its data and 2 a^2, and the C of its problems still iterating
-    data, C, W, V, gram = [], [], [], [], []
-    for (Y, Z, a), m in zip(groups, stack.counts):
+    cfg = cfgs[0][0]
+    # per group: its data and 2 a^2, the C of its problems still iterating, its
+    # residual D and this step's G^T F, and its problems' first W, V and Gram matrix
+    data, C, D, GF, firsts = [], [], [None] * len(groups), [], []
+    for (Y, Z, a), cs in zip(groups, cfgs):
         G = a[:, None] * Z
         W0, V0 = _initialize(Y, Z, a, cfg.rank)
         data.append((Y, Z, a, G, 2.0 * a * a))
-        C.append(np.zeros((m,) + Y.shape))
-        for x, x0 in ((W, W0), (V, V0), (gram, G.T @ G)):
-            x.append(np.repeat(x0[None], m, axis=0))
-    W, V, gram = map(np.concatenate, (W, V, gram))
-    # per group: its residual D; per problem: its last W sweeps
-    D, ws = [None] * len(groups), [0] * len(W)
+        C.append(np.zeros((len(cs),) + Y.shape))
+        firsts.append({"W": W0, "V": V0, "gram": G.T @ G})
 
-    def objectives():
-        new = []
-        for g, s in stack.spans:
-            obj, D[g] = _objectives(*data[g][:3], W[s], V[s], C[g], lam[s], phi[s])
-            new += obj.tolist()
-        return new, ws
+    def objective(st, g, s):
+        obj, D[g] = _objectives(*data[g][:3], st["W"][s], st["V"][s], C[g], st["phi"][s])
+        return obj
 
-    def step(keep):
-        nonlocal W, V, gram, lam, phi, ws
-        if not all(keep):
-            keep = stack.drop(keep, C, D)
-            W, V, gram, lam, phi = W[keep], V[keep], gram[keep], lam[keep], phi[keep]
-        T0, GF = [], []
-        for g, s in stack.spans:
+    def targets(st, spans):
+        T0 = []
+        GF.clear()
+        for g, s in spans:
             Y, _, a, G, aa2 = data[g]
-            C[g] = _shrink_rows(D[g], phi[s, None] / aa2) if update_c else C[g]
+            C[g] = _shrink_rows(D[g], st["phi"][s, None] / aa2) if update_c else C[g]
             D[g] = None
             F = a[:, None] * (Y - C[g])  # F = A (Y - C)
-            T0.append(G.T @ (F @ V[s]))
+            T0.append(G.T @ (F @ st["V"][s]))
             GF.append(G.T @ F)
-        ws = _sweep_rows(gram, np.concatenate(T0), W, lam / 2.0, cfg.inner_tol,
-                         cfg.max_inner).tolist()
-        V = _v_block(W.mT @ np.concatenate(GF), V)
+        return np.concatenate(T0)
 
-    stops = _outer_loop(objectives, step, cfg.outer_tol, cfg.max_outer)
-    for i, p, objs, sweeps, converged, n_outer in stops:
-        g, j, k = stack.stopped(i, p)
+    def v_step(st):
+        st["V"] = _v_block(st["W"].mT @ np.concatenate(GF), st["V"])
+
+    def model(st, g, i, k, objs, sweeps, converged, n_outer):
         trace = FitTrace(objective=np.asarray(objs), w_sweeps=sweeps[1:],
                          c_sweeps=[int(update_c)] * n_outer, converged=converged,
                          n_outer=n_outer, w_capped=sweeps.count(cfg.max_inner))
-        yield g, j, FactorModel(W=W[i], V=V[i], C=C[g][k], rank=cfg.rank, trace=trace)
+        return FactorModel(W=st["W"][i], V=st["V"][i], C=C[g][k], rank=cfg.rank, trace=trace)
+
+    yield from _lockstep(cfgs, firsts, objective, targets, model, cfg.max_inner, v_step, (C, D))
 
 
 def _fit_groups(parts, cfgs, update_c: bool = True):
@@ -602,8 +606,7 @@ def _fit_groups(parts, cfgs, update_c: bool = True):
         a = _avec(a, d.n)
         _check_rank(first.rank, d.n_features, d.q)
         groups.append((d.Y, assemble_design(d), a))
-    return _descend(groups, first, [[c.lambda_w for c in cs] for cs in cfgs],
-                    [[c.phi_c for c in cs] for cs in cfgs], update_c)
+    return _descend(groups, cfgs, update_c)
 
 
 def fit_batch(d: Dataset, a, cfgs, update_c: bool = True) -> list:

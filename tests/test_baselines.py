@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from multicate import (
     fit_wmcmrrr,
     validate_dataset,
 )
+from multicate import baselines, solver
 
 from conftest import make_dataset, rrr_objective, rrr_oracle, wls_oracle
 
@@ -168,17 +170,24 @@ def test_wmcm_l1_surrogate_trace_monotone():
 # =============================================================================
 
 
-@pytest.mark.parametrize("method", ["fit", "wmcmrrr", "wmcm", "wfull"])
+@pytest.mark.parametrize("method", ["fit", "wmcmrrr", "wmcm", "wfull",
+                                    "fit_groups stack", "wmcm stack", "wfull stack"])
 def test_non_finite_objective_raises_at_outer_iteration_0(method):
     # outcomes near the float limit overflow the first objective; every fit
-    # stops there by the one rule, none runs on an infinite objective
-    d, _ = make_dataset(20, 2, 3, seed=5)
-    d = validate_dataset(d.X, d.Y * 1e155, d.T)
+    # stops there by the one rule, none runs on an infinite objective. In a
+    # two-group stack only the second group overflows: the one objectives
+    # loop of solver._lockstep still raises at iteration 0
+    d0, _ = make_dataset(20, 2, 3, seed=5)
+    d = validate_dataset(d0.X, d0.Y * 1e155, d0.T)
     a, cfg = np.ones(20), FitConfig(rank=2)
+    parts, cfgs = [(d0, a), (d, a)], [[cfg, replace(cfg, lambda_w=1.0)]] * 2
     run = {"fit": lambda: fit(d, a, cfg),
            "wmcmrrr": lambda: fit_wmcmrrr(d, a, 2, cfg=cfg),
            "wmcm": lambda: fit_wmcm(d, a, 0.0, cfg=cfg),
-           "wfull": lambda: fit_wfull(d, a, 0.0, cfg=cfg)}[method]
+           "wfull": lambda: fit_wfull(d, a, 0.0, cfg=cfg),
+           "fit_groups stack": lambda: list(solver._fit_groups(parts, cfgs)),
+           "wmcm stack": lambda: list(baselines._fit_stack("wmcm", parts, cfgs)),
+           "wfull stack": lambda: list(baselines._fit_stack("wfull", parts, cfgs))}[method]
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="non-finite at outer iteration 0$"):
         run()

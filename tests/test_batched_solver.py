@@ -273,12 +273,16 @@ def test_fold_stack_with_column_zero_in_one_training_fold():
     assert any(np.any(stacked[g, j].W[2]) for g in (1, 2) for j in range(len(cfgs)))
 
 
-def test_fold_stack_yields_by_iteration_then_group_then_configuration():
-    # consumers (CV scores each model as it stops) rely on this order
+@pytest.mark.parametrize("stack", [solver._fit_groups,
+                                   lambda parts, cfgs: baselines._fit_stack("wmcm", parts, cfgs),
+                                   lambda parts, cfgs: baselines._fit_stack("wfull", parts, cfgs)],
+                         ids=["fit_groups", "wmcm", "wfull"])
+def test_fold_stack_yields_by_iteration_then_group_then_configuration(stack):
+    # consumers (CV scores each model as it stops, run_scenario files it by
+    # replication) rely on this order, which solver._lockstep sets for every stack
     d = _contaminated(n=80, seed=5)
     parts = [(d_tr, np.ones(d_tr.n)) for d_tr in _training_folds(d, 3, seed=1)]
-    order = [(m.trace.n_outer, g, j)
-             for g, j, m in solver._fit_groups(parts, [_grid_cfgs(1)] * len(parts))]
+    order = [(m.trace.n_outer, g, j) for g, j, m in stack(parts, [_grid_cfgs(1)] * len(parts))]
     assert len(order) == 27 and order == sorted(order)
     # some iteration stops problems of several groups and several configurations
     assert any(len({g for n, g, _ in order if n == t}) > 1
@@ -430,32 +434,6 @@ def test_baseline_stack_equals_each_fit_alone(method, q):
             gamma, B, objs = _ref_baseline(d, a, lam, cfg, main_effect=method == "wfull")
             assert np.array_equal(stacked[g, j].gamma, gamma)
             assert np.array_equal(stacked[g, j].trace.objective, objs)
-
-
-@pytest.mark.parametrize("q, groups, lambdas", [(1, 3, _BASELINE_LAMBDAS), (2, 2, (3.0, 400.0)),
-                                                (10, 1, (3.0, 400.0))])
-def test_wmcm_stack_sweeps_the_last_few_problems_on_set_ups_they_keep(monkeypatch, q, groups,
-                                                                      lambdas):
-    # more problems than _sweep_rows would sweep one at a time (_ALONE_MAX at
-    # q <= 2, else 1): the stack is swept whole until the heavy penalties stop,
-    # then each problem left runs its own set-up, built once for the rest of its fit
-    parts = _baseline_parts(q)[:groups]
-    alone = solver._alone(parts[0][0].n_features, q)
-    assert groups * len(lambdas) > alone
-    calls = []
-    for name in ("_sweep_rows", "_sweep_setup", "_sweep_run"):
-        def recording(*args, _fn=getattr(baselines, name), _name=name):
-            calls.append((_name, len(args[0])))
-            return _fn(*args)
-        monkeypatch.setattr(baselines, name, recording)
-    stacked, _ = _baseline_stack("wmcm", parts, lambdas)
-    monkeypatch.undo()
-    names = [name for name, _ in calls]
-    assert all(m > alone for name, m in calls if name == "_sweep_rows") and "_sweep_rows" in names
-    assert 0 < names.count("_sweep_setup") <= alone < names.count("_sweep_run")
-    for g, (d, a) in enumerate(parts):
-        for j, lam in enumerate(lambdas):
-            _assert_same_baseline(stacked[g, j], fit_wmcm(d, a, lam))
 
 
 @pytest.mark.parametrize("method", ["wmcm", "wfull"])
@@ -860,24 +838,6 @@ def test_blocked_float_sweep_equals_sequential_push(monkeypatch, r, B, P_of_B):
             ref, n_ref = _sequential_sweep(gram, t0, w0, half, 1e-10, max_inner)
         # byte for byte, so signed zeros and NaNs count
         assert (n, w.tobytes()) == (n_ref, ref.tobytes()), label
-
-
-@pytest.mark.parametrize("max_inner", [1, 5, 100])
-@pytest.mark.parametrize("P", [solver._BLOCK - 3, 2 * solver._BLOCK + 5])
-@pytest.mark.parametrize("r", [1, 2, 3, 10])
-def test_reused_sweep_setup_equals_fresh_calls(r, P, max_inner):
-    # one set-up run four times (from w0, on from there, from -2 w0, on from
-    # there) equals four fresh _sweep_one calls byte for byte, W and counts:
-    # nothing a run leaves in the set-up's buffers reaches the next run
-    for label, gram, t0, w0, half, _ in _blocked_cases(P, r, solver._BLOCK):
-        setup = solver._sweep_setup(gram, t0, half)
-        for start in (w0, None, -2.0 * w0, None):
-            if start is not None:
-                w_run, w_one = start.copy(), start.copy()
-            with np.errstate(invalid="ignore"):
-                n_run = solver._sweep_run(setup, w_run, 1e-10, max_inner)
-                n_one = solver._sweep_one(gram, t0, w_one, half, 1e-10, max_inner)
-            assert (n_run, w_run.tobytes()) == (n_one, w_one.tobytes()), label
 
 
 @pytest.mark.parametrize("rank", [1, 2])

@@ -2,12 +2,12 @@
 """SHA-256 digests of the outputs of every benchmark op, to check that a change
 leaves them bit for bit as they were.
 
-For each seed, runs the ops of pass 0 of one workload of
-``perfbench/workloads.py``, or of one built-in entry (below), once and prints
-one line per op, ``seed/workload/op  digest``, then one per file the pass
-wrote, ``seed/workload/file:name  digest``. An op's digest covers what it
-returns (models and baseline fits with their traces, replication rows, the
-CLI's exit code and stdout), the result of every ``wmcml1`` fit,
+For each workload named, in turn, and each seed, runs the ops of pass 0 of
+that workload of ``perfbench/workloads.py``, or of a built-in entry (below),
+once and prints one line per op, ``seed/workload/op  digest``, then one per
+file the pass wrote, ``seed/workload/file:name  digest``. An op's digest
+covers what it returns (models and baseline fits with their traces,
+replication rows, the CLI's exit code and stdout), the result of every ``wmcml1`` fit,
 cross-validation and evaluation called inside it, in call order, and every
 model the lockstep stacks ``solver._fit_groups`` and
 ``baselines._fit_stack`` yield inside it, as a multiset (sorted per-model
@@ -20,7 +20,8 @@ and 0.0 differ; the work directory and the checkout's path are masked in
 strings and files.
 
     python3 tools/output_digests.py --workload cli-trial --seeds 0 1 2
-    python3 tools/output_digests.py --workload cli-trial --seeds 0 1 2 --root ../parent
+    python3 tools/output_digests.py --seeds 0 1 2 --root ../parent \
+        --workload sim-cv-rct fit-obs50 cli-trial a06-cell obs-nocv
 
 ``--root`` names the source checkout whose ``src/`` and ``perfbench/`` are
 imported (default: the one holding this script), so two runs, one per
@@ -224,7 +225,7 @@ def digests(workload, seed: int, root: str) -> list:
 def main(argv=None) -> int:
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True,
+    parser.add_argument("--workload", required=True, nargs="+",
                         choices=("sim-cv-rct", "fit-obs50", "cli-trial", *BUILT_IN))
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     parser.add_argument("--root", default=here,
@@ -232,10 +233,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
-    workload = BUILT_IN.get(args.workload) or import_module("workloads").WORKLOADS[args.workload]
-    for seed in args.seeds:
-        for label, digest in digests(workload, seed, root):
-            print(f"{label}  {digest}", flush=True)
+    for name in args.workload:
+        workload = BUILT_IN.get(name) or import_module("workloads").WORKLOADS[name]
+        for seed in args.seeds:
+            for label, digest in digests(workload, seed, root):
+                print(f"{label}  {digest}", flush=True)
     return 0
 
 
