@@ -436,6 +436,28 @@ def test_baseline_stack_equals_each_fit_alone(method, q):
             assert np.array_equal(stacked[g, j].trace.objective, objs)
 
 
+@pytest.mark.parametrize("q, groups, lambdas", [(1, 3, _BASELINE_LAMBDAS), (2, 2, (3.0, 400.0)),
+                                                (10, 1, (3.0, 400.0))])
+def test_wmcm_stack_sweeps_the_last_few_problems_alone(monkeypatch, q, groups, lambdas):
+    # more problems than _sweep_rows sweeps one at a time (_alone): the stack
+    # steps NumPy rows until the heavy penalties stop, then each _sweep_rows
+    # call hands every problem left to _sweep_one; each model equals its fit alone
+    parts = _baseline_parts(q)[:groups]
+    m = groups * len(lambdas)
+    alone = solver._alone(parts[0][0].n_features, q)
+    assert m > alone
+    calls = _recorded_sweeps(monkeypatch)
+    stacked, _ = _baseline_stack("wmcm", parts, lambdas)
+    monkeypatch.undo()
+    # wmcm sweeps once per outer iteration, in the stack or alone
+    sizes = [c[1] for c in calls if c[0] == "rows"]
+    assert sizes[0] == m and all(c[-1] == 1 for c in calls)
+    assert any(n <= alone for n in sizes) and ("one", 1) in calls
+    for g, (d, a) in enumerate(parts):
+        for j, lam in enumerate(lambdas):
+            _assert_same_baseline(stacked[g, j], fit_wmcm(d, a, lam))
+
+
 @pytest.mark.parametrize("method", ["wmcm", "wfull"])
 def test_baseline_stack_with_zero_design_column_in_one_group(method):
     # column 2 zero in group 1 only: the stacked sweep steps that row with a unit
@@ -838,6 +860,32 @@ def test_blocked_float_sweep_equals_sequential_push(monkeypatch, r, B, P_of_B):
             ref, n_ref = _sequential_sweep(gram, t0, w0, half, 1e-10, max_inner)
         # byte for byte, so signed zeros and NaNs count
         assert (n, w.tobytes()) == (n_ref, ref.tobytes()), label
+
+
+@pytest.mark.parametrize("max_inner", [1, 5, 100])
+@pytest.mark.parametrize("P", [solver._BLOCK - 3, 2 * solver._BLOCK + 5])
+@pytest.mark.parametrize("r", [1, 2, 3, 10])
+def test_sweep_resumed_where_it_stopped_equals_one_run(r, P, max_inner):
+    # _sweep_rows hands a problem to _sweep_one after the sweeps it ran in the
+    # stack, for the sweeps left. A sweep carries nothing but W to the next, and
+    # a call nothing to the next call: cut after k sweeps and resumed with the
+    # cap left, a run equals one run byte for byte, W, count and stop included;
+    # a second call from the same start equals the first; gram and t0 stay as given
+    for label, gram, t0, w0, half, _ in _blocked_cases(P, r, solver._BLOCK):
+        inputs = gram.tobytes(), t0.tobytes()
+        for start in (w0, -2.0 * w0):
+            w_one, w_again = start.copy(), start.copy()
+            with np.errstate(invalid="ignore"):
+                n_one = solver._sweep_one(gram, t0, w_one, half, 1e-10, max_inner)
+                n_again = solver._sweep_one(gram, t0, w_again, half, 1e-10, max_inner)
+                assert (n_again, w_again.tobytes()) == (n_one, w_one.tobytes()), label
+                for k in sorted({1, n_one // 2, n_one - 1} & set(range(1, n_one))):
+                    w_cut = start.copy()
+                    n_first = solver._sweep_one(gram, t0, w_cut, half, 1e-10, k)
+                    n_rest = solver._sweep_one(gram, t0, w_cut, half, 1e-10, max_inner - k)
+                    assert (n_first + n_rest, w_cut.tobytes()) == (n_one, w_one.tobytes()), \
+                        (label, k)
+        assert (gram.tobytes(), t0.tobytes()) == inputs, label
 
 
 @pytest.mark.parametrize("rank", [1, 2])
