@@ -10,14 +10,13 @@ structure:
 * ``fit_wfull``    - squared loss with explicit main-effect term X B.
 
 In a half-half randomized trial the weights are constant, so these reduce to
-their unweighted versions. Each fit stops by the solver's one outer rule
-(``solver._outer_loop``), so a non-finite objective raises NumericalError, as
-in ``fit``. ``fit_wmcm`` and ``fit_wfull`` are stacks of one in
-``_fit_stack``, which cross-validation and the simulation study use to fit
-every penalty on every training fold or replication in lockstep, bit for bit
-as each alone. It runs on ``solver._lockstep``, the loop of the solver's
-lockstep descent, which ``fit_wmcmrrr`` fits through; ``fit_wmcm_l1`` fits
-alone.
+their unweighted versions. Every fit runs on the solver's one outer loop and
+stop rule (``solver._lockstep``), so a non-finite objective raises
+NumericalError, as in ``fit``. ``fit_wmcmrrr`` fits through the solver's
+descent; ``fit_wmcm`` and ``fit_wfull`` are stacks of one in ``_fit_stack``
+and ``fit_wmcm_l1`` in ``_fit_l1_stack``, which cross-validation and the
+simulation study use to fit every penalty on every training fold or
+replication in lockstep, bit for bit as each alone.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, FitConfig, NumericalError, assemble_design
-from .solver import (FitTrace, _check_stack, _lockstep, _outer_loop, _row_norms, _weighted,
+from .solver import (FitTrace, _check_stack, _lockstep, _row_sweep, _sums, _weighted,
                      fit as _fit_factor)
 
 HUBER_DELTA = 1e-4
@@ -78,8 +77,9 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
 
 
 def _fit_one(method, d, a, lambda_w, cfg):
-    cfg = replace(cfg or FitConfig(rank=1), lambda_w=lambda_w)
-    ((_, _, model),) = _fit_stack(method, [(d, a)], [[cfg]])
+    parts, cfgs = [(d, a)], [[replace(cfg or FitConfig(rank=1), lambda_w=lambda_w)]]
+    stack = _fit_l1_stack(parts, cfgs) if method == "wmcml1" else _fit_stack(method, parts, cfgs)
+    ((_, _, model),) = stack
     return model
 
 
@@ -124,7 +124,7 @@ def _fit_stack(method, parts, cfgs):
         a, G, Yw, X, Y, Z, _ = data[g]
         gamma = st["W"][s]
         R = a[:, None] * (Y - X @ st["B"][s] - Z @ gamma) if full else Yw - G @ gamma
-        return (R * R).reshape(len(R), -1).sum(axis=1)  # each problem's float(np.sum(R * R))
+        return _sums(R * R)
 
     def targets(st, spans):
         if not full:
@@ -143,65 +143,92 @@ def _fit_stack(method, parts, cfgs):
             T0.append(G.T @ (a[:, None] * (Y - X @ st["B"][s])))
         return np.concatenate(T0)
 
+    def update(st, spans):
+        return _row_sweep(st, targets(st, spans), cfg.inner_tol, cfg.max_inner if full else 1)
+
     def model(st, g, i, k, objs, sweeps, converged, n_outer):
         trace = FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
         return BaselineModel(gamma=st["W"][i].copy(), method=method,
                              B=st["B"][i].copy() if full else None, trace=trace)
 
-    yield from _lockstep(cfgs, firsts, objective, targets, model, cfg.max_inner if full else 1)
+    yield from _lockstep(cfgs, firsts, objective, update, model, cfg.max_outer)
 
 
 def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> BaselineModel:
     """Absolute-loss row-sparse fit: min ||A(Y - Z Gamma)||_{1,1} + lambda ||Gamma||_{2,1}.
 
     The elementwise absolute loss is smoothed by a narrow Huber function
-    (delta = 1e-4) and minimized by proximal gradient with a backtracking
-    line search; the recorded objective is the smoothed surrogate, which is
-    non-increasing. Raises NumericalError if the cap of max_outer * max_inner
-    iterations is hit.
+    (delta = HUBER_DELTA) and minimized by proximal gradient with a
+    backtracking line search; the recorded objective is the smoothed
+    surrogate, which is non-increasing. Raises NumericalError if the cap of
+    max_outer * max_inner iterations is hit. A stack of one in ``_fit_l1_stack``.
     """
-    cfg = replace(cfg or FitConfig(rank=1), lambda_w=lambda_w)
-    _, G, Yw = _weighted(d, a)
-    gamma = np.zeros((d.n_features, d.q))
-    delta = HUBER_DELTA
+    return _fit_one("wmcml1", d, a, lambda_w, cfg)
 
-    def smooth_loss(R):
-        absr = np.abs(R)
-        quad = absr <= delta
-        return float(np.sum(np.where(quad, R * R / (2.0 * delta), absr - delta / 2.0)))
 
-    def prox(P, t):
-        # group soft threshold of every row: fmax maps 0/0 to 0, + 0.0 maps -0.0 to 0.0
-        nv = np.sqrt(np.vecdot(P, P, keepdims=True))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.fmax(1.0 - t / nv, 0.0) * P + 0.0
+def _huber(R):
+    # each problem's smoothed absolute loss of the residual stack R (m, n, q)
+    absr = np.abs(R)
+    return _sums(np.where(absr <= HUBER_DELTA, R * R / (2.0 * HUBER_DELTA),
+                          absr - HUBER_DELTA / 2.0))
 
-    R = Yw - G @ gamma
-    loss, eta = smooth_loss(R), 1.0
 
-    def step(keep):  # keep: one problem, which steps while it is in the loop
-        nonlocal gamma, R, loss, eta
-        grad = -G.T @ np.clip(R / delta, -1.0, 1.0)
-        while True:
-            cand = prox(gamma - eta * grad, eta * lambda_w)
-            move = cand - gamma
-            R_cand = Yw - G @ cand
-            lhs = smooth_loss(R_cand)
-            rhs = loss + float(np.sum(grad * move)) + float(np.sum(move * move)) / (2.0 * eta)
-            if lhs <= rhs + 1e-12 * (1.0 + abs(loss)):
-                break
-            eta *= 0.5
-            if eta < 1e-20:
-                raise NumericalError("line search failed in absolute-loss fit")
-        gamma, R, loss = cand, R_cand, lhs
-        eta *= 1.5
+def _fit_l1_stack(parts, cfgs):
+    """Fit the absolute-loss baseline at the configurations cfgs[g] to each
+    (d, a) = parts[g] in one lockstep stack (``solver._lockstep``); an
+    iterator of (g, j, model) for cfgs[g][j], in the order the problems stop.
 
-    def objectives():
-        return [loss + lambda_w * _row_norms(gamma).sum()], [0]
-
+    The configurations may differ only in lambda_w and phi_c (unused here).
+    Each problem keeps its step eta and the surrogate loss its line search
+    accepted, which its objective reads. A step takes per group the gradient
+    at each problem's residual, then a proximal step per problem; a problem
+    whose candidate fails the line search retries alone at eta / 2, and an
+    accepted one goes on with 1.5 eta. Every operation acts per problem, so
+    each model, trace included, equals the one the problem gives alone, bit
+    for bit. A problem at the cap of max_outer * max_inner iterations raises
+    NumericalError.
+    """
+    parts, cfgs, cfg = _check_stack(parts, cfgs)
     cap = cfg.max_outer * cfg.max_inner
-    ((_, _, objs, _, converged, n_outer),) = _outer_loop(objectives, step, cfg.outer_tol, cap)
-    trace = FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
-    if not trace.converged:
-        raise NumericalError(f"absolute-loss fit did not converge in {cap} iterations")
-    return BaselineModel(gamma=gamma, method="wmcml1", trace=trace)
+    # per group: A Z and A Y, and the residuals R of its problems still iterating;
+    # its problems' first Gamma ("W"), surrogate loss and step
+    data, R, firsts = [], [], []
+    for (d, a), cs in zip(parts, cfgs):
+        _, G, Yw = _weighted(d, a)
+        W = np.zeros((d.n_features, d.q))
+        data.append((G, Yw))
+        R.append(np.repeat((Yw - G @ W)[None], len(cs), axis=0))
+        firsts.append({"W": W, "loss": _huber(R[-1][:1])[0], "eta": 1.0})
+
+    def update(st, spans):
+        for g, s in spans:
+            G, Yw = data[g]
+            W, loss, eta, lam = (st[k][s] for k in ("W", "loss", "eta", "lam"))
+            grad = -G.T @ np.clip(R[g] / HUBER_DELTA, -1.0, 1.0)
+            todo = np.arange(len(W))  # the problems still searching
+            while len(todo):
+                e, w, dw, old = eta[todo], W[todo], grad[todo], loss[todo]
+                P = w - e[:, None, None] * dw
+                t, nv = (e * lam[todo])[:, None, None], np.sqrt(np.vecdot(P, P, keepdims=True))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    # group soft threshold of every row: fmax maps 0/0 to 0, + 0.0 maps -0.0 to 0.0
+                    cand = np.fmax(1.0 - t / nv, 0.0) * P + 0.0
+                move, R_cand = cand - w, Yw - G @ cand
+                lhs = _huber(R_cand)
+                ok = lhs <= (old + _sums(dw * move) + _sums(move * move) / (2.0 * e)
+                             + 1e-12 * (1.0 + np.abs(old)))
+                done, todo = todo[ok], todo[~ok]
+                W[done], R[g][done], loss[done] = cand[ok], R_cand[ok], lhs[ok]
+                eta[done] *= 1.5
+                eta[todo] *= 0.5
+                if (eta[todo] < 1e-20).any():
+                    raise NumericalError("line search failed in absolute-loss fit")
+        return np.zeros(len(st["W"]), dtype=int)
+
+    def model(st, g, i, k, objs, sweeps, converged, n_outer):
+        if not converged:
+            raise NumericalError(f"absolute-loss fit did not converge in {cap} iterations")
+        trace = FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
+        return BaselineModel(gamma=st["W"][i].copy(), method="wmcml1", trace=trace)
+
+    yield from _lockstep(cfgs, firsts, lambda st, g, s: st["loss"][s], update, model, cap, (R,))

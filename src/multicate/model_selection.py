@@ -26,8 +26,8 @@ class _Estimator(NamedTuple):
     axes: tuple     # grid axes used besides lambda: "phi" (the C penalty), "rank"
     fit: Callable   # (d, a, cfg) -> model; cfg holds rank, lambda_w and phi_c
     # (parts, cfgs) -> an iterator of (g, j, model), cfgs[g][j] fit to parts[g] = (d, a)
-    # in one lockstep stack, each model the one fit gives, bit for bit; None: fit alone
-    stack: Callable | None
+    # in one lockstep stack, each model the one fit gives, bit for bit
+    stack: Callable
 
 
 def _frozen_c(parts, cfgs):
@@ -44,7 +44,7 @@ _ESTIMATORS = {
     "wmcmrrr": _Estimator(("rank",), lambda d, a, cfg: baselines.fit_wmcmrrr(
         d, a, cfg.rank, cfg.lambda_w, cfg), _frozen_c),
     "wmcml1": _Estimator((), lambda d, a, cfg: baselines.fit_wmcm_l1(d, a, cfg.lambda_w, cfg),
-                         None),
+                         lambda parts, cfgs: baselines._fit_l1_stack(parts, cfgs)),
     "wmcm": _Estimator((), lambda d, a, cfg: baselines.fit_wmcm(d, a, cfg.lambda_w, cfg),
                        lambda parts, cfgs: baselines._fit_stack("wmcm", parts, cfgs)),
     "wfull": _Estimator((), lambda d, a, cfg: baselines.fit_wfull(d, a, cfg.lambda_w, cfg),
@@ -240,9 +240,8 @@ def _grid_fits(method, tasks, cfg):
     convergence and capped W blocks of every point of the grid fit on every
     training fold, each shaped (lambdas, phis, ranks, folds).
 
-    A method with a stack (every one but wmcml1) runs one lockstep stack per
-    rank over the folds of every task whose grid holds it, with that task's
-    penalties; wmcml1 runs its own fit per point and fold. Each model is
+    Every method runs one lockstep stack per rank over the folds of every
+    task whose grid holds it, with that task's penalties. Each model is
     scored as it arrives.
     """
     est = _estimator(method)
@@ -254,13 +253,9 @@ def _grid_fits(method, tasks, cfg):
                  if rank in g.ranks for f, p in enumerate(folds)]
         cfgs = [[replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)
                  for lam in g.lambdas for phi in g.phis] for g, _ in tasks]
-        if est.stack is not None:
-            fits = ((parts[i], j, model) for i, j, model in est.stack(
-                [(p.d_tr, p.a_tr) for *_, p in parts], [cfgs[t] for t, *_ in parts]))
-        else:
-            fits = ((part, j, est.fit(part[3].d_tr, part[3].a_tr, c))
-                    for part in parts for j, c in enumerate(cfgs[part[0]]))
-        for (t, k, f, p), j, model in fits:
+        fits = est.stack([(p.d_tr, p.a_tr) for *_, p in parts], [cfgs[t] for t, *_ in parts])
+        for i, j, model in fits:
+            t, k, f, p = parts[i]
             loss, n_outer, converged, w_capped = out[t]
             at = (*divmod(j, len(tasks[t][0].phis)), k, f)
             loss[at] = _gamma_loss(model.gamma, p.d_he, p.a_he)
@@ -273,8 +268,8 @@ def _stack_cv(method, jobs, propensity: str, cfg: FitConfig) -> None:
     """Inside a ``_shared_folds`` block, fit a method's grid on the folds of
     every (d, grid) of jobs, one lockstep stack per rank, and store each
     dataset's fits where ``cross_validate(d, grid, method, propensity, cfg)``
-    reads them. grid is the method's own (``_method_grid``), and the method
-    has a stack. If a fit raises, nothing is stored."""
+    reads them. grid is the method's own (``_method_grid``). If a fit raises,
+    nothing is stored."""
     tasks = [(grid, _fold_parts(d, grid, propensity)[1]) for d, grid in jobs]
     fits = _grid_fits(method, tasks, cfg)
     memo = _FOLD_MEMO.get()
@@ -288,12 +283,11 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
 
     Ties in the mean loss break toward smaller rank, then larger lambda,
     then larger phi. The method's own grid (``_method_grid``) is fit, the
-    points of one rank on all folds together by one lockstep stack (wmcml1
-    point by point and fold by fold), and its results are broadcast over
-    the axes the method ignores; the losses
-    equal those of fitting every grid point with ``fit`` or the baseline
-    alone. Inside a ``_shared_folds`` block, the fits ``_stack_cv`` stored
-    for d are read, not refit.
+    points of one rank on all folds together by one lockstep stack, and its
+    results are broadcast over the axes the method ignores; the losses equal
+    those of fitting every grid point with ``fit`` or the baseline alone.
+    Inside a ``_shared_folds`` block, the fits ``_stack_cv`` stored for d are
+    read, not refit.
     """
     fit_grid = _method_grid(grid, method)  # raises on an unknown method
     if "rank" in _estimator(method).axes:  # before any fit; the folds share d's shape

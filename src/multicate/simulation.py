@@ -251,18 +251,19 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
     of a replication share its folds and fold weights.
 
     Replications run in chunks, each drawn and weighted first. Then each
-    method but wmcml1 is fit for the whole chunk by one lockstep stack (its
+    method is fit for the whole chunk by one lockstep stack (its
     ``_ESTIMATORS`` entry's: the solver's descent for wmcmr4 and wmcmrrr,
-    ``baselines._fit_stack`` for wmcm and wfull): on every replication's
-    dataset without CV, and with CV one stack per rank on every
-    replication's training folds, whose results the per-replication
-    ``cross_validate`` calls read; wmcml1 fits one replication at a time. A
-    chunk holds as many replications as keep what it holds for them (chiefly
-    the offsets C and residuals D of its descents, and their data) within
-    ``_STACK_DOUBLES`` doubles, and at least one. If a chunk's stack raises,
-    its results are dropped and its replications run one at a time. A
-    problem's iterates do not depend on its stack, so the rows are those of
-    one replication at a time, byte for byte.
+    ``baselines._fit_stack`` for wmcm and wfull, ``baselines._fit_l1_stack``
+    for wmcml1): on every replication's dataset without CV, and with CV one
+    stack per rank on every replication's training folds, whose results the
+    per-replication ``cross_validate`` calls read. A chunk holds as many
+    replications as keep what it holds for them (chiefly the offsets C and
+    residuals D of its descents, and their data) within ``_STACK_DOUBLES``
+    doubles, and at least one. If a method's stack raises, its results for
+    the chunk are dropped and it fits its replications one at a time; the
+    other methods keep theirs. A problem's iterates do not depend on its
+    stack, so the rows are those of one replication at a time, byte for
+    byte.
     """
     requested = list(methods)
     for name in requested:
@@ -278,17 +279,9 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
         chunk = {rep: _draw(spec, rep, propensity)
                  for rep in range(first, min(first + size, spec.replications))}
         with _shared_folds():  # every method's CV uses the same folds
-            try:
-                fitted = _fit_chunk(chunk, run)
-            except (DataError, NumericalError):
-                fitted = None
-            else:
-                for rep, drawn in chunk.items():
-                    rows += _replication_rows(rep, drawn, fitted, run)
-        if fitted is None:
+            fitted = _fit_chunk(chunk, run)
             for rep, drawn in chunk.items():
-                with _shared_folds():
-                    rows += _replication_rows(rep, drawn, {}, run)
+                rows += _replication_rows(rep, drawn, fitted, run)
     return rows
 
 
@@ -328,21 +321,22 @@ def _draw(spec, rep, propensity):
 
 
 def _fit_chunk(chunk, run: _Run) -> dict:
-    """The stacked fits of a chunk's methods (all but wmcml1): without CV,
-    each {(replication, method): gamma}; with CV, stored by ``_stack_cv``."""
+    """The stacked fits of a chunk's methods: without CV, each {(replication,
+    method): gamma}; with CV, stored by ``_stack_cv``. A method whose stack
+    raises keeps none of its fits, so each of its replications fits alone."""
     drawn = [(rep, x[0].dataset, x[1]) for rep, x in chunk.items() if x is not None]
     fitted = {}
     for method in dict.fromkeys(METHOD_ALIASES[str(n).lower()] for n in run.names):
-        stack = _ESTIMATORS[method].stack
-        if stack is None or not drawn:
-            continue
-        if run.cv:
-            jobs = [(d, _method_grid(_cv_grid(run, d, a), method)) for _, d, a in drawn]
-            _stack_cv(method, jobs, run.propensity, run.cfg)
-        else:
-            cfgs = [[replace(run.cfg, rank=_true_rank(run.spec, d))] for _, d, _ in drawn]
-            for g, _, model in stack([(d, a) for _, d, a in drawn], cfgs):
-                fitted[drawn[g][0], method] = model.gamma
+        try:  # a stack of no replication raises DataError
+            if run.cv:
+                jobs = [(d, _method_grid(_cv_grid(run, d, a), method)) for _, d, a in drawn]
+                _stack_cv(method, jobs, run.propensity, run.cfg)
+            else:
+                cfgs = [[replace(run.cfg, rank=_true_rank(run.spec, d))] for _, d, _ in drawn]
+                fits = _ESTIMATORS[method].stack([(d, a) for _, d, a in drawn], cfgs)
+                fitted.update({(drawn[g][0], method): model.gamma for g, _, model in fits})
+        except (DataError, NumericalError):
+            pass
     return fitted
 
 

@@ -13,14 +13,14 @@ With z_i = T_i x_i / 2 the fidelity term is ||A (Y - Z W V^T - C)||_F^2,
 which is the form the updates below work with.
 
 Every fit, the baselines' too, runs one outer loop with one stop rule,
-``_outer_loop``. ``_lockstep`` runs it on many problems in lockstep along a
-leading stack axis: all share the rank and tolerances, each has its own
-penalties, and each group of them shares one dataset (in cross-validation,
-one group per training fold). It keeps the groups' spans, drops the
-problems that stop and makes the one ``_sweep_rows`` call of every stack;
-its users give only what differs: ``_descend`` the C step before the sweep
-and the V step after it (``fit_batch`` is one group and ``fit`` a batch of
-one), and ``baselines._fit_stack`` the wmcm and wfull steps. The W row
+``_lockstep``, on many problems in lockstep along a leading stack axis (a
+fit alone is a stack of one): all share the rank and tolerances, each has
+its own penalties, and each group of them shares one dataset (in
+cross-validation, one group per training fold). Its users give only the
+objective and the outer step: ``_descend`` the C step, a W row sweep and
+the V step (``fit_batch`` is one group and ``fit`` a batch of one),
+``baselines._fit_stack`` the wmcm and wfull steps around a row sweep, and
+``baselines._fit_l1_stack`` wmcml1's proximal gradient step. The W row
 sweep is ``_sweep_rows`` for a stack and ``_sweep_one`` for one problem,
 with the same IEEE operations; small stacks at r <= 2 sweep each problem
 alone (``_ALONE_MAX``).
@@ -97,6 +97,11 @@ def group_soft_threshold(v, t: float) -> np.ndarray:
 def _row_norms(R):
     # np.linalg.norm(R, axis=-1), the same sums without its call overhead
     return np.sqrt(np.add.reduce(R * R, axis=-1))
+
+
+def _sums(x):
+    # each problem's sum over its slice of the stack x, with the bits of np.sum on that slice
+    return x.reshape(len(x), -1).sum(axis=1)
 
 
 def _shrink_rows(R, thresholds):
@@ -393,8 +398,7 @@ def _objectives(Y, Z, a, W, V, C, phis):
     the next C step reuses."""
     D = Y - Z @ (W @ V.mT)
     R = a[:, None] * (D - C)
-    fid = (R * R).reshape(len(R), -1).sum(axis=1)
-    return fid + phis * _row_norms(C).sum(axis=1), D
+    return _sums(R * R) + phis * _row_norms(C).sum(axis=1), D
 
 
 def objective(model: FactorModel, d: Dataset, a, cfg: FitConfig) -> float:
@@ -414,7 +418,7 @@ class FitTrace:
     sweep t. The sequence is non-increasing. c_sweeps[t] is 1 when the exact
     C step ran (0 with C frozen); w_sweeps[t] counts the W row sweeps, and
     w_capped the outer iterations whose W block ran all max_inner sweeps
-    (its inner_tol test never passed). converged: ``_outer_loop``'s decrease test stopped it.
+    (its inner_tol test never passed). converged: ``_lockstep``'s decrease test stopped it.
     """
 
     objective: np.ndarray
@@ -436,39 +440,6 @@ def _initialize(Y, Z, a, rank):
     return gamma0 @ V0, V0
 
 
-def _outer_loop(objectives, step, outer_tol, cap):
-    """The outer loop of every fit, over a stack of problems; a generator.
-
-    objectives() gives the live problems' objectives and last W sweep counts;
-    step(keep) drops the problems whose keep is False and steps the rest once.
-    Iteration 0 sets each problem's threshold, outer_tol times its objective
-    (times 1.0 if that is not positive); then a problem iterates while its
-    objective falls by at least that, up to iteration cap. A non-finite
-    objective raises NumericalError. Yields (i, p, objectives, w_sweeps,
-    converged, n_outer) as problem p stops, i its place in the live stack.
-    The bookkeeping is in Python floats, cheap for a stack of one.
-    """
-    for n_outer in range(cap + 1):
-        new, ws = objectives()
-        if not all(map(math.isfinite, new)):
-            raise NumericalError(f"objective became non-finite at outer iteration {n_outer}")
-        if n_outer:
-            keep = [objs[p][-1] - o >= t for p, o, t in zip(live, new, thresh)]
-        else:  # per problem: its threshold, objectives and W sweep counts
-            live, keep = list(range(len(new))), [True] * len(new)
-            thresh = [outer_tol * (o if o > 0 else 1.0) for o in new]
-            objs, sweeps = [[] for _ in new], [[] for _ in new]
-        for i, (p, o, w, k) in enumerate(zip(live, new, ws, keep)):
-            objs[p].append(o)
-            sweeps[p].append(w)
-            if not k or n_outer == cap:
-                yield i, p, objs[p], sweeps[p], not k, n_outer
-        if n_outer == cap or not any(keep):
-            return
-        live, thresh = list(compress(live, keep)), list(compress(thresh, keep))
-        step(keep)
-
-
 def _check_stack(parts, cfgs):
     # parts and cfgs as lists, and the first configuration, which the others
     # equal up to lambda_w and phi_c
@@ -483,47 +454,62 @@ def _check_stack(parts, cfgs):
     return parts, cfgs, first
 
 
-def _lockstep(cfgs, firsts, objective, targets, model, max_inner, v_step=None, per_group=()):
-    """The skeleton of every lockstep stack: the problems (g, j), at the
-    configurations cfgs[g][j] (``_check_stack``'s), in one ``_outer_loop``.
-    Yields (g, j, model(st, g, i, k, objs, sweeps, converged, n_outer)) as
-    problem (g, j) stops, at place i of the live stack and k of its group.
+def _lockstep(cfgs, firsts, objective, update, model, cap, per_group=()):
+    """The outer loop of every fit: the problems (g, j), at the configurations
+    cfgs[g][j] (``_check_stack``'s), step in lockstep; a generator.
 
-    st holds the live problems' stacks by name: each of firsts[g]'s, group
-    g's initial value once per problem ("W", which the sweep steps, and its
-    Gram matrix "gram" among them; the same shapes in every group), and
-    "lam" and "phi", each problem's lambda_w and phi_c. objective(st, g, s)
-    gives the objectives of group g's problems, at slice s of st, but for
-    the W penalty lambda_w sum_k ||w_k||, which is added over the whole
-    stack. An outer step drops the problems that stopped, if any, from st
-    and from each list of per-group stacks in per_group; targets(st, spans),
-    spans the groups' (g, s), gives the sweep targets; one ``_sweep_rows``
-    call of up to max_inner sweeps steps W; then v_step(st), if given.
-    Every operation acts per problem, so each problem's iterates and stop
-    are those it has alone.
+    st holds the live problems' stacks by name: firsts[g]'s, group g's
+    initial values once per problem ("W" among them; the same shapes in every
+    group), and "lam" and "phi", each problem's lambda_w and phi_c.
+    objective(st, g, s) gives the objectives of group g's problems, at slice
+    s of st, but for the W penalty lambda_w sum_k ||w_k||, added here.
+    Iteration 0 sets each problem's threshold, outer_tol times its objective
+    (times 1.0 if that is not positive); then a problem iterates while its
+    objective falls by at least that, up to iteration cap, and a non-finite
+    objective raises NumericalError. A step drops the problems that stopped
+    from st and from each list of per-group stacks in per_group; then
+    update(st, spans), spans the groups' (g, s), steps the rest once and
+    returns each one's W sweep count. Yields (g, j, model(st, g, i, k, objs,
+    sweeps, converged, n_outer)) as problem (g, j) stops, at place i of the
+    live stack and k of its group. Every operation acts per problem, so each
+    problem's iterates and stop are those it has alone.
     """
-    # problem p at entry is where[p] = (g, j), the j-th of group g; the live
-    # problems lie group after group, counts[g] of group g
+    # problem p at entry is where[p] = (g, j), the j-th of group g, with its objectives
+    # objs[p] and W sweep counts sweeps[p]; the live problems lie group after group,
+    # counts[g] of group g, and ws holds their last sweep counts
     cfg, counts = cfgs[0][0], [len(cs) for cs in cfgs]
     where = [(g, j) for g, m in enumerate(counts) for j in range(m)]
     st = {k: np.repeat(np.stack([f[k] for f in firsts]), counts, axis=0) for k in firsts[0]}
     for k, name in (("lam", "lambda_w"), ("phi", "phi_c")):
         st[k] = np.array([getattr(c, name) for cs in cfgs for c in cs], dtype=float)
-    ws = [0] * len(st["lam"])  # per problem: its last W sweeps
+    live, ws = list(range(len(where))), [0] * len(where)
+    objs, sweeps = [[] for _ in live], [[] for _ in live]
 
     def span():  # (g, the slice of the live stack holding group g's problems), per group with any
         ends = accumulate(counts)
         return [(g, slice(e - m, e)) for g, (e, m) in enumerate(zip(ends, counts)) if m]
 
     spans = span()
-
-    def objectives():
+    for n_outer in range(cap + 1):
         new = np.concatenate([objective(st, g, s) for g, s in spans])
-        return (new + st["lam"] * _row_norms(st["W"]).sum(axis=1)).tolist(), ws
-
-    def step(keep):
-        nonlocal ws, spans
+        new = (new + st["lam"] * _row_norms(st["W"]).sum(axis=1)).tolist()
+        if not all(map(math.isfinite, new)):
+            raise NumericalError(f"objective became non-finite at outer iteration {n_outer}")
+        if n_outer:
+            keep = [objs[p][-1] - o >= t for p, o, t in zip(live, new, thresh)]
+        else:
+            keep = [True] * len(new)
+            thresh = [cfg.outer_tol * (o if o > 0 else 1.0) for o in new]
+        for i, (p, o, w, k) in enumerate(zip(live, new, ws, keep)):
+            objs[p].append(o)
+            sweeps[p].append(w)
+            if not k or n_outer == cap:
+                g, j = where[p]
+                yield g, j, model(st, g, i, i - sum(counts[:g]), objs[p], sweeps[p], not k, n_outer)
+        if n_outer == cap or not any(keep):
+            return
         if not all(keep):
+            live, thresh = list(compress(live, keep)), list(compress(thresh, keep))
             keep = np.array(keep)
             for g, s in spans:
                 for stacks in per_group:
@@ -531,15 +517,13 @@ def _lockstep(cfgs, firsts, objective, targets, model, max_inner, v_step=None, p
                 counts[g] = int(np.count_nonzero(keep[s]))
             spans = span()
             st.update({k: x[keep] for k, x in st.items()})
-        T0 = targets(st, spans)
-        ws = _sweep_rows(st["gram"], T0, st["W"], st["lam"] / 2.0, cfg.inner_tol,
-                         max_inner).tolist()
-        if v_step:
-            v_step(st)
+        ws = update(st, spans).tolist()
 
-    for i, p, *stop in _outer_loop(objectives, step, cfg.outer_tol, cfg.max_outer):
-        g, j = where[p]
-        yield g, j, model(st, g, i, i - sum(counts[:g]), *stop)
+
+def _row_sweep(st, T0, inner_tol, max_inner):
+    # the W step of a row-sweep stack: ``_sweep_rows`` of st's "W" with its Gram
+    # matrices "gram" and lambda_w / 2 toward the targets T0; each problem's sweeps
+    return _sweep_rows(st["gram"], T0, st["W"], st["lam"] / 2.0, inner_tol, max_inner)
 
 
 def _descend(groups, cfgs, update_c: bool):
@@ -550,12 +534,12 @@ def _descend(groups, cfgs, update_c: bool):
     Each group's Gram matrix and initializer are computed once, and its
     objectives keep its residual D. An outer step, in block order: per group,
     the C step from D and the sweep targets G^T F V and G^T F; one W sweep of
-    the stack; one V step.
+    the stack (``_sweep_rows``); one V step.
     """
     cfg = cfgs[0][0]
     # per group: its data and 2 a^2, the C of its problems still iterating, its
-    # residual D and this step's G^T F, and its problems' first W, V and Gram matrix
-    data, C, D, GF, firsts = [], [], [None] * len(groups), [], []
+    # residual D, and its problems' first W, V and Gram matrix
+    data, C, D, firsts = [], [], [None] * len(groups), []
     for (Y, Z, a), cs in zip(groups, cfgs):
         G = a[:, None] * Z
         W0, V0 = _initialize(Y, Z, a, cfg.rank)
@@ -567,9 +551,8 @@ def _descend(groups, cfgs, update_c: bool):
         obj, D[g] = _objectives(*data[g][:3], st["W"][s], st["V"][s], C[g], st["phi"][s])
         return obj
 
-    def targets(st, spans):
-        T0 = []
-        GF.clear()
+    def update(st, spans):
+        T0, GF = [], []
         for g, s in spans:
             Y, _, a, G, aa2 = data[g]
             C[g] = _shrink_rows(D[g], st["phi"][s, None] / aa2) if update_c else C[g]
@@ -577,10 +560,9 @@ def _descend(groups, cfgs, update_c: bool):
             F = a[:, None] * (Y - C[g])  # F = A (Y - C)
             T0.append(G.T @ (F @ st["V"][s]))
             GF.append(G.T @ F)
-        return np.concatenate(T0)
-
-    def v_step(st):
+        sweeps = _row_sweep(st, np.concatenate(T0), cfg.inner_tol, cfg.max_inner)
         st["V"] = _v_block(st["W"].mT @ np.concatenate(GF), st["V"])
+        return sweeps
 
     def model(st, g, i, k, objs, sweeps, converged, n_outer):
         trace = FitTrace(objective=np.asarray(objs), w_sweeps=sweeps[1:],
@@ -588,7 +570,7 @@ def _descend(groups, cfgs, update_c: bool):
                          n_outer=n_outer, w_capped=sweeps.count(cfg.max_inner))
         return FactorModel(W=st["W"][i], V=st["V"][i], C=C[g][k], rank=cfg.rank, trace=trace)
 
-    yield from _lockstep(cfgs, firsts, objective, targets, model, cfg.max_inner, v_step, (C, D))
+    yield from _lockstep(cfgs, firsts, objective, update, model, cfg.max_outer, (C, D))
 
 
 def _fit_groups(parts, cfgs, update_c: bool = True):
@@ -631,7 +613,7 @@ def fit(d: Dataset, a, cfg: FitConfig, update_c: bool = True) -> FactorModel:
         Per-subject weights.
     cfg : FitConfig
         Rank, penalties, tolerances. The outer loop stops by the one rule of
-        every fit, ``_outer_loop``'s, relative to the initial objective.
+        every fit, ``_lockstep``'s, relative to the initial objective.
     update_c : bool
         Freeze C at zero when False (the non-robust reduced-rank variant).
 

@@ -158,6 +158,30 @@ def test_wmcm_l1_iteration_cap_raises():
         fit_wmcm_l1(d, np.ones(50), 0.1, cfg=FitConfig(rank=1, max_outer=1, max_inner=2))
 
 
+def test_wmcm_l1_stack_at_its_cap_raises_as_the_fit_alone():
+    # two groups, two penalties each: the problems that converge within the
+    # cap stop first, as alone; the first one to reach it raises the fit's error
+    parts = [(make_dataset(n, 3, 2, seed=seed)[0], np.ones(n)) for n, seed in ((50, 10), (70, 13))]
+    lambdas = (0.1, 30.0)
+    n_outer = {(g, j): fit_wmcm_l1(d, a, lam).trace.n_outer
+               for g, (d, a) in enumerate(parts) for j, lam in enumerate(lambdas)}
+    cap = sorted(n_outer.values())[-2]  # all but the slowest converge within it
+    assert cap < max(n_outer.values())
+    cfg = FitConfig(rank=1, max_outer=cap, max_inner=1)
+    slowest = max(n_outer, key=n_outer.get)
+    with pytest.raises(NumericalError) as alone:
+        fit_wmcm_l1(*parts[slowest[0]], lambdas[slowest[1]], cfg=cfg)
+    stopped = []
+    with pytest.raises(NumericalError) as stacked:
+        for g, j, model in baselines._fit_l1_stack(
+                parts, [[replace(cfg, lambda_w=lam) for lam in lambdas]] * 2):
+            stopped.append((g, j))
+            assert model.trace.n_outer == n_outer[g, j] <= cap
+    assert str(stacked.value) == str(alone.value) == \
+        f"absolute-loss fit did not converge in {cap} iterations"
+    assert sorted(stopped) == sorted(set(n_outer) - {slowest})
+
+
 def test_wmcm_l1_surrogate_trace_monotone():
     d, _ = make_dataset(60, 3, 2, seed=11)
     model = fit_wmcm_l1(d, np.ones(60), 0.3)

@@ -2,12 +2,13 @@
 
 ``fit_batch`` steps many problems together, and ``solver._fit_groups`` steps
 them across several datasets (the training folds of CV) with one W sweep, as
-``baselines._fit_stack`` does for the wmcm and wfull baselines; each problem
+``baselines._fit_stack`` does for the wmcm and wfull baselines and
+``baselines._fit_l1_stack`` for wmcml1 with one proximal step; each problem
 must come out exactly as when solved alone. ``_serial_fit``
 below is a plain one-problem reference of the block descent (a Python loop
 over loading rows, the C step applied once per outer iteration) and is the
 oracle for ``fit``, ``fit_batch``, ``_fit_groups`` and the squared-loss
-baselines.
+baselines; ``_ref_l1`` is that of the absolute-loss baseline.
 """
 
 import math
@@ -27,6 +28,7 @@ from multicate import (
     fit_batch,
     fit_wfull,
     fit_wmcm,
+    fit_wmcm_l1,
     group_soft_threshold,
     kfold_split,
     update_loading_rows,
@@ -275,8 +277,9 @@ def test_fold_stack_with_column_zero_in_one_training_fold():
 
 @pytest.mark.parametrize("stack", [solver._fit_groups,
                                    lambda parts, cfgs: baselines._fit_stack("wmcm", parts, cfgs),
-                                   lambda parts, cfgs: baselines._fit_stack("wfull", parts, cfgs)],
-                         ids=["fit_groups", "wmcm", "wfull"])
+                                   lambda parts, cfgs: baselines._fit_stack("wfull", parts, cfgs),
+                                   baselines._fit_l1_stack],
+                         ids=["fit_groups", "wmcm", "wfull", "wmcml1"])
 def test_fold_stack_yields_by_iteration_then_group_then_configuration(stack):
     # consumers (CV scores each model as it stops, run_scenario files it by
     # replication) rely on this order, which solver._lockstep sets for every stack
@@ -322,6 +325,44 @@ def _ref_baseline(d, a, lam, cfg, main_effect):
         if objs[-2] - objs[-1] < thresh:
             break
     return gamma, B, objs
+
+
+def _ref_l1(d, a, lam, cfg):
+    # proximal gradient on the Huber surrogate with a backtracking step, one
+    # problem in Python floats, as fit_wmcm_l1 fits it; also the outer steps
+    # whose line search halved the step
+    delta = baselines.HUBER_DELTA
+    G, Yw = a[:, None] * assemble_design(d), a[:, None] * d.Y
+
+    def huber(R):
+        absr = np.abs(R)
+        return float(np.sum(np.where(absr <= delta, R * R / (2.0 * delta), absr - delta / 2.0)))
+
+    gamma = np.zeros((d.n_features, d.q))
+    R = Yw - G @ gamma
+    loss, eta, halved = huber(R), 1.0, set()
+    objs = [loss + lam * float(np.sum(np.linalg.norm(gamma, axis=1)))]
+    thresh = cfg.outer_tol * (objs[0] if objs[0] > 0 else 1.0)
+    for t in range(1, cfg.max_outer * cfg.max_inner + 1):
+        grad = -G.T @ np.clip(R / delta, -1.0, 1.0)
+        while True:
+            P = gamma - eta * grad
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand = np.fmax(1.0 - eta * lam / np.sqrt(np.vecdot(P, P, keepdims=True)),
+                               0.0) * P + 0.0
+            move = cand - gamma
+            R_cand = Yw - G @ cand
+            lhs = huber(R_cand)
+            rhs = loss + float(np.sum(grad * move)) + float(np.sum(move * move)) / (2.0 * eta)
+            if lhs <= rhs + 1e-12 * (1.0 + abs(loss)):
+                break
+            eta *= 0.5
+            halved.add(t)
+        gamma, R, loss, eta = cand, R_cand, lhs, eta * 1.5
+        objs.append(loss + lam * float(np.sum(np.linalg.norm(gamma, axis=1))))
+        if objs[-2] - objs[-1] < thresh:
+            return gamma, objs, halved
+    raise AssertionError("the reference hit its cap")
 
 
 def test_wmcm_and_wfull_equal_serial_reference():
@@ -395,7 +436,7 @@ def _baseline_parts(q, zero_column_in=None, duplicate_in=None):
 def _baseline_stack(method, parts, lambdas, **kw):
     # every part at every lambda in one stack: {(g, j): model}, the problems in stop order
     cfgs = [[FitConfig(rank=1, lambda_w=lam, **kw) for lam in lambdas]] * len(parts)
-    fits = list(baselines._fit_stack(method, parts, cfgs))
+    fits = list(model_selection._ESTIMATORS[method].stack(parts, cfgs))
     return {(g, j): m for g, j, m in fits}, [(g, j) for g, j, _ in fits]
 
 
@@ -413,27 +454,41 @@ _BASELINE_LAMBDAS = (0.0, 1.0, 3.0, 40.0, 400.0)
 
 
 @pytest.mark.parametrize("q", [1, 2, 4, 10])
-@pytest.mark.parametrize("method", ["wmcm", "wfull"])
+@pytest.mark.parametrize("method", ["wmcm", "wfull", "wmcml1"])
 def test_baseline_stack_equals_each_fit_alone(method, q):
-    # groups of different n, lambda = 0 among the penalties, and a cap that
-    # stops some problems and not others
+    # groups of different n, lambda = 0 among the penalties, and for the
+    # squared-loss fits a cap that stops some problems and not others (a
+    # wmcml1 fit at its cap raises: tests/test_baselines.py)
     parts = _baseline_parts(q)
-    fit_alone = fit_wmcm if method == "wmcm" else fit_wfull
-    # one iteration under the slowest fit's count: it stops there, the fastest converge
-    n_outer = [fit_alone(d, a, lam).trace.n_outer for d, a in parts for lam in _BASELINE_LAMBDAS]
-    assert min(n_outer) < max(n_outer)
-    cfg = FitConfig(rank=1, max_outer=max(n_outer) - 1)
+    fit_alone = {"wmcm": fit_wmcm, "wfull": fit_wfull, "wmcml1": fit_wmcm_l1}[method]
+    cfg = FitConfig(rank=1)
+    if method != "wmcml1":
+        # one iteration under the slowest fit's count: it stops there, the fastest converge
+        n_outer = [fit_alone(d, a, lam).trace.n_outer for d, a in parts
+                   for lam in _BASELINE_LAMBDAS]
+        assert min(n_outer) < max(n_outer)
+        cfg = FitConfig(rank=1, max_outer=max(n_outer) - 1)
     stacked, order = _baseline_stack(method, parts, _BASELINE_LAMBDAS, max_outer=cfg.max_outer)
-    assert len(stacked) == 15 and {m.trace.converged for m in stacked.values()} == {True, False}
+    assert len(stacked) == 15 and {m.trace.converged for m in stacked.values()} == (
+        {True} if method == "wmcml1" else {True, False})
     # problems stop by iteration, then group, then penalty
     assert [(stacked[k].trace.n_outer, *k) for k in order] == sorted(
         (stacked[k].trace.n_outer, *k) for k in order)
+    halved = []  # wmcml1: per problem, its outer steps and those that halved its step
     for g, (d, a) in enumerate(parts):
         for j, lam in enumerate(_BASELINE_LAMBDAS):
             _assert_same_baseline(stacked[g, j], fit_alone(d, a, lam, cfg))
-            gamma, B, objs = _ref_baseline(d, a, lam, cfg, main_effect=method == "wfull")
+            if method == "wmcml1":
+                gamma, objs, steps = _ref_l1(d, a, lam, cfg)
+                halved.append((len(objs) - 1, steps))
+            else:
+                gamma, _, objs = _ref_baseline(d, a, lam, cfg, main_effect=method == "wfull")
             assert np.array_equal(stacked[g, j].gamma, gamma)
             assert np.array_equal(stacked[g, j].trace.objective, objs)
+    if method == "wmcml1":
+        # some outer step halves the step of some of the problems still iterating, not all
+        assert any(0 < sum(t in s for n, s in halved if n >= t) < sum(n >= t for n, _ in halved)
+                   for _, steps in halved for t in steps)
 
 
 @pytest.mark.parametrize("q, groups, lambdas", [(1, 3, _BASELINE_LAMBDAS), (2, 2, (3.0, 400.0)),

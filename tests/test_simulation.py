@@ -287,21 +287,21 @@ def _row_bytes(rows):
 
 
 def _chunked_runs(monkeypatch, spec, names, **kwargs):
-    """Rows with no stacked fit (every chunk as if its descent had failed),
-    with one replication per chunk and with every replication in one chunk,
-    and the number of datasets in each stacked descent of the last run."""
+    """Rows with no stacked fit (every chunk as if each method's stack had
+    failed), with one replication per chunk and with every replication in one
+    chunk, and the number of datasets in each stacked descent of the last run."""
     runs, sizes = [], []
     fit_chunk, fit_groups = simulation._fit_chunk, model_selection._fit_groups
 
-    def failing(*args):
-        raise NumericalError("no stacked fits")
+    def none(*args):
+        return {}
 
     def recording(parts, *args, **kw):
         sizes.append(len(parts))
         return fit_groups(parts, *args, **kw)
 
     monkeypatch.setattr(model_selection, "_fit_groups", recording)
-    for stack, doubles in ((failing, 0), (fit_chunk, 0), (fit_chunk, 1 << 60)):
+    for stack, doubles in ((none, 0), (fit_chunk, 0), (fit_chunk, 1 << 60)):
         monkeypatch.setattr(simulation, "_fit_chunk", stack)
         monkeypatch.setattr(simulation, "_STACK_DOUBLES", doubles)
         sizes.clear()
@@ -309,7 +309,7 @@ def _chunked_runs(monkeypatch, spec, names, **kwargs):
     return runs, sizes
 
 
-# CV runs every alias of a rank-using method; the baselines' aliases fit alone
+# CV runs every alias of a rank-using method and each baseline under its own name
 _CV_NAMES = list(dict.fromkeys(_RANK_NAMES + list(model_selection.METHODS)))
 
 
@@ -356,12 +356,15 @@ def test_failing_replication_stays_isolated_in_its_chunk(monkeypatch, cv):
     # the absolute-loss baseline's smoothed objective stays finite at that scale
     names = _RANK_NAMES + ["mcml1"]
     spec = ScenarioSpec(scenario=2, seed=9, **{**_FAST, "replications": 3})
-    stored = []  # per cross_validate call: the grid fits stored for its dataset
+    # per cross_validate call: the grid fits stored for its dataset, of the
+    # rank-using methods and of the absolute-loss baseline
+    stored = []
     cross_validate = simulation.cross_validate
 
     def reading(d, *args, **kwargs):
         memo = model_selection._FOLD_MEMO.get()
-        stored.append(sum(len(key) == 5 and key[0] == id(d) for key in memo))  # fit keys
+        methods = [key[2] for key in memo if len(key) == 5 and key[0] == id(d)]  # fit keys
+        stored.append((sum(m != "wmcml1" for m in methods), methods.count("wmcml1")))
         return cross_validate(d, *args, **kwargs)
 
     monkeypatch.setattr(simulation, "cross_validate", reading)
@@ -374,9 +377,13 @@ def test_failing_replication_stays_isolated_in_its_chunk(monkeypatch, cv):
     if cv:
         # the stored fits each rank-using CV call found, by run (no stacking, one
         # replication per chunk, one chunk whose descent failed) and replication
-        ranked = [s for k, s in enumerate(stored) if names[k % len(names)] in _RANK_NAMES]
+        ranked = [s for k, (s, _) in enumerate(stored) if names[k % len(names)] in _RANK_NAMES]
         _, alone, together = np.array(ranked).reshape(3, spec.replications, len(_RANK_NAMES))
         assert (alone[[0, 2]] > 0).all() and not alone[1].any() and not together.any()
+        # the absolute-loss stack of the failing chunk does not fail: its fits are kept
+        l1 = [s for k, (_, s) in enumerate(stored) if names[k % len(names)] == "mcml1"]
+        none, alone, together = np.array(l1).reshape(3, spec.replications)
+        assert not none.any() and (alone > 0).all() and (together > 0).all()
 
 
 def test_stacked_run_keeps_one_cross_validate_per_method_and_replication(monkeypatch):

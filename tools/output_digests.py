@@ -7,17 +7,18 @@ that workload of ``perfbench/workloads.py``, or of a built-in entry (below),
 once and prints one line per op, ``seed/workload/op  digest``, then one per
 file the pass wrote, ``seed/workload/file:name  digest``. An op's digest
 covers what it returns (models and baseline fits with their traces,
-replication rows, the CLI's exit code and stdout), the result of every ``wmcml1`` fit,
+replication rows, the CLI's exit code and stdout), the result of every
 cross-validation and evaluation called inside it, in call order, and every
-model the lockstep stacks ``solver._fit_groups`` and
-``baselines._fit_stack`` yield inside it, as a multiset (sorted per-model
-digests): ``fit``, ``fit_batch``, every other baseline and CV fit through
-them, and the order in which problems stop depends on which problems share
-a stack. On a checkout without ``baselines._fit_stack``, the results of
-``fit_wmcm`` and ``fit_wfull`` join the multiset instead, so the digests of
-two checkouts compare. Arrays and floats are hashed as their bytes, so -0.0
-and 0.0 differ; the work directory and the checkout's path are masked in
-strings and files.
+model the lockstep stacks ``solver._fit_groups``, ``baselines._fit_stack``
+and ``baselines._fit_l1_stack`` yield inside it, as a multiset (sorted
+per-model digests): ``fit``, ``fit_batch``, every baseline and every CV fit
+run through them, and the order in which problems stop depends on which
+problems share a stack. On a checkout without one of the baseline stacks,
+the results of the fits it stacks (``fit_wmcm`` and ``fit_wfull``, or
+``fit_wmcm_l1``) join the multiset instead, so the digests of two checkouts
+compare. Arrays and floats are hashed as their bytes, so -0.0 and 0.0
+differ; the work directory and the checkout's path are masked in strings
+and files.
 
     python3 tools/output_digests.py --workload cli-trial --seeds 0 1 2
     python3 tools/output_digests.py --seeds 0 1 2 --root ../parent \
@@ -55,14 +56,14 @@ import numpy as np  # noqa: E402
 
 # (module, attribute) of every call whose result goes into its op's digest
 CAPTURED = (
-    ("multicate.baselines", "fit_wmcm_l1"),
     ("multicate.model_selection", "cross_validate"),
     ("multicate.metrics", "evaluate"),
 )
-# the lockstep stacks, whose yielded models go into the digest as a multiset
-STACKS = (("multicate.solver", "_fit_groups"), ("multicate.baselines", "_fit_stack"))
-# fits whose results join the multiset on a checkout without the baseline stack
-UNSTACKED = (("multicate.baselines", "fit_wmcm"), ("multicate.baselines", "fit_wfull"))
+# the lockstep stacks, whose yielded models go into the digest as a multiset, each
+# with the baselines.* fits whose results join it on a checkout without that stack
+STACKS = (("multicate.solver", "_fit_groups", ()),
+          ("multicate.baselines", "_fit_stack", ("fit_wmcm", "fit_wfull")),
+          ("multicate.baselines", "_fit_l1_stack", ("fit_wmcm_l1",)))
 
 
 class Op(NamedTuple):
@@ -147,7 +148,7 @@ def interpose(record, models) -> list:
     """Wrap each CAPTURED entry point, by identity, in every loaded multicate
     module that binds it, appending (name, result) of each call to record;
     wrap each of the STACKS so that each model it yields is appended to
-    models, and, without the baseline stack, each UNSTACKED fit so that its
+    models, or, on a checkout without it, each fit it stacks so that its
     result is; returns the (module, key, original) bindings to restore."""
     modules = [m for k, m in list(sys.modules.items())
                if m is not None and (k == "multicate" or k.startswith("multicate."))]
@@ -173,19 +174,21 @@ def interpose(record, models) -> list:
             models.append(fit[-1])
             yield fit
 
-    stacks = [getattr(import_module(m), a, None) for m, a in STACKS]
-    for stack in filter(None, stacks):
-        # the call checks its arguments as the stack does (eagerly for _fit_groups)
-        wrap(stack, lambda *args, _fn=stack, **kwargs: yielded(_fn(*args, **kwargs)))
-    for modname, attr in UNSTACKED if stacks[-1] is None else ():
-        orig = getattr(import_module(modname), attr)
+    for modname, attr, unstacked in STACKS:
+        module = import_module(modname)
+        stack = getattr(module, attr, None)
+        if stack is not None:
+            # the call checks its arguments as the stack does (eagerly for _fit_groups)
+            wrap(stack, lambda *args, _fn=stack, **kwargs: yielded(_fn(*args, **kwargs)))
+        for fit in unstacked if stack is None else ():
+            orig = getattr(module, fit)
 
-        def single(*args, _fn=orig, **kwargs):
-            out = _fn(*args, **kwargs)
-            models.append(out)
-            return out
+            def single(*args, _fn=orig, **kwargs):
+                out = _fn(*args, **kwargs)
+                models.append(out)
+                return out
 
-        wrap(orig, single)
+            wrap(orig, single)
     return undo
 
 
