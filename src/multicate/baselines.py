@@ -48,9 +48,9 @@ def fit_wmcmrrr(d: Dataset, a, rank: int, lambda_w: float = 0.0,
     """Reduced-rank row-sparse fit without the outlier offsets.
 
     Same alternating solver as the main method with the C block frozen at
-    zero and no offset penalty.
+    zero, where the offset penalty phi_c has no effect.
     """
-    cfg = replace(cfg or FitConfig(rank=rank), rank=rank, lambda_w=lambda_w, phi_c=0.0)
+    cfg = replace(cfg or FitConfig(rank=rank), rank=rank, lambda_w=lambda_w)
     model = _fit_factor(d, a, cfg, update_c=False)
     return BaselineModel(gamma=model.gamma, method="wmcmrrr", trace=model.trace)
 
@@ -96,8 +96,8 @@ def _main_effects(H, rhs):
 def _fit_stack(method, parts, cfgs):
     """Fit the squared-loss baseline method, "wmcm" or "wfull", at the
     configurations cfgs[g] to each (d, a) = parts[g] in one lockstep stack
-    (``solver._lockstep``); an iterator of (g, j, model) for cfgs[g][j], in
-    the order the problems stop.
+    (``solver._lockstep``); checks its arguments when called and returns an
+    iterator of (g, j, model) for cfgs[g][j], in the order the problems stop.
 
     The configurations may differ only in lambda_w and phi_c (which these
     fits do not use). Before the sweep, wfull takes per group the
@@ -151,7 +151,7 @@ def _fit_stack(method, parts, cfgs):
         return BaselineModel(gamma=st["W"][i].copy(), method=method,
                              B=st["B"][i].copy() if full else None, trace=trace)
 
-    yield from _lockstep(cfgs, firsts, objective, update, model, cfg.max_outer)
+    return _lockstep(cfgs, firsts, objective, update, model, cfg.max_outer)
 
 
 def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> BaselineModel:
@@ -175,8 +175,9 @@ def _huber(R):
 
 def _fit_l1_stack(parts, cfgs):
     """Fit the absolute-loss baseline at the configurations cfgs[g] to each
-    (d, a) = parts[g] in one lockstep stack (``solver._lockstep``); an
-    iterator of (g, j, model) for cfgs[g][j], in the order the problems stop.
+    (d, a) = parts[g] in one lockstep stack (``solver._lockstep``); checks
+    its arguments when called and returns an iterator of (g, j, model) for
+    cfgs[g][j], in the order the problems stop.
 
     The configurations may differ only in lambda_w and phi_c (unused here).
     Each problem keeps its step eta and the surrogate loss its line search
@@ -231,4 +232,4 @@ def _fit_l1_stack(parts, cfgs):
         trace = FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
         return BaselineModel(gamma=st["W"][i].copy(), method="wmcml1", trace=trace)
 
-    yield from _lockstep(cfgs, firsts, lambda st, g, s: st["loss"][s], update, model, cap, (R,))
+    return _lockstep(cfgs, firsts, lambda st, g, s: st["loss"][s], update, model, cap, (R,))

@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_args(p_cv)
     p_cv.add_argument("--cv-out", default=None, help="per-fold loss CSV")
     p_cv.add_argument("--model-out", default=None, help="refit best model and save here")
-    p_cv.set_defaults(func=_cmd_cv)
+    p_cv.set_defaults(func=_cmd_cv, cv=True)
 
     p_sim = sub.add_parser("simulate", help="run simulation replications")
     p_sim.add_argument("config", help="scenario config JSON")
@@ -183,6 +183,8 @@ def _grid_from_args(args, seed):
         return None
     if any(v is None for v in axes):
         raise UsageError("--lambdas, --phis, and --ranks must be given together")
+    if not args.cv:  # simulate without --cv fits no grid
+        raise UsageError("--lambdas, --phis, and --ranks need --cv")
     return CvGrid(lambdas=args.lambdas, phis=args.phis, ranks=args.ranks,
                   folds=args.folds, seed=seed)
 

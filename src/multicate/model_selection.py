@@ -26,13 +26,8 @@ class _Estimator(NamedTuple):
     axes: tuple     # grid axes used besides lambda: "phi" (the C penalty), "rank"
     fit: Callable   # (d, a, cfg) -> model; cfg holds rank, lambda_w and phi_c
     # (parts, cfgs) -> an iterator of (g, j, model), cfgs[g][j] fit to parts[g] = (d, a)
-    # in one lockstep stack, each model the one fit gives, bit for bit
+    # in one lockstep stack, each model the one fit gives, bit for bit; checks when called
     stack: Callable
-
-
-def _frozen_c(parts, cfgs):
-    # wmcmrrr: C frozen at zero, at phi_c = 0.0, as fit_wmcmrrr fits it
-    return _fit_groups(parts, [[replace(c, phi_c=0.0) for c in cs] for cs in cfgs], update_c=False)
 
 
 # Every estimator, named once. The fits and stacks look _fit_factor, _fit_groups
@@ -41,8 +36,9 @@ def _frozen_c(parts, cfgs):
 _ESTIMATORS = {
     "wmcmr4": _Estimator(("phi", "rank"), lambda d, a, cfg: _fit_factor(d, a, cfg),
                          lambda parts, cfgs: _fit_groups(parts, cfgs)),
-    "wmcmrrr": _Estimator(("rank",), lambda d, a, cfg: baselines.fit_wmcmrrr(
-        d, a, cfg.rank, cfg.lambda_w, cfg), _frozen_c),
+    "wmcmrrr": _Estimator(
+        ("rank",), lambda d, a, cfg: baselines.fit_wmcmrrr(d, a, cfg.rank, cfg.lambda_w, cfg),
+        lambda parts, cfgs: _fit_groups(parts, cfgs, update_c=False)),
     "wmcml1": _Estimator((), lambda d, a, cfg: baselines.fit_wmcm_l1(d, a, cfg.lambda_w, cfg),
                          lambda parts, cfgs: baselines._fit_l1_stack(parts, cfgs)),
     "wmcm": _Estimator((), lambda d, a, cfg: baselines.fit_wmcm(d, a, cfg.lambda_w, cfg),
@@ -171,11 +167,6 @@ def _fold_weights(d_train, d_held, source):
     beta = _logistic_irls(d_train.X, (d_train.T + 1.0) / 2.0)
     return tuple(compute_weights(part.T, _propensity(part.X, beta), source="logistic_fit")
                  for part in (d_train, d_held))
-
-
-def _fit_gamma(method, d, a, lam, phi, rank, cfg):
-    cfg = replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)
-    return _estimator(method).fit(d, a, cfg).gamma
 
 
 def _method_grid(grid: CvGrid, method: str) -> CvGrid:

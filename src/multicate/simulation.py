@@ -27,7 +27,6 @@ from .model_selection import (
     GRID_POINTS,
     METHOD_ALIASES,
     CvGrid,
-    _fit_gamma,
     _method_grid,
     _shared_folds,
     _stack_cv,
@@ -250,7 +249,9 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
     logistic propensity fit for an observational one. With CV, the methods
     of a replication share its folds and fold weights.
 
-    Replications run in chunks, each drawn and weighted first. Then each
+    Replications run in chunks, each drawn, weighted and given its fit
+    setting first (with CV its grid, without its configuration at the true
+    rank; a replication whose setting fails errors every method). Then each
     method is fit for the whole chunk by one lockstep stack (its
     ``_ESTIMATORS`` entry's: the solver's descent for wmcmr4 and wmcmrrr,
     ``baselines._fit_stack`` for wmcm and wfull, ``baselines._fit_l1_stack``
@@ -269,15 +270,13 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
     for name in requested:
         if str(name).lower() not in METHOD_ALIASES:
             raise DataError(f"unknown method {name!r}")
-    propensity = "rct" if spec.design == "rct" else "logistic"
     run = _Run(spec, requested, cv, grid, cfg if cfg is not None else FitConfig(rank=1),
-               propensity)
+               "rct" if spec.design == "rct" else "logistic")
 
     rows = []
     size = _chunk_size(run)
     for first in range(0, spec.replications, size):
-        chunk = {rep: _draw(spec, rep, propensity)
-                 for rep in range(first, min(first + size, spec.replications))}
+        chunk = {rep: _draw(run, rep) for rep in range(first, min(first + size, spec.replications))}
         with _shared_folds():  # every method's CV uses the same folds
             fitted = _fit_chunk(chunk, run)
             for rep, drawn in chunk.items():
@@ -310,12 +309,20 @@ def _chunk_size(run: _Run) -> int:
     return max(1, _STACK_DOUBLES // per_replication)
 
 
-def _draw(spec, rep, propensity):
-    # replication rep's truth and weights, or None if either fails
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, rep]))
+def _draw(run: _Run, rep):
+    # replication rep's truth, weights and fit setting, or None if any fails: with CV
+    # its grid (the given one or its default grid), without its configuration at the
+    # pattern's true rank
+    rng = np.random.default_rng(np.random.SeedSequence([run.spec.seed, rep]))
     try:
-        truth = generate_truth(spec, rng)
-        return truth, resolve_weights(truth.dataset, propensity)
+        truth = generate_truth(run.spec, rng)
+        d = truth.dataset
+        a = resolve_weights(d, run.propensity)
+        if run.cv:
+            setting = run.grid if run.grid is not None else default_cv_grid(d, a)
+        else:
+            setting = replace(run.cfg, rank=min(TRUE_RANK[run.spec.scenario], d.q, d.n_features))
+        return truth, a, setting
     except (DataError, NumericalError):
         return None
 
@@ -324,16 +331,16 @@ def _fit_chunk(chunk, run: _Run) -> dict:
     """The stacked fits of a chunk's methods: without CV, each {(replication,
     method): gamma}; with CV, stored by ``_stack_cv``. A method whose stack
     raises keeps none of its fits, so each of its replications fits alone."""
-    drawn = [(rep, x[0].dataset, x[1]) for rep, x in chunk.items() if x is not None]
+    drawn = [(rep, x[0].dataset, *x[1:]) for rep, x in chunk.items() if x is not None]
     fitted = {}
     for method in dict.fromkeys(METHOD_ALIASES[str(n).lower()] for n in run.names):
         try:  # a stack of no replication raises DataError
             if run.cv:
-                jobs = [(d, _method_grid(_cv_grid(run, d, a), method)) for _, d, a in drawn]
+                jobs = [(d, _method_grid(grid, method)) for _, d, _, grid in drawn]
                 _stack_cv(method, jobs, run.propensity, run.cfg)
             else:
-                cfgs = [[replace(run.cfg, rank=_true_rank(run.spec, d))] for _, d, _ in drawn]
-                fits = _ESTIMATORS[method].stack([(d, a) for _, d, a in drawn], cfgs)
+                fits = _ESTIMATORS[method].stack([(d, a) for _, d, a, _ in drawn],
+                                                 [[cfg] for *_, cfg in drawn])
                 fitted.update({(drawn[g][0], method): model.gamma for g, _, model in fits})
         except (DataError, NumericalError):
             pass
@@ -341,18 +348,18 @@ def _fit_chunk(chunk, run: _Run) -> dict:
 
 
 def _replication_rows(rep, drawn, fitted, run: _Run) -> list:
-    # one replication's rows; fitted holds the chunk's stacked gammas, and a
-    # replication whose data or weights failed (drawn None) errors every method
+    # one replication's rows; fitted holds the chunk's stacked gammas, and a replication
+    # whose data, weights or fit setting failed (drawn None) errors every method
     rows = []
     for name in run.names:
         method = METHOD_ALIASES[str(name).lower()]
         values = [("error", 1.0)]
         if drawn is not None:
-            truth, a = drawn
+            truth, a, setting = drawn
             try:
                 gamma_hat = fitted.get((rep, method))
                 if gamma_hat is None:
-                    gamma_hat = _fit_one(truth, a, method, run)
+                    gamma_hat = _fit_one(truth.dataset, a, setting, method, run)
                 report = evaluate(gamma_hat, truth.X_test, truth.gamma_true)
                 values = [(metric, getattr(report, metric)) for metric in METRIC_ORDER]
             except (DataError, NumericalError):
@@ -362,22 +369,11 @@ def _replication_rows(rep, drawn, fitted, run: _Run) -> list:
     return rows
 
 
-def _cv_grid(run: _Run, d, a) -> CvGrid:
-    # a replication's CV grid: the given one, or its default grid
-    return run.grid if run.grid is not None else default_cv_grid(d, a)
-
-
-def _true_rank(spec, d) -> int:
-    return min(TRUE_RANK[spec.scenario], d.q, d.n_features)
-
-
-def _fit_one(truth, a, method, run: _Run):
-    d = truth.dataset
+def _fit_one(d, a, setting, method, run: _Run):
+    # a replication's fit of one method alone: without CV at its configuration, the
+    # setting; with CV at the point cross_validate selects on the method's grid
     if run.cv:
-        result = cross_validate(d, _method_grid(_cv_grid(run, d, a), method), method,
-                                propensity=run.propensity, cfg=run.cfg)
-        lam, phi, rank = result.best
-    else:
-        rank = _true_rank(run.spec, d)
-        lam, phi = run.cfg.lambda_w, run.cfg.phi_c
-    return _fit_gamma(method, d, a, lam, phi, rank, run.cfg)
+        lam, phi, rank = cross_validate(d, _method_grid(setting, method), method,
+                                        propensity=run.propensity, cfg=run.cfg).best
+        setting = replace(run.cfg, rank=rank, lambda_w=lam, phi_c=phi)
+    return _ESTIMATORS[method].fit(d, a, setting).gamma

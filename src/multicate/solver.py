@@ -17,8 +17,8 @@ Every fit, the baselines' too, runs one outer loop with one stop rule,
 fit alone is a stack of one): all share the rank and tolerances, each has
 its own penalties, and each group of them shares one dataset (in
 cross-validation, one group per training fold). Its users give only the
-objective and the outer step: ``_descend`` the C step, a W row sweep and
-the V step (``fit_batch`` is one group and ``fit`` a batch of one),
+objective and the outer step: ``_fit_groups`` the C step, a W row sweep
+and the V step (``fit_batch`` is one group and ``fit`` a batch of one),
 ``baselines._fit_stack`` the wmcm and wfull steps around a row sweep, and
 ``baselines._fit_l1_stack`` wmcml1's proximal gradient step. The W row
 sweep is ``_sweep_rows`` for a stack and ``_sweep_one`` for one problem,
@@ -456,7 +456,8 @@ def _check_stack(parts, cfgs):
 
 def _lockstep(cfgs, firsts, objective, update, model, cap, per_group=()):
     """The outer loop of every fit: the problems (g, j), at the configurations
-    cfgs[g][j] (``_check_stack``'s), step in lockstep; a generator.
+    cfgs[g][j] (``_check_stack``'s), step in lockstep; a generator, which
+    each stack returns, so that the stack's own checks raise when it is called.
 
     st holds the live problems' stacks by name: firsts[g]'s, group g's
     initial values once per problem ("W" among them; the same shapes in every
@@ -526,21 +527,28 @@ def _row_sweep(st, T0, inner_tol, max_inner):
     return _sweep_rows(st["gram"], T0, st["W"], st["lam"] / 2.0, inner_tol, max_inner)
 
 
-def _descend(groups, cfgs, update_c: bool):
-    """Block descent on the problems (g, j): the data (Y, Z, a) of groups[g]
-    at the configuration cfgs[g][j], in one ``_lockstep`` stack. Yields
-    (g, j, model) as each problem stops.
+def _fit_groups(parts, cfgs, update_c: bool = True):
+    """Fit the configurations cfgs[g] to each (d, a) = parts[g] by block
+    descent, every problem (g, j) in one ``_lockstep`` stack; checks its
+    arguments when called and returns an iterator of (g, j, model) for
+    cfgs[g][j] fit to parts[g], in the order the problems stop.
 
-    Each group's Gram matrix and initializer are computed once, and its
-    objectives keep its residual D. An outer step, in block order: per group,
-    the C step from D and the sweep targets G^T F V and G^T F; one W sweep of
-    the stack (``_sweep_rows``); one V step.
+    The configurations may differ only in lambda_w and phi_c. Each group's
+    Gram matrix and initializer are computed once, and its objectives keep
+    its residual D. An outer step, in block order: per group, the C step
+    from D (skipped with C frozen at zero, update_c False) and the sweep
+    targets G^T F V and G^T F; one W sweep of the stack (``_sweep_rows``);
+    one V step. Every model, trace included, equals the one ``fit`` returns
+    for its data and configuration, bit for bit.
     """
-    cfg = cfgs[0][0]
+    parts, cfgs, cfg = _check_stack(parts, cfgs)
     # per group: its data and 2 a^2, the C of its problems still iterating, its
     # residual D, and its problems' first W, V and Gram matrix
-    data, C, D, firsts = [], [], [None] * len(groups), []
-    for (Y, Z, a), cs in zip(groups, cfgs):
+    data, C, D, firsts = [], [], [None] * len(parts), []
+    for (d, a), cs in zip(parts, cfgs):
+        a = _avec(a, d.n)
+        _check_rank(cfg.rank, d.n_features, d.q)
+        Y, Z = d.Y, assemble_design(d)
         G = a[:, None] * Z
         W0, V0 = _initialize(Y, Z, a, cfg.rank)
         data.append((Y, Z, a, G, 2.0 * a * a))
@@ -570,25 +578,7 @@ def _descend(groups, cfgs, update_c: bool):
                          n_outer=n_outer, w_capped=sweeps.count(cfg.max_inner))
         return FactorModel(W=st["W"][i], V=st["V"][i], C=C[g][k], rank=cfg.rank, trace=trace)
 
-    yield from _lockstep(cfgs, firsts, objective, update, model, cfg.max_outer, (C, D))
-
-
-def _fit_groups(parts, cfgs, update_c: bool = True):
-    """Fit the configurations cfgs[g] to each (d, a) = parts[g] in one
-    lockstep descent; an iterator of (g, j, model) for cfgs[g][j] fit to
-    parts[g], in the order the problems stop.
-
-    The configurations may differ only in lambda_w and phi_c. Every model,
-    trace included, equals the one ``fit`` returns for its data and
-    configuration, bit for bit.
-    """
-    parts, cfgs, first = _check_stack(parts, cfgs)
-    groups = []
-    for d, a in parts:
-        a = _avec(a, d.n)
-        _check_rank(first.rank, d.n_features, d.q)
-        groups.append((d.Y, assemble_design(d), a))
-    return _descend(groups, cfgs, update_c)
+    return _lockstep(cfgs, firsts, objective, update, model, cfg.max_outer, (C, D))
 
 
 def fit_batch(d: Dataset, a, cfgs, update_c: bool = True) -> list:

@@ -292,6 +292,16 @@ def test_fold_stack_yields_by_iteration_then_group_then_configuration(stack):
                and len({j for n, _, j in order if n == t}) > 1 for t, _, _ in order)
 
 
+@pytest.mark.parametrize("method", model_selection.METHODS)
+def test_every_stack_checks_its_arguments_when_called(method):
+    # a configuration list short of one per dataset raises at the call, before
+    # anything iterates the stack
+    d = _contaminated(n=80, seed=5)
+    parts = [(d_tr, np.ones(d_tr.n)) for d_tr in _training_folds(d, 3, seed=1)]
+    with pytest.raises(DataError, match="one list of at least one configuration per dataset"):
+        model_selection._ESTIMATORS[method].stack(parts, [_grid_cfgs(1)] * (len(parts) - 1))
+
+
 # =============================================================================
 # the baselines and the loading-row update share the row sweep
 # =============================================================================
@@ -976,7 +986,8 @@ def _naive_per_fold(d, grid, method, cfg):
         for i, lam in enumerate(grid.lambdas):
             for j, phi in enumerate(grid.phis):
                 for k, rank in enumerate(grid.ranks):
-                    gamma = model_selection._fit_gamma(method, d_tr, a_tr, lam, phi, rank, cfg)
+                    gamma = model_selection._ESTIMATORS[method].fit(
+                        d_tr, a_tr, replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)).gamma
                     out[i, j, k, f] = model_selection._gamma_loss(gamma, d_he, a_he)
     return out
 

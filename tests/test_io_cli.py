@@ -675,6 +675,20 @@ def test_cli_simulate_config_errors(tmp_path, capsys):
     assert "unknown method 'ols'" in capsys.readouterr().err
 
 
+def test_cli_simulate_grid_flags_need_cv(tmp_path, capsys):
+    # without --cv no grid is fit, so a grid given there is refused, not ignored
+    config = _write(tmp_path / "scenario.json", json.dumps(
+        {"scenario": 3, "n": 60, "n_test": 40, "q": 10, "p": 10, "replications": 1}))
+    out = tmp_path / "r.csv"
+    grid = ["--lambdas", "1e6", "--phis", "1", "--ranks", "1"]
+    assert run_cli(["simulate", config, "--methods", "wmcmr4", *grid, "--out", str(out)]) == 1
+    assert "--lambdas, --phis, and --ranks need --cv" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(["simulate", config, "--methods", "wmcmr4", "--lambdas", "1e6",
+                    "--out", str(out)]) == 1
+    assert "must be given together" in capsys.readouterr().err
+
+
 def test_cli_report_rejects_malformed_input(tmp_path, capsys):
     bad = _write(tmp_path / "r.csv", "a,b\n1,2\n")
     assert run_cli(["report", bad, "--out", str(tmp_path / "s.csv")]) == 2

@@ -22,6 +22,7 @@ from multicate import (
     run_scenario,
 )
 from multicate import model_selection, simulation, weights
+from multicate.metrics import METRIC_ORDER, evaluate
 
 
 # =============================================================================
@@ -384,6 +385,72 @@ def test_failing_replication_stays_isolated_in_its_chunk(monkeypatch, cv):
         l1 = [s for k, (_, s) in enumerate(stored) if names[k % len(names)] == "mcml1"]
         none, alone, together = np.array(l1).reshape(3, spec.replications)
         assert not none.any() and (alone > 0).all() and (together > 0).all()
+
+
+# default-grid CV of three methods (observational; q = 2 keeps the grids to ranks 1-2)
+_GRID_SPEC = ScenarioSpec(scenario=2, design="observational", seed=8,
+                          **{**_FAST, "n": 120, "q": 2})
+_GRID_NAMES = ["wmcmr4", "wmcmrrr", "mcm"]
+
+
+def _counted_default_grids(monkeypatch):
+    # what each default_cv_grid call of run_scenario gave: its grid or its error
+    calls, default_cv_grid = [], simulation.default_cv_grid
+
+    def counted(d, a):
+        try:
+            calls.append(default_cv_grid(d, a))
+        except DataError as e:
+            calls.append(e)
+            raise
+        return calls[-1]
+
+    monkeypatch.setattr(simulation, "default_cv_grid", counted)
+    return calls
+
+
+def _default_grid_rows_alone(spec, names, rep):
+    # replication rep's rows from the public steps: each method cross-validated on the
+    # replication's default grid (the method's own axes of it), refit at its selection
+    truth = generate_truth(spec, np.random.default_rng(np.random.SeedSequence([spec.seed, rep])))
+    d = truth.dataset
+    a = weights.resolve_weights(d, "logistic")
+    grid, cfg, rows = model_selection.default_cv_grid(d, a), FitConfig(rank=1), []
+    for name in names:
+        method = METHOD_ALIASES[name]
+        lam, phi, rank = model_selection.cross_validate(
+            d, model_selection._method_grid(grid, method), method, "logistic", cfg).best
+        fit = model_selection._ESTIMATORS[method].fit
+        gamma = fit(d, a, replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)).gamma
+        report = evaluate(gamma, truth.X_test, truth.gamma_true)
+        rows += [{"scenario_id": spec.scenario_id, "replication": rep, "method": name,
+                  "metric": metric, "value": getattr(report, metric)} for metric in METRIC_ORDER]
+    return rows
+
+
+def test_default_grid_is_built_once_per_replication(monkeypatch):
+    grids = _counted_default_grids(monkeypatch)
+    rows = run_scenario(_GRID_SPEC, _GRID_NAMES, cv=True)
+    # one grid per replication, read by the stacked CV fits and every method's selection
+    assert len(grids) == _GRID_SPEC.replications
+    alone = [row for rep in range(_GRID_SPEC.replications)
+             for row in _default_grid_rows_alone(_GRID_SPEC, _GRID_NAMES, rep)]
+    assert _row_bytes(rows) == _row_bytes(alone)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failing_default_grid_errors_only_its_replication(monkeypatch):
+    # replication 1's outcomes overflow its largest penalty, so its default grid raises
+    _scale_outcomes_of(monkeypatch, bad_rep=1, factor=1e200)
+    grids = _counted_default_grids(monkeypatch)
+    rows = run_scenario(_GRID_SPEC, _GRID_NAMES, cv=True)
+    errors = [e for e in grids if isinstance(e, DataError)]
+    assert errors and all("lambda_w must be finite" in str(e) for e in errors)
+    assert [r for r in rows if r["replication"] == 1] == [
+        {"scenario_id": _GRID_SPEC.scenario_id, "replication": 1, "method": name,
+         "metric": "error", "value": 1.0} for name in _GRID_NAMES]
+    kept = [r for r in rows if r["replication"] != 1]
+    assert _row_bytes(kept) == _row_bytes(_default_grid_rows_alone(_GRID_SPEC, _GRID_NAMES, 0))
 
 
 def test_stacked_run_keeps_one_cross_validate_per_method_and_replication(monkeypatch):

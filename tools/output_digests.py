@@ -20,9 +20,13 @@ compare. Arrays and floats are hashed as their bytes, so -0.0 and 0.0
 differ; the work directory and the checkout's path are masked in strings
 and files.
 
-    python3 tools/output_digests.py --workload cli-trial --seeds 0 1 2
-    python3 tools/output_digests.py --seeds 0 1 2 --root ../parent \
-        --workload sim-cv-rct fit-obs50 cli-trial a06-cell obs-nocv
+    python3 tools/output_digests.py > change.txt
+    python3 tools/output_digests.py --root ../parent > parent.txt
+    python3 tools/output_digests.py --workload cli-trial --seeds 0
+
+By default it runs every workload, ``sim-cv-rct fit-obs50 cli-trial a06-cell
+obs-nocv``, at seeds 0, 1 and 2: 72 digests, the battery that shows a change
+bit for bit.
 
 ``--root`` names the source checkout whose ``src/`` and ``perfbench/`` are
 imported (default: the one holding this script), so two runs, one per
@@ -178,7 +182,7 @@ def interpose(record, models) -> list:
         module = import_module(modname)
         stack = getattr(module, attr, None)
         if stack is not None:
-            # the call checks its arguments as the stack does (eagerly for _fit_groups)
+            # the call checks its arguments as the stack does, when called
             wrap(stack, lambda *args, _fn=stack, **kwargs: yielded(_fn(*args, **kwargs)))
         for fit in unstacked if stack is None else ():
             orig = getattr(module, fit)
@@ -228,9 +232,9 @@ def digests(workload, seed: int, root: str) -> list:
 def main(argv=None) -> int:
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, nargs="+",
-                        choices=("sim-cv-rct", "fit-obs50", "cli-trial", *BUILT_IN))
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0])
+    workloads = ("sim-cv-rct", "fit-obs50", "cli-trial", *BUILT_IN)
+    parser.add_argument("--workload", nargs="+", choices=workloads, default=list(workloads))
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     parser.add_argument("--root", default=here,
                         help="source checkout to import src/ and perfbench/ from")
     args = parser.parse_args(argv)
