@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def fit_wmcm(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> Ba
     and the targets never change. The recorded objective is non-increasing.
     A stack of one in ``_fit_stack``.
     """
-    return _fit_one("wmcm", d, a, lambda_w, cfg)
+    return _fit_one(partial(_fit_stack, "wmcm"), d, a, lambda_w, cfg)
 
 
 def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> BaselineModel:
@@ -73,13 +74,12 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
     alternating an exact weighted least-squares solve for B with cyclic row
     updates for Gamma. A stack of one in ``_fit_stack``.
     """
-    return _fit_one("wfull", d, a, lambda_w, cfg)
+    return _fit_one(partial(_fit_stack, "wfull"), d, a, lambda_w, cfg)
 
 
-def _fit_one(method, d, a, lambda_w, cfg):
-    parts, cfgs = [(d, a)], [[replace(cfg or FitConfig(rank=1), lambda_w=lambda_w)]]
-    stack = _fit_l1_stack(parts, cfgs) if method == "wmcml1" else _fit_stack(method, parts, cfgs)
-    ((_, _, model),) = stack
+def _fit_one(stack, d, a, lambda_w, cfg):
+    # the one model of a stack of one
+    ((_, _, model),) = stack([(d, a)], [[replace(cfg or FitConfig(rank=1), lambda_w=lambda_w)]])
     return model
 
 
@@ -163,7 +163,7 @@ def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) ->
     surrogate, which is non-increasing. Raises NumericalError if the cap of
     max_outer * max_inner iterations is hit. A stack of one in ``_fit_l1_stack``.
     """
-    return _fit_one("wmcml1", d, a, lambda_w, cfg)
+    return _fit_one(_fit_l1_stack, d, a, lambda_w, cfg)
 
 
 def _huber(R):

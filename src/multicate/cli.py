@@ -27,7 +27,8 @@ from .model_io import (
     write_replication_csv,
     write_summary_csv,
 )
-from .model_selection import METHOD_ALIASES, METHODS, CvGrid, cross_validate, default_cv_grid
+from .model_selection import (GRID_FOLDS, METHOD_ALIASES, METHODS, CvGrid, cross_validate,
+                              default_cv_grid)
 from .simulation import ScenarioSpec, run_scenario
 from .solver import fit
 from .weights import resolve_weights
@@ -83,17 +84,17 @@ def _add_data_args(p):
 
 
 def _add_solver_args(p):
-    p.add_argument("--outer-tol", type=_setting("outer_tol", float), default=1e-6)
-    p.add_argument("--inner-tol", type=_setting("inner_tol", float), default=1e-8)
-    p.add_argument("--max-outer", type=_setting("max_outer", int), default=500)
-    p.add_argument("--max-inner", type=_setting("max_inner", int), default=100)
+    for name, cast in (("outer_tol", float), ("inner_tol", float), ("max_outer", int),
+                       ("max_inner", int)):
+        p.add_argument("--" + name.replace("_", "-"), type=_setting(name, cast),
+                       default=getattr(FitConfig, name))
 
 
 def _add_grid_args(p):
     p.add_argument("--lambdas", type=_list("lambda_w", float), default=None)
     p.add_argument("--phis", type=_list("phi_c", float), default=None)
     p.add_argument("--ranks", type=_list("rank", int), default=None)
-    p.add_argument("--folds", type=_setting("folds", int), default=5)
+    p.add_argument("--folds", type=_setting("folds", int), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_args(p_cv)
     p_cv.add_argument("--cv-out", default=None, help="per-fold loss CSV")
     p_cv.add_argument("--model-out", default=None, help="refit best model and save here")
-    p_cv.set_defaults(func=_cmd_cv, cv=True)
+    p_cv.set_defaults(func=_cmd_cv, cv=True, folds=GRID_FOLDS)
 
     p_sim = sub.add_parser("simulate", help="run simulation replications")
     p_sim.add_argument("config", help="scenario config JSON")
@@ -180,13 +181,16 @@ def _grid_from_args(args, seed):
     # the CV grid given by --lambdas/--phis/--ranks, or None when none is given
     axes = (args.lambdas, args.phis, args.ranks)
     if all(v is None for v in axes):
+        if args.command == "simulate" and args.folds is not None:
+            # simulate's default grids take GRID_FOLDS folds at fold seed 0
+            raise UsageError("--folds needs --lambdas, --phis, and --ranks")
         return None
     if any(v is None for v in axes):
         raise UsageError("--lambdas, --phis, and --ranks must be given together")
     if not args.cv:  # simulate without --cv fits no grid
         raise UsageError("--lambdas, --phis, and --ranks need --cv")
     return CvGrid(lambdas=args.lambdas, phis=args.phis, ranks=args.ranks,
-                  folds=args.folds, seed=seed)
+                  folds=GRID_FOLDS if args.folds is None else args.folds, seed=seed)
 
 
 def _warn_capped(n: int, max_inner: int) -> None:

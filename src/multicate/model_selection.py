@@ -139,9 +139,8 @@ def kfold_split(T, folds: int, seed: int) -> np.ndarray:
                 f"arm {arm:+.0f} has {idx.size} subjects, fewer than {folds} folds"
             )
         rng.shuffle(idx)
-        for i in idx:
-            assignment[i] = counter % folds
-            counter += 1
+        assignment[idx] = (counter + np.arange(idx.size)) % folds
+        counter += idx.size
     return assignment
 
 
@@ -239,9 +238,10 @@ def _grid_fits(method, tasks, cfg):
     out = [tuple(np.empty((len(g.lambdas), len(g.phis), len(g.ranks), len(folds)), t)
                  for t in (float, int, bool, int)) for g, folds in tasks]
     for rank in dict.fromkeys(r for g, _ in tasks for r in g.ranks):
-        # (task, rank index, fold index, fold) of every training fold fit at this rank
-        parts = [(t, g.ranks.index(rank), f, p) for t, (g, folds) in enumerate(tasks)
-                 if rank in g.ranks for f, p in enumerate(folds)]
+        # (task, rank index, fold index, fold) of every training fold fit at this rank,
+        # at each index the rank has in the task's grid
+        parts = [(t, k, f, p) for t, (g, folds) in enumerate(tasks)
+                 for k, r in enumerate(g.ranks) if r == rank for f, p in enumerate(folds)]
         cfgs = [[replace(cfg, rank=rank, lambda_w=lam, phi_c=phi)
                  for lam in g.lambdas for phi in g.phis] for g, _ in tasks]
         fits = est.stack([(p.d_tr, p.a_tr) for *_, p in parts], [cfgs[t] for t, *_ in parts])
@@ -291,25 +291,19 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
     fits = stored[1] if stored else _grid_fits(method, [(fit_grid, folds)], cfg)[0]
     shape = (len(grid.lambdas), len(grid.phis), len(grid.ranks), grid.folds)
     per_fold, n_outer, converged, w_capped = (np.broadcast_to(v, shape).copy() for v in fits)
-    null_scale = 0.0
-    for part in folds:
-        null_scale += _gamma_loss(np.zeros((d.n_features, d.q)), part.d_he, part.a_he)
-    null_scale /= grid.folds
+    zero = np.zeros((d.n_features, d.q))
+    null_scale = sum(_gamma_loss(zero, part.d_he, part.a_he) for part in folds) / grid.folds
 
     mean_loss = per_fold.mean(axis=3)
     # losses within TIE_TOL of the minimum count as tied, measured against the
     # held-out outcome energy so near-zero losses still tie; parsimony
     # (smaller rank, then larger lambda, then larger phi) then decides
     cutoff = float(mean_loss.min()) * (1.0 + TIE_TOL) + TIE_TOL * null_scale
-    best_key, best_idx = None, None
-    for i, lam in enumerate(grid.lambdas):
-        for j, phi in enumerate(grid.phis):
-            for k, rank in enumerate(grid.ranks):
-                if mean_loss[i, j, k] > cutoff:
-                    continue
-                key = (rank, -lam, -phi, mean_loss[i, j, k])
-                if best_key is None or key < best_key:
-                    best_key, best_idx = key, (i, j, k)
+    # the first point in (lambda, phi, rank) order whose key is least; a NaN loss
+    # is not above the cutoff
+    best_idx = min((ix for ix in np.ndindex(mean_loss.shape) if not mean_loss[ix] > cutoff),
+                   key=lambda ix: (grid.ranks[ix[2]], -grid.lambdas[ix[0]],
+                                   -grid.phis[ix[1]], mean_loss[ix]))
     i, j, k = best_idx
     best = (grid.lambdas[i], grid.phis[j], grid.ranks[k])
     return CvResult(grid=grid, mean_loss=mean_loss, per_fold_loss=per_fold,

@@ -44,11 +44,9 @@ TRUE_RANK = {1: 1, 2: 2, 3: 1, 4: 2}
 # stacked descents, chiefly their offsets C and residuals D (16 MiB)
 _STACK_DOUBLES = 1 << 21
 
-_P_SET = (10, 50)
-_G_SET = (0.0, 1.0 / 3.0)
-_TAU_SET = (0.0, 5.0, 10.0)
-_B_SET = (B_SMALL, B_LARGE)
-_Z_SET = (0.0, 1.0 / 3.0)
+# the standard design's values of each field ScenarioSpec holds to it
+_STANDARD = {"p": (10, 50), "g": (0.0, 1.0 / 3.0), "tau_pct": (0.0, 5.0, 10.0),
+             "b": (B_SMALL, B_LARGE), "z": (0.0, 1.0 / 3.0)}
 
 
 @dataclass(frozen=True)
@@ -85,20 +83,12 @@ class ScenarioSpec:
         _check_settings(**{name: getattr(self, name) for name in sizes})
         for name in sizes:  # 60.0 passes the check
             object.__setattr__(self, name, int(getattr(self, name)))
-        if not self.allow_nonstandard:
-            checks = (
-                ("p", self.p in _P_SET),
-                ("g", any(math.isclose(self.g, v) for v in _G_SET)),
-                ("tau_pct", any(math.isclose(self.tau_pct, v) for v in _TAU_SET)),
-                ("b", any(math.isclose(self.b, v) for v in _B_SET)),
-                ("z", any(math.isclose(self.z, v) for v in _Z_SET)),
-            )
-            for fname, ok in checks:
-                if not ok:
-                    raise DataError(
-                        f"{fname}={getattr(self, fname)} is outside the standard design; "
-                        "pass allow_nonstandard=True to run it anyway"
-                    )
+        for fname, values in () if self.allow_nonstandard else _STANDARD.items():
+            if not any(math.isclose(getattr(self, fname), v) for v in values):
+                raise DataError(
+                    f"{fname}={getattr(self, fname)} is outside the standard design; "
+                    "pass allow_nonstandard=True to run it anyway"
+                )
 
     @property
     def scenario_id(self) -> str:
@@ -266,11 +256,12 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
     stack, so the rows are those of one replication at a time, byte for
     byte.
     """
-    requested = list(methods)
-    for name in requested:
+    names = []
+    for name in methods:
         if str(name).lower() not in METHOD_ALIASES:
             raise DataError(f"unknown method {name!r}")
-    run = _Run(spec, requested, cv, grid, cfg if cfg is not None else FitConfig(rank=1),
+        names.append((name, METHOD_ALIASES[str(name).lower()]))
+    run = _Run(spec, names, cv, grid, cfg if cfg is not None else FitConfig(rank=1),
                "rct" if spec.design == "rct" else "logistic")
 
     rows = []
@@ -286,7 +277,7 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
 
 class _Run(NamedTuple):
     spec: ScenarioSpec
-    names: list     # the requested method names
+    names: list     # (requested name, its method) of each requested method
     cv: bool
     grid: CvGrid | None
     cfg: FitConfig  # the base configuration
@@ -333,7 +324,7 @@ def _fit_chunk(chunk, run: _Run) -> dict:
     raises keeps none of its fits, so each of its replications fits alone."""
     drawn = [(rep, x[0].dataset, *x[1:]) for rep, x in chunk.items() if x is not None]
     fitted = {}
-    for method in dict.fromkeys(METHOD_ALIASES[str(n).lower()] for n in run.names):
+    for method in dict.fromkeys(method for _, method in run.names):
         try:  # a stack of no replication raises DataError
             if run.cv:
                 jobs = [(d, _method_grid(grid, method)) for _, d, _, grid in drawn]
@@ -351,8 +342,7 @@ def _replication_rows(rep, drawn, fitted, run: _Run) -> list:
     # one replication's rows; fitted holds the chunk's stacked gammas, and a replication
     # whose data, weights or fit setting failed (drawn None) errors every method
     rows = []
-    for name in run.names:
-        method = METHOD_ALIASES[str(name).lower()]
+    for name, method in run.names:
         values = [("error", 1.0)]
         if drawn is not None:
             truth, a, setting = drawn

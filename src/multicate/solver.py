@@ -365,7 +365,8 @@ def update_outlier_rows(C, d: Dataset, a, W, V, phi_c: float) -> np.ndarray:
 
 
 def update_loading_rows(W, d: Dataset, a, C, V, lambda_w: float,
-                        inner_tol: float = 1e-8, max_inner: int = 100) -> np.ndarray:
+                        inner_tol: float = FitConfig.inner_tol,
+                        max_inner: int = FitConfig.max_inner) -> np.ndarray:
     """Cyclic group-lasso updates of the covariate loading rows given C and V."""
     W, V, C = _block_inputs(d, W, V, C)
     _check_settings(lambda_w=lambda_w, inner_tol=inner_tol, max_inner=max_inner)

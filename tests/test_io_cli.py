@@ -25,7 +25,7 @@ from multicate import (
     write_replication_csv,
     write_summary_csv,
 )
-from multicate import data, model_selection, validate_dataset
+from multicate import cli, data, model_selection, validate_dataset
 from multicate.cli import build_parser, run_cli
 from multicate.model_selection import METHODS
 
@@ -687,6 +687,26 @@ def test_cli_simulate_grid_flags_need_cv(tmp_path, capsys):
     assert run_cli(["simulate", config, "--methods", "wmcmr4", "--lambdas", "1e6",
                     "--out", str(out)]) == 1
     assert "must be given together" in capsys.readouterr().err
+
+
+def test_cli_simulate_folds_needs_grid(tmp_path, capsys, monkeypatch):
+    # simulate's default grids take 5 folds at fold seed 0, so --folds without a
+    # grid would be ignored; it is refused, with or without --cv, before any run
+    config = _write(tmp_path / "scenario.json", json.dumps(
+        {"scenario": 3, "n": 60, "n_test": 40, "q": 10, "p": 10, "replications": 1}))
+    out = tmp_path / "r.csv"
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *args, **kw: runs.append(kw) or [])
+    for cv in ([], ["--cv"]):
+        assert run_cli(["simulate", config, *cv, "--folds", "3", "--out", str(out)]) == 1
+        assert ("error: usage: --folds needs --lambdas, --phis, and --ranks"
+                in capsys.readouterr().err)
+    assert not runs and not out.exists()
+    # a given grid takes --folds, or 5 folds without it
+    grid = ["--cv", "--lambdas", "1", "--phis", "1", "--ranks", "1"]
+    for folds, want in ((["--folds", "3"], 3), ([], 5)):
+        assert run_cli(["simulate", config, *grid, *folds, "--out", str(out)]) == 0
+        assert runs.pop()["grid"].folds == want
 
 
 def test_cli_report_rejects_malformed_input(tmp_path, capsys):

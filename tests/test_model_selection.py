@@ -71,6 +71,23 @@ def test_kfold_sizes_differ_at_most_one(rng):
             assert per.max() - per.min() <= 1
 
 
+def test_kfold_deals_each_shuffled_arm_round_robin(rng):
+    # reference: shuffle each arm (treated first) with the seeded generator, then
+    # deal its subjects one by one through a running counter
+    for trial in range(10):
+        n, folds = int(rng.integers(20, 60)), int(rng.integers(2, 6))
+        T = np.where(rng.uniform(size=n) < 0.6, 1.0, -1.0)
+        T[:5], T[5:10] = 1.0, -1.0
+        gen, want, counter = np.random.default_rng(trial), np.empty(n, dtype=int), 0
+        for arm in (1.0, -1.0):
+            idx = np.flatnonzero(T == arm)
+            gen.shuffle(idx)
+            for i in idx:
+                want[i] = counter % folds
+                counter += 1
+        assert np.array_equal(kfold_split(T, folds, seed=trial), want)
+
+
 def test_kfold_errors():
     T = np.array([1.0] * 3 + [-1.0] * 7)
     with pytest.raises(DataError, match="fewer than"):
@@ -191,6 +208,32 @@ def test_cross_validate_tie_window_zero_keeps_literal_minimum(monkeypatch):
     grid = CvGrid(lambdas=(0.01, 0.5), phis=(1e8,), ranks=(1, 2), folds=2, seed=0)
     res = cross_validate(d, grid)
     assert res.mean_loss[res.best_index] == res.mean_loss.min()
+
+
+def test_cross_validate_exact_ties_select_the_first_point(monkeypatch):
+    # repeated lambdas and phis fit bit-equal losses, so those points tie on
+    # (rank, -lambda, -phi, loss); the widened window admits every point, larger
+    # lambda wins by parsimony, and of the tied points the first in (lambda, phi,
+    # rank) order is selected
+    monkeypatch.setattr(model_selection, "TIE_TOL", 1e3)
+    d, _ = make_dataset(40, 2, 2, seed=10)
+    grid = CvGrid(lambdas=(0.01, 0.5, 0.5), phis=(2.0, 2.0), ranks=(1,), folds=2, seed=0)
+    res = cross_validate(d, grid)
+    tied = res.per_fold_loss[1:]
+    assert np.array_equal(tied, np.broadcast_to(tied[0, 0], tied.shape))
+    assert res.best_index == (1, 0, 0)
+    assert res.best == (0.5, 2.0, 1)
+
+
+def test_cross_validate_repeated_rank_fills_every_index():
+    # each index of a repeated rank holds that rank's fits, not unset memory
+    d, _ = make_dataset(40, 2, 2, seed=10)
+    res = cross_validate(d, CvGrid(lambdas=(0.5,), phis=(2.0,), ranks=(1, 1, 2), folds=2, seed=0))
+    one = cross_validate(d, CvGrid(lambdas=(0.5,), phis=(2.0,), ranks=(1, 2), folds=2, seed=0))
+    for got, want in ((res.per_fold_loss, one.per_fold_loss), (res.n_outer, one.n_outer),
+                      (res.converged, one.converged), (res.w_capped, one.w_capped)):
+        assert np.array_equal(got, want[:, :, [0, 0, 1]])
+    assert res.best_index[2] == (0 if one.best_index[2] == 0 else 2)
 
 
 def test_cross_validate_baseline_methods_run():

@@ -175,6 +175,14 @@ def test_spec_validation_and_id():
     assert TRUE_RANK == {1: 1, 2: 2, 3: 1, 4: 2}
 
 
+@pytest.mark.parametrize("field, value", [("g", 0.5), ("tau_pct", 2.0), ("b", 1.0), ("z", 0.5)])
+def test_spec_holds_each_field_to_the_standard_design(field, value):
+    with pytest.raises(DataError, match=f"^{field}={value} is outside the standard design"):
+        ScenarioSpec(scenario=1, **{field: value})
+    assert getattr(ScenarioSpec(scenario=1, allow_nonstandard=True, **{field: value}),
+                   field) == value
+
+
 # =============================================================================
 # scenario runner
 # =============================================================================

@@ -13,12 +13,9 @@ model the lockstep stacks ``solver._fit_groups``, ``baselines._fit_stack``
 and ``baselines._fit_l1_stack`` yield inside it, as a multiset (sorted
 per-model digests): ``fit``, ``fit_batch``, every baseline and every CV fit
 run through them, and the order in which problems stop depends on which
-problems share a stack. On a checkout without one of the baseline stacks,
-the results of the fits it stacks (``fit_wmcm`` and ``fit_wfull``, or
-``fit_wmcm_l1``) join the multiset instead, so the digests of two checkouts
-compare. Arrays and floats are hashed as their bytes, so -0.0 and 0.0
-differ; the work directory and the checkout's path are masked in strings
-and files.
+problems share a stack. Arrays and floats are hashed as their bytes, so
+-0.0 and 0.0 differ; the work directory and the checkout's path are masked
+in strings and files.
 
     python3 tools/output_digests.py > change.txt
     python3 tools/output_digests.py --root ../parent > parent.txt
@@ -63,11 +60,10 @@ CAPTURED = (
     ("multicate.model_selection", "cross_validate"),
     ("multicate.metrics", "evaluate"),
 )
-# the lockstep stacks, whose yielded models go into the digest as a multiset, each
-# with the baselines.* fits whose results join it on a checkout without that stack
-STACKS = (("multicate.solver", "_fit_groups", ()),
-          ("multicate.baselines", "_fit_stack", ("fit_wmcm", "fit_wfull")),
-          ("multicate.baselines", "_fit_l1_stack", ("fit_wmcm_l1",)))
+# the lockstep stacks, whose yielded models go into the digest as a multiset
+STACKS = (("multicate.solver", "_fit_groups"),
+          ("multicate.baselines", "_fit_stack"),
+          ("multicate.baselines", "_fit_l1_stack"))
 
 
 class Op(NamedTuple):
@@ -152,8 +148,7 @@ def interpose(record, models) -> list:
     """Wrap each CAPTURED entry point, by identity, in every loaded multicate
     module that binds it, appending (name, result) of each call to record;
     wrap each of the STACKS so that each model it yields is appended to
-    models, or, on a checkout without it, each fit it stacks so that its
-    result is; returns the (module, key, original) bindings to restore."""
+    models; returns the (module, key, original) bindings to restore."""
     modules = [m for k, m in list(sys.modules.items())
                if m is not None and (k == "multicate" or k.startswith("multicate."))]
     undo = []
@@ -178,21 +173,10 @@ def interpose(record, models) -> list:
             models.append(fit[-1])
             yield fit
 
-    for modname, attr, unstacked in STACKS:
-        module = import_module(modname)
-        stack = getattr(module, attr, None)
-        if stack is not None:
-            # the call checks its arguments as the stack does, when called
-            wrap(stack, lambda *args, _fn=stack, **kwargs: yielded(_fn(*args, **kwargs)))
-        for fit in unstacked if stack is None else ():
-            orig = getattr(module, fit)
-
-            def single(*args, _fn=orig, **kwargs):
-                out = _fn(*args, **kwargs)
-                models.append(out)
-                return out
-
-            wrap(orig, single)
+    for modname, attr in STACKS:
+        stack = getattr(import_module(modname), attr)
+        # the call checks its arguments as the stack does, when called
+        wrap(stack, lambda *args, _fn=stack, **kwargs: yielded(_fn(*args, **kwargs)))
     return undo
 
 
