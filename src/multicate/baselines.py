@@ -72,7 +72,9 @@ def fit_wfull(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> B
         min ||A(Y - X B - Z Gamma)||_F^2 + lambda ||Gamma||_{2,1}
 
     alternating an exact weighted least-squares solve for B with cyclic row
-    updates for Gamma. A stack of one in ``_fit_stack``.
+    updates for Gamma. If the normal matrix X^T A^2 X is singular, the fit
+    warns once (RuntimeWarning) and solves with X^T A^2 X + 1e-8 I. A stack
+    of one in ``_fit_stack``.
     """
     return _fit_one(partial(_fit_stack, "wfull"), d, a, lambda_w, cfg)
 
@@ -83,16 +85,6 @@ def _fit_one(stack, d, a, lambda_w, cfg):
     return model
 
 
-def _main_effects(H, rhs):
-    # B from one problem's main-effect normal equations, with a jitter if singular
-    try:
-        return np.linalg.solve(H, rhs)
-    except np.linalg.LinAlgError:
-        warnings.warn("singular main-effect normal equations; ridge jitter applied",
-                      RuntimeWarning)
-        return np.linalg.solve(H + 1e-8 * np.eye(H.shape[0]), rhs)
-
-
 def _fit_stack(method, parts, cfgs):
     """Fit the squared-loss baseline method, "wmcm" or "wfull", at the
     configurations cfgs[g] to each (d, a) = parts[g] in one lockstep stack
@@ -100,28 +92,36 @@ def _fit_stack(method, parts, cfgs):
     iterator of (g, j, model) for cfgs[g][j], in the order the problems stop.
 
     The configurations may differ only in lambda_w and phi_c (which these
-    fits do not use). Before the sweep, wfull takes per group the
-    main-effect right-hand sides, one stacked solve for B (problem by
-    problem if it is singular, so that only a singular problem warns and
-    takes the jitter) and per group the sweep targets G^T A (Y - X B), and
-    sweeps up to max_inner times; wmcm's targets never change, and it sweeps
-    once. Every operation acts per problem, so each model, trace included,
-    equals the one the method fits alone, bit for bit.
+    fits do not use). For wfull, each group's main-effect normal matrix
+    H = X^T A^2 X is formed once, when the stack is called; if
+    ``np.linalg.solve`` would find it singular, the group warns once and
+    keeps H + 1e-8 I. Before the sweep, wfull solves per group for its
+    problems' B and forms their sweep targets G^T A (Y - X B), and sweeps up
+    to max_inner times; wmcm's targets never change, and it sweeps once.
+    Every operation acts per problem, so each model, trace included, equals
+    the one the method fits alone, bit for bit.
     """
     parts, cfgs, cfg = _check_stack(parts, cfgs)
     full = method == "wfull"
-    # per group: a, A Z, A Y, X, Y, Z and a^2, and its problems' first Gamma ("W") and
-    # Gram matrix, and B and the main-effect normal matrix (wfull) or the fixed targets
+    # per group: a, A Z, A Y, X, Y, Z, a^2 and H (wfull), and its problems' first Gamma
+    # ("W") and Gram matrix, and B (wfull) or the fixed targets
     data, firsts = [], []
     for d, a in parts:
         a, G, Yw = _weighted(d, a)
-        aa, Z, zero = a * a, assemble_design(d) if full else None, np.zeros((d.n_features, d.q))
-        data.append((a, G, Yw, d.X, d.Y, Z, aa))
-        fixed = {"B": zero, "H": d.X.T @ (d.X * aa[:, None])} if full else {"T0": G.T @ Yw}
-        firsts.append({"W": zero, "gram": G.T @ G, **fixed})
+        aa, Z, H, zero = a * a, None, None, np.zeros((d.n_features, d.q))
+        if full:
+            Z, H = assemble_design(d), d.X.T @ (d.X * aa[:, None])
+            try:  # the LU decision np.linalg.solve makes with H
+                np.linalg.inv(H)
+            except np.linalg.LinAlgError:
+                warnings.warn("singular main-effect normal equations; ridge jitter applied",
+                              RuntimeWarning)
+                H = H + 1e-8 * np.eye(len(H))
+        data.append((a, G, Yw, d.X, d.Y, Z, aa, H))
+        firsts.append({"W": zero, "gram": G.T @ G, **({"B": zero} if full else {"T0": G.T @ Yw})})
 
     def objective(st, g, s):
-        a, G, Yw, X, Y, Z, _ = data[g]
+        a, G, Yw, X, Y, Z, _, _ = data[g]
         gamma = st["W"][s]
         R = a[:, None] * (Y - X @ st["B"][s] - Z @ gamma) if full else Yw - G @ gamma
         return _sums(R * R)
@@ -129,17 +129,10 @@ def _fit_stack(method, parts, cfgs):
     def targets(st, spans):
         if not full:
             return st["T0"]
-        rhs, T0 = [], []
+        T0 = []
         for g, s in spans:
-            _, _, _, X, Y, Z, aa = data[g]
-            rhs.append(X.T @ ((Y - Z @ st["W"][s]) * aa[:, None]))
-        rhs = np.concatenate(rhs)
-        try:
-            st["B"] = np.linalg.solve(st["H"], rhs)
-        except np.linalg.LinAlgError:
-            st["B"] = np.stack([_main_effects(H, b) for H, b in zip(st["H"], rhs)])
-        for g, s in spans:
-            a, G, _, X, Y, _, _ = data[g]
+            a, G, _, X, Y, Z, aa, H = data[g]
+            st["B"][s] = np.linalg.solve(H, X.T @ ((Y - Z @ st["W"][s]) * aa[:, None]))
             T0.append(G.T @ (a[:, None] * (Y - X @ st["B"][s])))
         return np.concatenate(T0)
 

@@ -30,7 +30,8 @@ SUMMARY_HEADER = ("scenario_id", "method", "metric", "median", "iqr", "n")
 
 def _read_csv_table(path):
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark is not part of the first column's name
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
     except OSError as e:
@@ -174,7 +175,7 @@ def read_json_object(path, not_object_message: str) -> dict:
     """The JSON object in the file at path; a DataError naming the path if the
     file cannot be read, is not JSON, or holds another value (not_object_message)."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
@@ -276,6 +277,11 @@ def build_path_diagram(model: FactorModel, covariate_names, outcome_names) -> Pa
                             loading_edges=loading_edges, outcome_edges=outcome_edges)
 
 
+def _dot_id(name: str) -> str:
+    # name as a quoted DOT ID: a backslash or a double quote in it escaped
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_path_diagram(model: FactorModel, covariate_names, outcome_names,
                         path=None) -> str:
     """Render the model's path diagram as Graphviz DOT text.
@@ -285,24 +291,22 @@ def export_path_diagram(model: FactorModel, covariate_names, outcome_names,
     deterministic. Writes to ``path`` when given and returns the text.
     """
     g = build_path_diagram(model, covariate_names, outcome_names)
+    xs = [_dot_id(f"x:{n}") for n in g.covariates]
+    fs = [_dot_id(f) for f in g.factors]
+    ys = [_dot_id(f"y:{n}") for n in g.outcomes]
     lines = ["digraph effect_paths {", "  rankdir=LR;"]
-    for name in g.covariates:
-        lines.append(f'  "x:{name}" [shape=box];')
-    for f in g.factors:
-        lines.append(f'  "{f}" [shape=ellipse];')
-    for name in g.outcomes:
-        lines.append(f'  "y:{name}" [shape=box];')
-    if g.covariates:
-        lines.append("  { rank=same; " + " ".join(f'"x:{n}";' for n in g.covariates) + " }")
-    if g.factors:
-        lines.append("  { rank=same; " + " ".join(f'"{f}";' for f in g.factors) + " }")
-    lines.append("  { rank=same; " + " ".join(f'"y:{n}";' for n in g.outcomes) + " }")
-    for src, dst, w in g.loading_edges:
+    lines += [f"  {x} [shape=box];" for x in xs]
+    lines += [f"  {f} [shape=ellipse];" for f in fs]
+    lines += [f"  {y} [shape=box];" for y in ys]
+    for ids in (xs, fs):
+        if ids:
+            lines.append("  { rank=same; " + " ".join(f"{i};" for i in ids) + " }")
+    lines.append("  { rank=same; " + " ".join(f"{y};" for y in ys) + " }")
+    edges = ([(f"x:{src}", dst, w) for src, dst, w in g.loading_edges]
+             + [(src, f"y:{dst}", w) for src, dst, w in g.outcome_edges])
+    for src, dst, w in edges:
         style = ", style=dashed" if w < 0 else ""
-        lines.append(f'  "x:{src}" -> "{dst}" [label="{w:.3f}"{style}];')
-    for src, dst, w in g.outcome_edges:
-        style = ", style=dashed" if w < 0 else ""
-        lines.append(f'  "{src}" -> "y:{dst}" [label="{w:.3f}"{style}];')
+        lines.append(f'  {_dot_id(src)} -> {_dot_id(dst)} [label="{w:.3f}"{style}];')
     lines.append("}")
     text = "\n".join(lines) + "\n"
     if path is not None:

@@ -113,7 +113,9 @@ def test_wfull_singular_design_warns_and_recovers():
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         model = fit_wfull(d, np.ones(n), 0.1)
-    assert any("jitter" in str(w.message) for w in rec)
+    # the singular normal matrix is found once, not at every outer step
+    assert model.trace.n_outer > 1
+    assert len(rec) == 1 and "jitter" in str(rec[0].message)
     assert np.all(np.isfinite(model.gamma))
     assert np.all(np.isfinite(model.B))
 

@@ -543,19 +543,24 @@ def test_baseline_stack_with_zero_design_column_in_one_group(method):
 def test_baseline_stack_warns_only_for_the_singular_group():
     # group 2 repeats a covariate: its main-effect normal equations are singular
     parts = _baseline_parts(3, duplicate_in=2)
+    cfgs = [[FitConfig(rank=1, lambda_w=lam) for lam in _BASELINE_LAMBDAS]] * len(parts)
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        stacked, _ = _baseline_stack("wfull", parts, _BASELINE_LAMBDAS)
-    jitter = [w for w in rec if "jitter" in str(w.message)]
-    # one warning per outer step of each of group 2's problems, as when each is fit alone
-    assert len(jitter) == len(rec) == sum(stacked[2, j].trace.n_outer
-                                          for j in range(len(_BASELINE_LAMBDAS))) > 0
+        fits = baselines._fit_stack("wfull", parts, cfgs)
+        # the call decides once per group, before any iteration
+        assert len(rec) == 1 and "jitter" in str(rec[0].message)
+        assert rec[0].category is RuntimeWarning
+        stacked = {(g, j): m for g, j, m in fits}
+        assert len(rec) == 1
+        list(baselines._fit_stack("wfull", parts[:2], cfgs[:2]))  # no singular group
+    assert len(rec) == 1
     for g, (d, a) in enumerate(parts):
         for j, lam in enumerate(_BASELINE_LAMBDAS):
             with warnings.catch_warnings(record=True) as rec:
                 warnings.simplefilter("always")
                 alone = fit_wfull(d, a, lam)
-            assert len(rec) == (alone.trace.n_outer if g == 2 else 0)
+            assert len(rec) == (g == 2)
+            assert all("jitter" in str(w.message) for w in rec)
             _assert_same_baseline(stacked[g, j], alone)
 
 

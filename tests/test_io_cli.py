@@ -69,6 +69,15 @@ def test_load_two_row_toy(tmp_path):
     assert d2.n_features == 1
 
 
+def test_load_csv_with_byte_order_mark(tmp_path):
+    # a UTF-8 byte-order mark is not part of the first column's name
+    cov = _write(tmp_path / "c.csv", "\ufeffarm,x1\n1,0.5\n-1,-0.5\n")
+    out = _write(tmp_path / "o.csv", "\ufeffy1\n1.0\n3.0\n")
+    d, names, onames = load_csv_dataset(cov, out, "arm")
+    assert names == ["intercept", "x1"] and onames == ["y1"]
+    assert np.array_equal(d.T, [1.0, -1.0]) and np.array_equal(d.Y, [[1.0], [3.0]])
+
+
 def test_load_propensity_column(tmp_path):
     cov = _write(tmp_path / "c.csv", "x1,t,ps\n0.5,1,0.7\n-0.5,-1,0.4\n")
     out = _write(tmp_path / "o.csv", "y\n1.0\n2.0\n")
@@ -319,6 +328,23 @@ def test_diagram_file_write_deterministic(tmp_path):
     assert text == export_path_diagram(model, ["a", "b", "c"], ["y1", "y2", "y3"])
     assert text.startswith("digraph effect_paths {")
     assert text.endswith("}\n")
+
+
+def test_diagram_escapes_quotes_and_backslashes_in_names():
+    # a double quote in a name, or a backslash at its end, must not close its quoted DOT ID
+    model = FactorModel(W=np.array([[1.0], [-2.0]]), V=np.array([[1.0], [0.0]]),
+                        C=np.zeros((2, 2)), rank=1)
+    covs, outs = ['dose "mg"', "path\\"], ['y "a"', "b\\"]
+    dot = export_path_diagram(model, covs, outs)
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')  # a DOT quoted string
+    ids = set()
+    for line in dot.splitlines():
+        assert '"' not in quoted.sub("", line)
+        ids.update(re.sub(r"\\(.)", r"\1", m) for m in quoted.findall(line))
+    assert {"x:" + n for n in covs} | {"f1"} | {"y:" + n for n in outs} <= ids
+    assert '  "x:dose \\"mg\\"" -> "f1" [label="1.000"];' in dot
+    assert '  "x:path\\\\" -> "f1" [label="-2.000", style=dashed];' in dot
+    assert '  "f1" -> "y:y \\"a\\"" [label="1.000"];' in dot
 
 
 # =============================================================================
@@ -673,6 +699,13 @@ def test_cli_simulate_config_errors(tmp_path, capsys):
     assert run_cli(["simulate", good, "--methods", "ols",
                     "--out", str(tmp_path / "r.csv")]) == 1
     assert "unknown method 'ols'" in capsys.readouterr().err
+
+
+def test_scenario_config_with_byte_order_mark(tmp_path):
+    doc = {"scenario": 3, "n": 60, "replications": 2, "seed": 7}
+    plain = _write(tmp_path / "plain.json", json.dumps(doc))
+    marked = _write(tmp_path / "bom.json", "\ufeff" + json.dumps(doc))
+    assert cli._scenario_from_config(marked) == cli._scenario_from_config(plain)
 
 
 def test_cli_simulate_grid_flags_need_cv(tmp_path, capsys):

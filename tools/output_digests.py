@@ -22,21 +22,26 @@ in strings and files.
     python3 tools/output_digests.py --workload cli-trial --seeds 0
 
 By default it runs every workload, ``sim-cv-rct fit-obs50 cli-trial a06-cell
-obs-nocv``, at seeds 0, 1 and 2: 72 digests, the battery that shows a change
-bit for bit.
+obs-nocv wfull-singular``, at seeds 0, 1 and 2: 75 digests, the battery that
+shows a change bit for bit.
 
 ``--root`` names the source checkout whose ``src/`` and ``perfbench/`` are
 imported (default: the one holding this script), so two runs, one per
 checkout, compared with ``diff``, show whether a change moved any output.
 BLAS is pinned to one thread, as in ``perfbench/run.py``.
 
-Built-in entries, each one ``run_scenario`` call seeded by the seed:
+Built-in entries, each one op seeded by the seed:
 
 * ``a06-cell``: the A06 acceptance cell (scenario 1, 5% contamination, RCT,
   n=300) with CV over A06's grid, 3 replications of ``wmcmr4``, ``mcm`` and
-  ``full``;
+  ``full``, in one ``run_scenario`` call;
 * ``obs-nocv``: an observational scenario-4 cell (n=300, p=q=10) without
-  CV, 4 replications of every method at lambda_w = phi_c = 5.
+  CV, 4 replications of every method at lambda_w = phi_c = 5, in one
+  ``run_scenario`` call;
+* ``wfull-singular``: ``fit_wfull`` at three lambda_w and a ``wfull``
+  ``cross_validate`` over four, on an RCT dataset (n=80, p=5, q=3) with an
+  all-zero covariate column, so that every main-effect normal matrix is
+  singular and every B takes the ridge jitter; its warnings are silenced.
 """
 
 import os
@@ -50,6 +55,7 @@ import hashlib  # noqa: E402
 import struct  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import warnings  # noqa: E402
 from importlib import import_module  # noqa: E402
 from typing import Callable, NamedTuple  # noqa: E402
 
@@ -100,7 +106,23 @@ def _obs_nocv(mc, seed):
                            cfg=mc.FitConfig(rank=1, lambda_w=5.0, phi_c=5.0))
 
 
-BUILT_IN = {s.name: s for s in (Scenario("a06-cell", _a06_cell), Scenario("obs-nocv", _obs_nocv))}
+def _wfull_singular(mc, seed):
+    rng = np.random.default_rng(seed)
+    n = 80
+    X = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 5))])
+    X[:, 2] = 0.0
+    T = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    Y = 0.5 * T[:, None] * X[:, [1, 3, 4]] + rng.standard_normal((n, 3))
+    d, a = mc.validate_dataset(X, Y, T), mc.rct_weights(n)
+    grid = mc.CvGrid(lambdas=(0.5, 2.0, 8.0, 32.0), phis=(1.0,), ranks=(1,), folds=4, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return ([mc.fit_wfull(d, a, lam) for lam in (0.0, 2.0, 20.0)],
+                mc.cross_validate(d, grid, method="wfull"))
+
+
+BUILT_IN = {s.name: s for s in (Scenario("a06-cell", _a06_cell), Scenario("obs-nocv", _obs_nocv),
+                                Scenario("wfull-singular", _wfull_singular))}
 
 
 def feed(h, x, masks) -> None:
