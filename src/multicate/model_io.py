@@ -104,6 +104,9 @@ def load_csv_dataset(covariates_path, outcomes_path, treatment_column,
     cov_names = [c for c in cov_header if c not in drop]
     if not cov_names:
         raise DataError(f"{covariates_path}: no covariate columns left")
+    if add_intercept and "intercept" in cov_names:
+        raise DataError(f"{covariates_path}: column 'intercept' clashes with the added "
+                        "intercept; rename it or load without an added intercept")
     X = np.column_stack(
         [_numeric_column(covariates_path, cov_header, cov_body, c) for c in cov_names]
     )
@@ -260,6 +263,11 @@ def build_path_diagram(model: FactorModel, covariate_names, outcome_names) -> Pa
         raise DataError(
             f"{len(outcome_names)} outcome names for {V.shape[0]} factor rows"
         )
+    # a repeated name would draw two rows as one node
+    for kind, names in (("covariate", covariate_names), ("outcome", outcome_names)):
+        repeated = [n for i, n in enumerate(names) if n in names[:i]]
+        if repeated:
+            raise DataError(f"duplicate {kind} name {repeated[0]!r}")
     active = [j for j in range(model.rank) if np.any(W[:, j])]
     factors = [f"f{j + 1}" for j in active]
     loading_edges = [

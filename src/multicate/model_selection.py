@@ -185,34 +185,26 @@ class _Fold(NamedTuple):
     a_he: WeightVector
 
 
-# While _shared_folds() is active: the fold parts built for a dataset, keyed
-# by (id of the dataset, folds, seed, propensity), and the grid fits stored by
-# _stack_cv, keyed by (id of the dataset, propensity, method, the method's
-# grid, cfg); each entry holds its dataset, so the id cannot be reused within
-# the block.
-_FOLD_MEMO: ContextVar = ContextVar("_FOLD_MEMO", default=None)
+# While _shared_cv() is active: the CvResult _stack_cv selected for a dataset,
+# keyed by (id of the dataset, propensity, method, the grid asked for, cfg);
+# each entry holds its dataset, so the id cannot be reused within the block.
+_CV_MEMO: ContextVar = ContextVar("_CV_MEMO", default=None)
 
 
 @contextmanager
-def _shared_folds():
-    """Within the block, cross_validate builds the folds and fold weights of
-    each dataset once per (folds, seed, propensity) and reuses them, as when
-    several methods are cross-validated on one replication, and reads the
-    grid fits ``_stack_cv`` stored."""
-    token = _FOLD_MEMO.set({})
+def _shared_cv():
+    """Within the block, ``cross_validate`` returns the result ``_stack_cv``
+    stored for its dataset, grid, method, propensity and cfg, if any."""
+    token = _CV_MEMO.set({})
     try:
         yield
     finally:
-        _FOLD_MEMO.reset(token)
+        _CV_MEMO.reset(token)
 
 
 def _fold_parts(d: Dataset, grid: CvGrid, propensity: str):
     """The fold assignment and, per fold, the training and held-out subsets
-    with their weights; built once per block of ``_shared_folds``."""
-    memo = _FOLD_MEMO.get()
-    key = (id(d), grid.folds, grid.seed, propensity)
-    if memo is not None and key in memo:
-        return memo[key][1]
+    with their weights."""
     assignment = kfold_split(d.T, grid.folds, grid.seed)
     folds = []
     for f in range(grid.folds):
@@ -220,8 +212,6 @@ def _fold_parts(d: Dataset, grid: CvGrid, propensity: str):
         d_tr, d_he = _subset(d, ~held), _subset(d, held)
         a_tr, a_he = _fold_weights(d_tr, d_he, propensity)
         folds.append(_Fold(d_tr, a_tr, d_he, a_he))
-    if memo is not None:
-        memo[key] = (d, (assignment, folds))
     return assignment, folds
 
 
@@ -255,43 +245,13 @@ def _grid_fits(method, tasks, cfg):
     return out
 
 
-def _stack_cv(method, jobs, propensity: str, cfg: FitConfig) -> None:
-    """Inside a ``_shared_folds`` block, fit a method's grid on the folds of
-    every (d, grid) of jobs, one lockstep stack per rank, and store each
-    dataset's fits where ``cross_validate(d, grid, method, propensity, cfg)``
-    reads them. grid is the method's own (``_method_grid``). If a fit raises,
-    nothing is stored."""
-    tasks = [(grid, _fold_parts(d, grid, propensity)[1]) for d, grid in jobs]
-    fits = _grid_fits(method, tasks, cfg)
-    memo = _FOLD_MEMO.get()
-    for (d, grid), fit in zip(jobs, fits):
-        memo[(id(d), propensity, method, grid, cfg)] = (d, fit)
-
-
-def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
-                   propensity: str = "rct", cfg: FitConfig | None = None) -> CvResult:
-    """Grid search by stratified k-fold CV; deterministic given the grid seed.
-
-    Ties in the mean loss break toward smaller rank, then larger lambda,
-    then larger phi. The method's own grid (``_method_grid``) is fit, the
-    points of one rank on all folds together by one lockstep stack, and its
-    results are broadcast over the axes the method ignores; the losses equal
-    those of fitting every grid point with ``fit`` or the baseline alone.
-    Inside a ``_shared_folds`` block, the fits ``_stack_cv`` stored for d are
-    read, not refit.
-    """
-    fit_grid = _method_grid(grid, method)  # raises on an unknown method
-    if "rank" in _estimator(method).axes:  # before any fit; the folds share d's shape
-        _check_rank(max(fit_grid.ranks), d.n_features, d.q)
-    if cfg is None:
-        cfg = FitConfig(rank=max(grid.ranks))
-    assignment, folds = _fold_parts(d, grid, propensity)
-    memo = _FOLD_MEMO.get() or {}
-    stored = memo.get((id(d), propensity, method, fit_grid, cfg))
-    fits = stored[1] if stored else _grid_fits(method, [(fit_grid, folds)], cfg)[0]
+def _select(grid: CvGrid, fits, assignment, folds) -> CvResult:
+    """The CV result over grid, the one place a CvResult is built, from the
+    fits ``_grid_fits`` gave on folds for the method's own grid; they are
+    broadcast over the axes the method ignores."""
     shape = (len(grid.lambdas), len(grid.phis), len(grid.ranks), grid.folds)
     per_fold, n_outer, converged, w_capped = (np.broadcast_to(v, shape).copy() for v in fits)
-    zero = np.zeros((d.n_features, d.q))
+    zero = np.zeros((folds[0].d_he.n_features, folds[0].d_he.q))
     null_scale = sum(_gamma_loss(zero, part.d_he, part.a_he) for part in folds) / grid.folds
 
     mean_loss = per_fold.mean(axis=3)
@@ -309,6 +269,43 @@ def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
     return CvResult(grid=grid, mean_loss=mean_loss, per_fold_loss=per_fold,
                     best=best, best_index=best_idx, fold_assignment=assignment,
                     n_outer=n_outer, converged=converged, w_capped=w_capped)
+
+
+def _stack_cv(method, jobs, propensity: str, cfg: FitConfig) -> None:
+    """Inside a ``_shared_cv`` block, fit a method's grid on the folds of
+    every (d, grid, (assignment, folds)) of jobs, one lockstep stack per
+    rank, and store each dataset's ``_select`` result, which
+    ``cross_validate(d, grid, method, propensity, cfg)`` then returns. grid
+    is the method's own (``_method_grid``) and the folds are
+    ``_fold_parts(d, grid, propensity)``. If a fit raises, nothing is
+    stored."""
+    fits = _grid_fits(method, [(grid, folds) for _, grid, (_, folds) in jobs], cfg)
+    _CV_MEMO.get().update({(id(d), propensity, method, grid, cfg): (d, _select(grid, fit, *parts))
+                           for (d, grid, parts), fit in zip(jobs, fits)})
+
+
+def cross_validate(d: Dataset, grid: CvGrid, method: str = "wmcmr4",
+                   propensity: str = "rct", cfg: FitConfig | None = None) -> CvResult:
+    """Grid search by stratified k-fold CV; deterministic given the grid seed.
+
+    Ties in the mean loss break toward smaller rank, then larger lambda,
+    then larger phi. The method's own grid (``_method_grid``) is fit, the
+    points of one rank on all folds together by one lockstep stack, and its
+    results are broadcast over the axes the method ignores; the losses equal
+    those of fitting every grid point with ``fit`` or the baseline alone.
+    Inside a ``_shared_cv`` block, the result ``_stack_cv`` stored for these
+    arguments is returned instead; it equals the one computed here.
+    """
+    fit_grid = _method_grid(grid, method)  # raises on an unknown method
+    if "rank" in _estimator(method).axes:  # before any fit; the folds share d's shape
+        _check_rank(max(fit_grid.ranks), d.n_features, d.q)
+    if cfg is None:
+        cfg = FitConfig(rank=max(grid.ranks))
+    stored = (_CV_MEMO.get() or {}).get((id(d), propensity, method, grid, cfg))
+    if stored:
+        return stored[1]
+    assignment, folds = _fold_parts(d, grid, propensity)
+    return _select(grid, _grid_fits(method, [(fit_grid, folds)], cfg)[0], assignment, folds)
 
 
 def default_cv_grid(d: Dataset, a, folds: int = GRID_FOLDS, seed: int = 0) -> CvGrid:

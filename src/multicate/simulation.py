@@ -27,8 +27,9 @@ from .model_selection import (
     GRID_POINTS,
     METHOD_ALIASES,
     CvGrid,
+    _fold_parts,
     _method_grid,
-    _shared_folds,
+    _shared_cv,
     _stack_cv,
     cross_validate,
     default_cv_grid,
@@ -236,18 +237,19 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
     that method; other methods in the replication still run. Weights are
     resolved once per replication; if that fails, every method gets its
     error row. The weights follow the design: constant for an RCT, a
-    logistic propensity fit for an observational one. With CV, the methods
-    of a replication share its folds and fold weights.
+    logistic propensity fit for an observational one.
 
     Replications run in chunks, each drawn, weighted and given its fit
-    setting first (with CV its grid, without its configuration at the true
-    rank; a replication whose setting fails errors every method). Then each
-    method is fit for the whole chunk by one lockstep stack (its
+    setting first: with CV its grid and its folds with their weights, which
+    every method shares; without, its configuration at the true rank. A
+    replication whose setting or folds fail errors every method, alone.
+    Then each method is fit for the whole chunk by one lockstep stack (its
     ``_ESTIMATORS`` entry's: the solver's descent for wmcmr4 and wmcmrrr,
     ``baselines._fit_stack`` for wmcm and wfull, ``baselines._fit_l1_stack``
     for wmcml1): on every replication's dataset without CV, and with CV one
-    stack per rank on every replication's training folds, whose results the
-    per-replication ``cross_validate`` calls read. A chunk holds as many
+    stack per rank on every replication's training folds, whose selections
+    ``_stack_cv`` stores for the per-replication ``cross_validate`` calls,
+    one per requested name and replication, to return. A chunk holds as many
     replications as keep what it holds for them (chiefly the offsets C and
     residuals D of its descents, and their data) within ``_STACK_DOUBLES``
     doubles, and at least one. If a method's stack raises, its results for
@@ -268,7 +270,7 @@ def run_scenario(spec: ScenarioSpec, methods, *, cv: bool = False,
     size = _chunk_size(run)
     for first in range(0, spec.replications, size):
         chunk = {rep: _draw(run, rep) for rep in range(first, min(first + size, spec.replications))}
-        with _shared_folds():  # every method's CV uses the same folds
+        with _shared_cv():  # where each cross_validate call reads its stacked result
             fitted = _fit_chunk(chunk, run)
             for rep, drawn in chunk.items():
                 rows += _replication_rows(rep, drawn, fitted, run)
@@ -301,37 +303,39 @@ def _chunk_size(run: _Run) -> int:
 
 
 def _draw(run: _Run, rep):
-    # replication rep's truth, weights and fit setting, or None if any fails: with CV
-    # its grid (the given one or its default grid), without its configuration at the
-    # pattern's true rank
+    # replication rep's truth, weights, fit setting and CV folds, or None if any fails:
+    # with CV its grid (the given one or its default grid) and its _fold_parts on it,
+    # without its configuration at the pattern's true rank and no folds
     rng = np.random.default_rng(np.random.SeedSequence([run.spec.seed, rep]))
     try:
         truth = generate_truth(run.spec, rng)
         d = truth.dataset
         a = resolve_weights(d, run.propensity)
-        if run.cv:
-            setting = run.grid if run.grid is not None else default_cv_grid(d, a)
-        else:
-            setting = replace(run.cfg, rank=min(TRUE_RANK[run.spec.scenario], d.q, d.n_features))
-        return truth, a, setting
+        if not run.cv:
+            cfg = replace(run.cfg, rank=min(TRUE_RANK[run.spec.scenario], d.q, d.n_features))
+            return truth, a, cfg, None
+        grid = run.grid if run.grid is not None else default_cv_grid(d, a)
+        return truth, a, grid, _fold_parts(d, grid, run.propensity)
     except (DataError, NumericalError):
         return None
 
 
 def _fit_chunk(chunk, run: _Run) -> dict:
     """The stacked fits of a chunk's methods: without CV, each {(replication,
-    method): gamma}; with CV, stored by ``_stack_cv``. A method whose stack
-    raises keeps none of its fits, so each of its replications fits alone."""
+    method): gamma}; with CV, each replication's selection, stored by
+    ``_stack_cv`` from its grid fits on the folds ``_draw`` built. A method
+    whose stack raises keeps none of its fits, so each of its replications
+    fits alone."""
     drawn = [(rep, x[0].dataset, *x[1:]) for rep, x in chunk.items() if x is not None]
     fitted = {}
     for method in dict.fromkeys(method for _, method in run.names):
         try:  # a stack of no replication raises DataError
             if run.cv:
-                jobs = [(d, _method_grid(grid, method)) for _, d, _, grid in drawn]
+                jobs = [(d, _method_grid(grid, method), parts) for _, d, _, grid, parts in drawn]
                 _stack_cv(method, jobs, run.propensity, run.cfg)
             else:
-                fits = _ESTIMATORS[method].stack([(d, a) for _, d, a, _ in drawn],
-                                                 [[cfg] for *_, cfg in drawn])
+                fits = _ESTIMATORS[method].stack([(d, a) for _, d, a, *_ in drawn],
+                                                 [[cfg] for *_, cfg, _ in drawn])
                 fitted.update({(drawn[g][0], method): model.gamma for g, _, model in fits})
         except (DataError, NumericalError):
             pass
@@ -345,7 +349,7 @@ def _replication_rows(rep, drawn, fitted, run: _Run) -> list:
     for name, method in run.names:
         values = [("error", 1.0)]
         if drawn is not None:
-            truth, a, setting = drawn
+            truth, a, setting, _ = drawn
             try:
                 gamma_hat = fitted.get((rep, method))
                 if gamma_hat is None:

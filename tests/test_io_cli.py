@@ -78,6 +78,16 @@ def test_load_csv_with_byte_order_mark(tmp_path):
     assert np.array_equal(d.T, [1.0, -1.0]) and np.array_equal(d.Y, [[1.0], [3.0]])
 
 
+def test_load_rejects_a_covariate_named_intercept(tmp_path):
+    # the added intercept is named "intercept"; a column of that name would repeat it
+    cov = _write(tmp_path / "c.csv", "intercept,x1,t\n1.0,0.5,1\n1.0,-0.5,-1\n")
+    out = _write(tmp_path / "o.csv", "y\n1.0\n2.0\n")
+    with pytest.raises(DataError, match=r"c\.csv: column 'intercept' clashes"):
+        load_csv_dataset(cov, out, "t")
+    d, names, _ = load_csv_dataset(cov, out, "t", add_intercept=False)
+    assert names == ["intercept", "x1"] and d.n_features == 2
+
+
 def test_load_propensity_column(tmp_path):
     cov = _write(tmp_path / "c.csv", "x1,t,ps\n0.5,1,0.7\n-0.5,-1,0.4\n")
     out = _write(tmp_path / "o.csv", "y\n1.0\n2.0\n")
@@ -318,6 +328,14 @@ def test_diagram_name_count_mismatch():
         build_path_diagram(model, ["a"], ["y1", "y2", "y3"])
     with pytest.raises(DataError, match="outcome names"):
         build_path_diagram(model, ["a", "b", "c"], ["y1"])
+
+
+def test_diagram_rejects_duplicate_names():
+    model = _small_model()
+    with pytest.raises(DataError, match="duplicate covariate name 'a'"):
+        build_path_diagram(model, ["a", "b", "a"], ["y1", "y2", "y3"])
+    with pytest.raises(DataError, match="duplicate outcome name 'y2'"):
+        export_path_diagram(model, ["a", "b", "c"], ["y1", "y2", "y2"])
 
 
 def test_diagram_file_write_deterministic(tmp_path):

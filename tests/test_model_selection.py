@@ -293,6 +293,31 @@ def test_method_grid_agrees_with_full_grid(method):
     assert np.array_equal(np.broadcast_to(small, shared.shape), shared)
 
 
+def _cv_bytes(res):
+    # every field of a CV result, arrays with their dtype and shape as bytes
+    return {k: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for k, v in vars(res).items()}
+
+
+@pytest.mark.parametrize("method", ["wmcmr4", "wfull"])
+def test_stacked_cv_result_equals_cross_validate_alone(method, monkeypatch):
+    # two observational datasets stacked by _stack_cv; cross_validate then returns
+    # what _stack_cv stored, byte for byte the result it computes outside any block
+    spec = ScenarioSpec(scenario=3, design="observational", n=120, n_test=10, q=4, seed=1)
+    data = [generate_truth(spec, np.random.default_rng(s)).dataset for s in (0, 1)]
+    grid = model_selection._method_grid(
+        CvGrid(lambdas=(0.1, 2.0), phis=(0.5, 5.0), ranks=(1, 2), folds=3, seed=4), method)
+    cfg = FitConfig(rank=1)
+    alone = [cross_validate(d, grid, method, "logistic", cfg) for d in data]
+    with model_selection._shared_cv():
+        model_selection._stack_cv(
+            method, [(d, grid, model_selection._fold_parts(d, grid, "logistic")) for d in data],
+            "logistic", cfg)
+        monkeypatch.setattr(model_selection, "_grid_fits", None)  # nothing is refit
+        stacked = [cross_validate(d, grid, method, "logistic", cfg) for d in data]
+    assert [_cv_bytes(r) for r in stacked] == [_cv_bytes(r) for r in alone]
+
+
 def test_fold_weights_equal_weights_module():
     spec = ScenarioSpec(scenario=3, design="observational", n=300, n_test=10, q=4, seed=1)
     d = generate_truth(spec, np.random.default_rng(0)).dataset

@@ -343,19 +343,22 @@ def test_stacked_replication_rows_equal_one_at_a_time(monkeypatch, design, cv, g
     assert max(sizes) == spec.replications * folds
 
 
-def _scale_outcomes_of(monkeypatch, bad_rep, factor):
-    # replication bad_rep's outcomes times factor, so its squared-loss objectives overflow
+def _change_data_of(monkeypatch, bad_rep, change):
+    # replication bad_rep's dataset d replaced by change(d) as run_scenario draws it
     draw = simulation.generate_truth
 
-    def scaled(spec, rng):
+    def changed(spec, rng):
         truth = draw(spec, rng)
         if list(rng.bit_generator.seed_seq.entropy) != [spec.seed, bad_rep]:
             return truth
-        d = truth.dataset
-        d = type(d)(X=d.X, Y=d.Y * factor, T=d.T, propensity=d.propensity)
-        return type(truth)(**{**vars(truth), "dataset": d})
+        return type(truth)(**{**vars(truth), "dataset": change(truth.dataset)})
 
-    monkeypatch.setattr(simulation, "generate_truth", scaled)
+    monkeypatch.setattr(simulation, "generate_truth", changed)
+
+
+def _scale_outcomes_of(monkeypatch, bad_rep, factor):
+    # replication bad_rep's outcomes times factor, so its squared-loss objectives overflow
+    _change_data_of(monkeypatch, bad_rep, lambda d: replace(d, Y=d.Y * factor))
 
 
 @pytest.mark.parametrize("cv", [False, True])
@@ -365,14 +368,13 @@ def test_failing_replication_stays_isolated_in_its_chunk(monkeypatch, cv):
     # the absolute-loss baseline's smoothed objective stays finite at that scale
     names = _RANK_NAMES + ["mcml1"]
     spec = ScenarioSpec(scenario=2, seed=9, **{**_FAST, "replications": 3})
-    # per cross_validate call: the grid fits stored for its dataset, of the
+    # per cross_validate call: the CV results stored for its dataset, of the
     # rank-using methods and of the absolute-loss baseline
     stored = []
     cross_validate = simulation.cross_validate
 
     def reading(d, *args, **kwargs):
-        memo = model_selection._FOLD_MEMO.get()
-        methods = [key[2] for key in memo if len(key) == 5 and key[0] == id(d)]  # fit keys
+        methods = [key[2] for key in model_selection._CV_MEMO.get() if key[0] == id(d)]
         stored.append((sum(m != "wmcml1" for m in methods), methods.count("wmcml1")))
         return cross_validate(d, *args, **kwargs)
 
@@ -384,15 +386,32 @@ def test_failing_replication_stays_isolated_in_its_chunk(monkeypatch, cv):
     assert errors == {(1, name) for name in _RANK_NAMES}
     assert max(sizes) == spec.replications * (grid.folds if cv else 1)
     if cv:
-        # the stored fits each rank-using CV call found, by run (no stacking, one
+        # the stored results each rank-using CV call found, by run (no stacking, one
         # replication per chunk, one chunk whose descent failed) and replication
         ranked = [s for k, (s, _) in enumerate(stored) if names[k % len(names)] in _RANK_NAMES]
         _, alone, together = np.array(ranked).reshape(3, spec.replications, len(_RANK_NAMES))
         assert (alone[[0, 2]] > 0).all() and not alone[1].any() and not together.any()
-        # the absolute-loss stack of the failing chunk does not fail: its fits are kept
+        # the absolute-loss stack of the failing chunk does not fail: its results are kept
         l1 = [s for k, (_, s) in enumerate(stored) if names[k % len(names)] == "mcml1"]
         none, alone, together = np.array(l1).reshape(3, spec.replications)
         assert not none.any() and (alone > 0).all() and (together > 0).all()
+
+
+@pytest.mark.parametrize("design", ["rct", "observational"])
+def test_replication_whose_folds_fail_errors_alone(monkeypatch, design):
+    # replication 1 has one treated subject, fewer than the folds
+    _change_data_of(monkeypatch, 1,
+                    lambda d: replace(d, T=np.where(np.arange(d.n) == 0, 1.0, -1.0)))
+    names = _RANK_NAMES + ["mcm", "full"]
+    spec = ScenarioSpec(scenario=2, design=design, seed=9,
+                        **{**_FAST, "n": 120, "replications": 3})
+    (unstacked, alone, stacked), sizes = _chunked_runs(monkeypatch, spec, names, cv=True,
+                                                       grid=_CHUNK_GRID)
+    assert _row_bytes(stacked) == _row_bytes(alone) == _row_bytes(unstacked)
+    errors = [(r["replication"], r["method"]) for r in stacked if r["metric"] == "error"]
+    assert errors == [(1, name) for name in names]
+    # the other replications' folds still share one stack per rank
+    assert max(sizes) == (spec.replications - 1) * _CHUNK_GRID.folds
 
 
 # default-grid CV of three methods (observational; q = 2 keeps the grids to ranks 1-2)
