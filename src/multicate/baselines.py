@@ -28,8 +28,8 @@ from functools import partial
 import numpy as np
 
 from .data import Dataset, FitConfig, NumericalError, assemble_design
-from .solver import (FitTrace, _check_stack, _lockstep, _row_sweep, _sums, _weighted,
-                     fit as _fit_factor)
+from .solver import (FitTrace, _check_stack, _group_data, _lockstep, _row_sweep, _sums, _take,
+                     _weighted, fit as _fit_factor)
 
 HUBER_DELTA = 1e-4
 
@@ -92,59 +92,65 @@ def _fit_stack(method, parts, cfgs):
     iterator of (g, j, model) for cfgs[g][j], in the order the problems stop.
 
     The configurations may differ only in lambda_w and phi_c (which these
-    fits do not use). For wfull, each group's main-effect normal matrix
+    fits do not use). A group's data (a, A Z, A Y, and for wfull X, Y, Z and
+    H) are one shared slice, or one slice per problem for parts with one
+    configuration each and the same shape, so that one call serves the
+    whole group. For wfull, each part's main-effect normal matrix
     H = X^T A^2 X is formed once, when the stack is called; if
-    ``np.linalg.solve`` would find it singular, the group warns once and
+    ``np.linalg.solve`` would find it singular, the part warns once and
     keeps H + 1e-8 I. Before the sweep, wfull solves per group for its
     problems' B and forms their sweep targets G^T A (Y - X B), and sweeps up
     to max_inner times; wmcm's targets never change, and it sweeps once.
     Every operation acts per problem, so each model, trace included, equals
     the one the method fits alone, bit for bit.
     """
-    parts, cfgs, cfg = _check_stack(parts, cfgs)
+    parts, cfgs, cfg, groups = _check_stack(parts, cfgs)
     full = method == "wfull"
     # per group: a, A Z, A Y, X, Y, Z, a^2 and H (wfull), and its problems' first Gamma
     # ("W") and Gram matrix, and B (wfull) or the fixed targets
     data, firsts = [], []
-    for d, a in parts:
-        a, G, Yw = _weighted(d, a)
-        aa, Z, H, zero = a * a, None, None, np.zeros((d.n_features, d.q))
+    for group in groups:
+        a, G, Yw, *XYZ = _group_data(parts, group, lambda d, a: _weighted(d, a) + (
+            (d.X, d.Y, assemble_design(d)) if full else ()))
+        X, Y, Z = XYZ or (None,) * 3
+        aa, H, zero = a * a, None, np.zeros((len(G),) + G.shape[2:] + Yw.shape[2:])
         if full:
-            Z, H = assemble_design(d), d.X.T @ (d.X * aa[:, None])
-            try:  # the LU decision np.linalg.solve makes with H
-                np.linalg.inv(H)
-            except np.linalg.LinAlgError:
-                warnings.warn("singular main-effect normal equations; ridge jitter applied",
-                              RuntimeWarning)
-                H = H + 1e-8 * np.eye(len(H))
-        data.append((a, G, Yw, d.X, d.Y, Z, aa, H))
-        firsts.append({"W": zero, "gram": G.T @ G, **({"B": zero} if full else {"T0": G.T @ Yw})})
+            H = X.mT @ (X * aa[..., None])
+            for h in H:
+                try:  # the LU decision np.linalg.solve makes with this part's H
+                    np.linalg.inv(h)
+                except np.linalg.LinAlgError:
+                    warnings.warn("singular main-effect normal equations; ridge jitter applied",
+                                  RuntimeWarning)
+                    h += 1e-8 * np.eye(len(h))
+        data.append((a, G, Yw, X, Y, Z, aa, H))
+        firsts.append({"W": zero, "gram": G.mT @ G, **({"B": zero} if full else {"T0": G.mT @ Yw})})
 
-    def objective(st, g, s):
-        a, G, Yw, X, Y, Z, _, _ = data[g]
+    def objective(st, h, s):
+        a, G, Yw, X, Y, Z, _, _ = data[h]
         gamma = st["W"][s]
-        R = a[:, None] * (Y - X @ st["B"][s] - Z @ gamma) if full else Yw - G @ gamma
+        R = a[..., None] * (Y - X @ st["B"][s] - Z @ gamma) if full else Yw - G @ gamma
         return _sums(R * R)
 
     def targets(st, spans):
         if not full:
             return st["T0"]
         T0 = []
-        for g, s in spans:
-            a, G, _, X, Y, Z, aa, H = data[g]
-            st["B"][s] = np.linalg.solve(H, X.T @ ((Y - Z @ st["W"][s]) * aa[:, None]))
-            T0.append(G.T @ (a[:, None] * (Y - X @ st["B"][s])))
+        for h, s in spans:
+            a, G, _, X, Y, Z, aa, H = data[h]
+            st["B"][s] = np.linalg.solve(H, X.mT @ ((Y - Z @ st["W"][s]) * aa[..., None]))
+            T0.append(G.mT @ (a[..., None] * (Y - X @ st["B"][s])))
         return np.concatenate(T0)
 
     def update(st, spans):
         return _row_sweep(st, targets(st, spans), cfg.inner_tol, cfg.max_inner if full else 1)
 
-    def model(st, g, i, k, objs, sweeps, converged, n_outer):
+    def model(st, h, i, k, objs, sweeps, converged, n_outer):
         trace = FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
         return BaselineModel(gamma=st["W"][i].copy(), method=method,
                              B=st["B"][i].copy() if full else None, trace=trace)
 
-    return _lockstep(cfgs, firsts, objective, update, model, cfg.max_outer)
+    return _lockstep(groups, cfgs, firsts, objective, update, model, cfg.max_outer, (data,))
 
 
 def fit_wmcm_l1(d: Dataset, a, lambda_w: float, cfg: FitConfig | None = None) -> BaselineModel:
@@ -173,7 +179,9 @@ def _fit_l1_stack(parts, cfgs):
     cfgs[g][j], in the order the problems stop.
 
     The configurations may differ only in lambda_w and phi_c (unused here).
-    Each problem keeps its step eta and the surrogate loss its line search
+    A group's data (A Z and A Y) are one shared slice, or one slice per
+    problem for parts with one configuration each and the same shape. Each
+    problem keeps its step eta and the surrogate loss its line search
     accepted, which its objective reads. A step takes per group the gradient
     at each problem's residual, then a proximal step per problem; a problem
     whose candidate fails the line search retries alone at eta / 2, and an
@@ -182,23 +190,24 @@ def _fit_l1_stack(parts, cfgs):
     for bit. A problem at the cap of max_outer * max_inner iterations raises
     NumericalError.
     """
-    parts, cfgs, cfg = _check_stack(parts, cfgs)
+    parts, cfgs, cfg, groups = _check_stack(parts, cfgs)
     cap = cfg.max_outer * cfg.max_inner
     # per group: A Z and A Y, and the residuals R of its problems still iterating;
     # its problems' first Gamma ("W"), surrogate loss and step
     data, R, firsts = [], [], []
-    for (d, a), cs in zip(parts, cfgs):
-        _, G, Yw = _weighted(d, a)
-        W = np.zeros((d.n_features, d.q))
+    for group in groups:
+        _, G, Yw = _group_data(parts, group, _weighted)
+        W = np.zeros((len(G),) + G.shape[2:] + Yw.shape[2:])
+        R0 = Yw - G @ W
         data.append((G, Yw))
-        R.append(np.repeat((Yw - G @ W)[None], len(cs), axis=0))
-        firsts.append({"W": W, "loss": _huber(R[-1][:1])[0], "eta": 1.0})
+        R.append(np.repeat(R0, len(group) // len(R0), axis=0))
+        firsts.append({"W": W, "loss": _huber(R0), "eta": np.ones(len(R0))})
 
     def update(st, spans):
-        for g, s in spans:
-            G, Yw = data[g]
+        for h, s in spans:
+            G, Yw = data[h]
             W, loss, eta, lam = (st[k][s] for k in ("W", "loss", "eta", "lam"))
-            grad = -G.T @ np.clip(R[g] / HUBER_DELTA, -1.0, 1.0)
+            grad = -G.mT @ np.clip(R[h] / HUBER_DELTA, -1.0, 1.0)
             todo = np.arange(len(W))  # the problems still searching
             while len(todo):
                 e, w, dw, old = eta[todo], W[todo], grad[todo], loss[todo]
@@ -207,22 +216,23 @@ def _fit_l1_stack(parts, cfgs):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     # group soft threshold of every row: fmax maps 0/0 to 0, + 0.0 maps -0.0 to 0.0
                     cand = np.fmax(1.0 - t / nv, 0.0) * P + 0.0
-                move, R_cand = cand - w, Yw - G @ cand
+                move, R_cand = cand - w, _take(Yw, todo) - _take(G, todo) @ cand
                 lhs = _huber(R_cand)
                 ok = lhs <= (old + _sums(dw * move) + _sums(move * move) / (2.0 * e)
                              + 1e-12 * (1.0 + np.abs(old)))
                 done, todo = todo[ok], todo[~ok]
-                W[done], R[g][done], loss[done] = cand[ok], R_cand[ok], lhs[ok]
+                W[done], R[h][done], loss[done] = cand[ok], R_cand[ok], lhs[ok]
                 eta[done] *= 1.5
                 eta[todo] *= 0.5
                 if (eta[todo] < 1e-20).any():
                     raise NumericalError("line search failed in absolute-loss fit")
         return np.zeros(len(st["W"]), dtype=int)
 
-    def model(st, g, i, k, objs, sweeps, converged, n_outer):
+    def model(st, h, i, k, objs, sweeps, converged, n_outer):
         if not converged:
             raise NumericalError(f"absolute-loss fit did not converge in {cap} iterations")
         trace = FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
         return BaselineModel(gamma=st["W"][i].copy(), method="wmcml1", trace=trace)
 
-    return _lockstep(cfgs, firsts, lambda st, g, s: st["loss"][s], update, model, cap, (R,))
+    return _lockstep(groups, cfgs, firsts, lambda st, h, s: st["loss"][s], update, model, cap,
+                     (R, data))

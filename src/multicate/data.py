@@ -169,10 +169,12 @@ def _coding_labels(coding: str) -> tuple:
 
 
 def _check_finite(name, arr):
+    # the first non-finite entry is located only when there is one
+    if np.isfinite(arr).all():
+        return
     bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        i, j = bad[0] if arr.ndim == 2 else (bad[0][0], 0)
-        raise DataError(f"{name} contains a non-finite entry at row {i}, column {j}")
+    i, j = bad[0] if arr.ndim == 2 else (bad[0][0], 0)
+    raise DataError(f"{name} contains a non-finite entry at row {i}, column {j}")
 
 
 def validate_dataset(

@@ -14,10 +14,15 @@ which is the form the updates below work with.
 
 Every fit, the baselines' too, runs one outer loop with one stop rule,
 ``_lockstep``, on many problems in lockstep along a leading stack axis (a
-fit alone is a stack of one): all share the rank and tolerances, each has
-its own penalties, and each group of them shares one dataset (in
-cross-validation, one group per training fold). Its users give only the
-objective and the outer step: ``_fit_groups`` the C step, a W row sweep
+fit alone is a stack of one): all share the rank and tolerances, and each
+has its own penalties. The problems form groups, and each group's data
+carry a leading axis too: one shared slice when the group is one dataset
+fit at several configurations (in cross-validation, one group per training
+fold), or one slice per problem when datasets of one shape are fit at one
+configuration each (a simulation chunk's replications without CV), so that
+each outer step makes one call per group, not one per dataset. Its users
+give only the objective and the outer step, written once for both kinds of
+group: ``_fit_groups`` the C step, a W row sweep
 and the V step (``fit_batch`` is one group and ``fit`` a batch of one),
 ``baselines._fit_stack`` the wmcm and wfull steps around a row sweep, and
 ``baselines._fit_l1_stack`` wmcml1's proximal gradient step. The W row
@@ -398,7 +403,7 @@ def _objectives(Y, Z, a, W, V, C, phis):
     ``_lockstep`` adds, and its residual Y - Z W V^T before offsets, which
     the next C step reuses."""
     D = Y - Z @ (W @ V.mT)
-    R = a[:, None] * (D - C)
+    R = a[..., None] * (D - C)
     return _sums(R * R) + phis * _row_norms(C).sum(axis=1), D
 
 
@@ -432,18 +437,19 @@ class FitTrace:
 
 def _initialize(Y, Z, a, rank):
     # ridge-regularized weighted least squares, then the top right singular
-    # subspace of its fitted values
+    # subspace of its fitted values; per slice of stacks Y, Z and a, in one solve and one SVD
     aa = a * a
-    H = Z.T @ (Z * aa[:, None]) + 1e-8 * np.eye(Z.shape[1])
-    gamma0 = np.linalg.solve(H, Z.T @ (Y * aa[:, None]))
+    H = Z.mT @ (Z * aa[..., None]) + 1e-8 * np.eye(Z.shape[-1])
+    gamma0 = np.linalg.solve(H, Z.mT @ (Y * aa[..., None]))
     _, _, Vt = np.linalg.svd(Z @ gamma0, full_matrices=False)
-    V0 = Vt[:rank].T
+    V0 = Vt[..., :rank, :].mT
     return gamma0 @ V0, V0
 
 
 def _check_stack(parts, cfgs):
-    # parts and cfgs as lists, and the first configuration, which the others
-    # equal up to lambda_w and phi_c
+    # parts and cfgs as lists, the first configuration, which the others equal
+    # up to lambda_w and phi_c, and the groups, lists of problems (g, j): each
+    # part with several configurations alone, the parts with one that share (n, P, q) together
     parts, cfgs = list(parts), [list(cs) for cs in cfgs]
     if not cfgs or len(cfgs) != len(parts) or not all(cfgs):
         raise DataError("a stack needs one list of at least one configuration per dataset")
@@ -452,48 +458,77 @@ def _check_stack(parts, cfgs):
     rest = [(k, v) for k, v in vars(first).items() if k not in ("lambda_w", "phi_c")]
     if any(getattr(c, k) != v for cs in cfgs for c in cs for k, v in rest):
         raise DataError("configurations in one batch may differ only in lambda_w and phi_c")
-    return parts, cfgs, first
+    groups = {}
+    for g, ((d, _), cs) in enumerate(zip(parts, cfgs)):
+        key = (d.n, d.n_features, d.q) if len(cs) == 1 else g
+        groups.setdefault(key, []).extend((g, j) for j in range(len(cs)))
+    return parts, cfgs, first, list(groups.values())
 
 
-def _lockstep(cfgs, firsts, objective, update, model, cap, per_group=()):
+def _group_data(parts, group, data):
+    # data(d, a) of each part of the group, field by field stacked on a leading
+    # axis: one shared slice for a part with several configurations, else one per problem
+    each = [data(*parts[g]) for g in dict.fromkeys(g for g, _ in group)]
+    return [np.stack(v) for v in zip(*each)]
+
+
+def _take(x, keep):
+    # a group's data (an array, None or a tuple of them) at the problems keep: an
+    # array with one slice per problem indexed, a shared slice (or None) as it is;
+    # a group of one live problem needs its one slice either way
+    if isinstance(x, tuple):
+        return tuple(_take(v, keep) for v in x)
+    return x if x is None or len(x) == 1 else x[keep]
+
+
+def _lockstep(groups, cfgs, firsts, objective, update, model, cap, per_group=()):
     """The outer loop of every fit: the problems (g, j), at the configurations
-    cfgs[g][j] (``_check_stack``'s), step in lockstep; a generator, which
-    each stack returns, so that the stack's own checks raise when it is called.
+    cfgs[g][j] (``_check_stack``'s), step in lockstep, laid out by the groups
+    (``_check_stack``'s lists of (g, j)); a generator, which each stack
+    returns, so that the stack's own checks raise when it is called.
 
-    st holds the live problems' stacks by name: firsts[g]'s, group g's
-    initial values once per problem ("W" among them; the same shapes in every
-    group), and "lam" and "phi", each problem's lambda_w and phi_c.
-    objective(st, g, s) gives the objectives of group g's problems, at slice
+    A group's data, which its stack keeps, are either one shared slice (a
+    part with several configurations) or one slice per problem (parts with
+    one configuration each and the same shape, merged), each with a leading
+    axis, so one call works for either. st holds the live problems' stacks by
+    name: firsts[h]'s, group h's initial values with a leading axis of one
+    or of one per problem ("W" among them; the same shapes in every group),
+    and "lam" and "phi", each problem's lambda_w and phi_c.
+    objective(st, h, s) gives the objectives of group h's problems, at slice
     s of st, but for the W penalty lambda_w sum_k ||w_k||, added here.
     Iteration 0 sets each problem's threshold, outer_tol times its objective
     (times 1.0 if that is not positive); then a problem iterates while its
     objective falls by at least that, up to iteration cap, and a non-finite
     objective raises NumericalError. A step drops the problems that stopped
-    from st and from each list of per-group stacks in per_group; then
-    update(st, spans), spans the groups' (g, s), steps the rest once and
-    returns each one's W sweep count. Yields (g, j, model(st, g, i, k, objs,
-    sweeps, converged, n_outer)) as problem (g, j) stops, at place i of the
-    live stack and k of its group. Every operation acts per problem, so each
-    problem's iterates and stop are those it has alone.
+    from st and (``_take``) from each list of per-group data in per_group;
+    then update(st, spans), spans the groups' (h, s), steps the rest once
+    and returns each one's W sweep count. Yields (g, j, model(st, h, i, k,
+    objs, sweeps, converged, n_outer)) as problem (g, j) stops, at place i of
+    the live stack and k of its group h, those of one iteration by (g, j).
+    Every operation acts per problem, so each problem's iterates and stop
+    are those it has alone.
     """
-    # problem p at entry is where[p] = (g, j), the j-th of group g, with its objectives
-    # objs[p] and W sweep counts sweeps[p]; the live problems lie group after group,
-    # counts[g] of group g, and ws holds their last sweep counts
-    cfg, counts = cfgs[0][0], [len(cs) for cs in cfgs]
-    where = [(g, j) for g, m in enumerate(counts) for j in range(m)]
-    st = {k: np.repeat(np.stack([f[k] for f in firsts]), counts, axis=0) for k in firsts[0]}
+    # problem p at entry is where[p] = (g, j, h), configuration j of part g in group h, with
+    # its objectives objs[p] and W sweep counts sweeps[p]; the live problems lie group
+    # after group, counts[h] of group h, and ws holds their last sweep counts
+    cfg, counts = cfgs[0][0], [len(group) for group in groups]
+    where = [(g, j, h) for h, group in enumerate(groups) for g, j in group]
+    # each group's first values once per problem, C-contiguous (BLAS sums another
+    # layout in another order, and a concatenation of broadcast views is not)
+    reps = [m // len(f["W"]) for f, m in zip(firsts, counts) for _ in f["W"]]
+    st = {k: np.repeat(np.concatenate([f[k] for f in firsts]), reps, axis=0) for k in firsts[0]}
     for k, name in (("lam", "lambda_w"), ("phi", "phi_c")):
-        st[k] = np.array([getattr(c, name) for cs in cfgs for c in cs], dtype=float)
+        st[k] = np.array([getattr(cfgs[g][j], name) for g, j, _ in where], dtype=float)
     live, ws = list(range(len(where))), [0] * len(where)
     objs, sweeps = [[] for _ in live], [[] for _ in live]
 
-    def span():  # (g, the slice of the live stack holding group g's problems), per group with any
+    def span():  # (h, the slice of the live stack holding group h's problems), per group with any
         ends = accumulate(counts)
-        return [(g, slice(e - m, e)) for g, (e, m) in enumerate(zip(ends, counts)) if m]
+        return [(h, slice(e - m, e)) for h, (e, m) in enumerate(zip(ends, counts)) if m]
 
     spans = span()
     for n_outer in range(cap + 1):
-        new = np.concatenate([objective(st, g, s) for g, s in spans])
+        new = np.concatenate([objective(st, h, s) for h, s in spans])
         new = (new + st["lam"] * _row_norms(st["W"]).sum(axis=1)).tolist()
         if not all(map(math.isfinite, new)):
             raise NumericalError(f"objective became non-finite at outer iteration {n_outer}")
@@ -502,21 +537,22 @@ def _lockstep(cfgs, firsts, objective, update, model, cap, per_group=()):
         else:
             keep = [True] * len(new)
             thresh = [cfg.outer_tol * (o if o > 0 else 1.0) for o in new]
-        for i, (p, o, w, k) in enumerate(zip(live, new, ws, keep)):
+        for p, o, w in zip(live, new, ws):
             objs[p].append(o)
             sweeps[p].append(w)
-            if not k or n_outer == cap:
-                g, j = where[p]
-                yield g, j, model(st, g, i, i - sum(counts[:g]), objs[p], sweeps[p], not k, n_outer)
+        for (g, j, h), i, p in sorted((where[p], i, p) for i, (p, k) in enumerate(zip(live, keep))
+                                      if not k or n_outer == cap):
+            yield g, j, model(st, h, i, i - sum(counts[:h]), objs[p], sweeps[p], not keep[i],
+                              n_outer)
         if n_outer == cap or not any(keep):
             return
         if not all(keep):
             live, thresh = list(compress(live, keep)), list(compress(thresh, keep))
             keep = np.array(keep)
-            for g, s in spans:
+            for h, s in spans:
                 for stacks in per_group:
-                    stacks[g] = stacks[g][keep[s]]
-                counts[g] = int(np.count_nonzero(keep[s]))
+                    stacks[h] = _take(stacks[h], keep[s])
+                counts[h] = int(np.count_nonzero(keep[s]))
             spans = span()
             st.update({k: x[keep] for k, x in st.items()})
         ws = update(st, spans).tolist()
@@ -534,52 +570,55 @@ def _fit_groups(parts, cfgs, update_c: bool = True):
     arguments when called and returns an iterator of (g, j, model) for
     cfgs[g][j] fit to parts[g], in the order the problems stop.
 
-    The configurations may differ only in lambda_w and phi_c. Each group's
-    Gram matrix and initializer are computed once, and its objectives keep
-    its residual D. An outer step, in block order: per group, the C step
-    from D (skipped with C frozen at zero, update_c False) and the sweep
-    targets G^T F V and G^T F; one W sweep of the stack (``_sweep_rows``);
-    one V step. Every model, trace included, equals the one ``fit`` returns
-    for its data and configuration, bit for bit.
+    The configurations may differ only in lambda_w and phi_c. A group's data
+    (Y, Z, a, G = A Z and 2 a^2) are one shared slice, or one slice per
+    problem for parts with one configuration each and the same shape (the
+    replications of a simulation run), so that one call serves the whole
+    group. Each group's Gram matrices and initializers are computed once, in
+    one stacked solve and SVD, and its objectives keep its residual D. An
+    outer step, in block order: per group, the C step from D (skipped with C
+    frozen at zero, update_c False) and the sweep targets G^T F V and G^T F;
+    one W sweep of the stack (``_sweep_rows``); one V step. Every model,
+    trace included, equals the one ``fit`` returns for its data and
+    configuration, bit for bit.
     """
-    parts, cfgs, cfg = _check_stack(parts, cfgs)
-    # per group: its data and 2 a^2, the C of its problems still iterating, its
-    # residual D, and its problems' first W, V and Gram matrix
-    data, C, D, firsts = [], [], [None] * len(parts), []
-    for (d, a), cs in zip(parts, cfgs):
-        a = _avec(a, d.n)
-        _check_rank(cfg.rank, d.n_features, d.q)
-        Y, Z = d.Y, assemble_design(d)
-        G = a[:, None] * Z
+    parts, cfgs, cfg, groups = _check_stack(parts, cfgs)
+    # per group: its data, the C of its problems still iterating, its residual D,
+    # and its problems' first W, V and Gram matrix
+    data, C, D, firsts = [], [], [None] * len(groups), []
+    for group in groups:
+        a, Y, Z = _group_data(parts, group, lambda d, a: (_avec(a, d.n), d.Y, assemble_design(d)))
+        _check_rank(cfg.rank, Z.shape[-1], Y.shape[-1])
+        G = a[..., None] * Z
         W0, V0 = _initialize(Y, Z, a, cfg.rank)
         data.append((Y, Z, a, G, 2.0 * a * a))
-        C.append(np.zeros((len(cs),) + Y.shape))
-        firsts.append({"W": W0, "V": V0, "gram": G.T @ G})
+        C.append(np.zeros((len(group),) + Y.shape[1:]))
+        firsts.append({"W": W0, "V": V0, "gram": G.mT @ G})
 
-    def objective(st, g, s):
-        obj, D[g] = _objectives(*data[g][:3], st["W"][s], st["V"][s], C[g], st["phi"][s])
+    def objective(st, h, s):
+        obj, D[h] = _objectives(*data[h][:3], st["W"][s], st["V"][s], C[h], st["phi"][s])
         return obj
 
     def update(st, spans):
         T0, GF = [], []
-        for g, s in spans:
-            Y, _, a, G, aa2 = data[g]
-            C[g] = _shrink_rows(D[g], st["phi"][s, None] / aa2) if update_c else C[g]
-            D[g] = None
-            F = a[:, None] * (Y - C[g])  # F = A (Y - C)
-            T0.append(G.T @ (F @ st["V"][s]))
-            GF.append(G.T @ F)
+        for h, s in spans:
+            Y, _, a, G, aa2 = data[h]
+            C[h] = _shrink_rows(D[h], st["phi"][s, None] / aa2) if update_c else C[h]
+            D[h] = None
+            F = a[..., None] * (Y - C[h])  # F = A (Y - C)
+            T0.append(G.mT @ (F @ st["V"][s]))
+            GF.append(G.mT @ F)
         sweeps = _row_sweep(st, np.concatenate(T0), cfg.inner_tol, cfg.max_inner)
         st["V"] = _v_block(st["W"].mT @ np.concatenate(GF), st["V"])
         return sweeps
 
-    def model(st, g, i, k, objs, sweeps, converged, n_outer):
+    def model(st, h, i, k, objs, sweeps, converged, n_outer):
         trace = FitTrace(objective=np.asarray(objs), w_sweeps=sweeps[1:],
                          c_sweeps=[int(update_c)] * n_outer, converged=converged,
                          n_outer=n_outer, w_capped=sweeps.count(cfg.max_inner))
-        return FactorModel(W=st["W"][i], V=st["V"][i], C=C[g][k], rank=cfg.rank, trace=trace)
+        return FactorModel(W=st["W"][i], V=st["V"][i], C=C[h][k], rank=cfg.rank, trace=trace)
 
-    return _lockstep(cfgs, firsts, objective, update, model, cfg.max_outer, (C, D))
+    return _lockstep(groups, cfgs, firsts, objective, update, model, cfg.max_outer, (C, D, data))
 
 
 def fit_batch(d: Dataset, a, cfgs, update_c: bool = True) -> list:

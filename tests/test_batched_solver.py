@@ -1048,3 +1048,123 @@ def test_cross_validate_reports_capped_w_blocks():
             trace = model_selection._ESTIMATORS[method].fit(d_tr, a_tr, point).trace
             assert result.w_capped[i, j, k, f] == trace.w_capped
         assert result.w_capped.any() == (method != "wmcm")
+
+
+# =============================================================================
+# replications: parts with one configuration each and the same shape, merged
+# into one group whose data hold one slice per problem
+# =============================================================================
+
+
+def _replications(count=4, n=60, q=3, seed=70, singular=None):
+    # equal-shape datasets with their own weights, as a simulation chunk's
+    # replications; replication singular repeats a covariate
+    parts = []
+    for g in range(count):
+        d = _contaminated(n=n, q=q, seed=seed + g)
+        X = np.array(d.X)
+        if g == singular:
+            X[:, 3] = X[:, 2]
+        a = np.random.default_rng(seed + g).uniform(0.6, 1.6, n)
+        parts.append((validate_dataset(X, d.Y, d.T), a))
+    return parts
+
+
+def _one_each(parts, **kw):
+    # one configuration per part, each with its own penalties
+    return [[FitConfig(rank=2, lambda_w=(0.5, 4.0, 30.0, 2.0)[g % 4], phi_c=(4.0, 1.0)[g % 2],
+                       **kw)] for g in range(len(parts))]
+
+
+def _assert_same_trace(t1, t2):
+    assert t1.objective.tobytes() == t2.objective.tobytes()
+    assert (t1.n_outer, t1.converged, t1.w_sweeps, t1.c_sweeps, t1.w_capped) == \
+        (t2.n_outer, t2.converged, t2.w_sweeps, t2.c_sweeps, t2.w_capped)
+
+
+@pytest.mark.parametrize("update_c", [True, False])
+def test_replications_in_one_group_equal_each_fit_alone(monkeypatch, update_c):
+    parts = _replications()
+    cfgs = _one_each(parts, max_outer=12)
+    assert solver._check_stack(parts, cfgs)[3] == [[(g, 0) for g in range(len(parts))]]
+    calls = []  # the live problems of each objective call
+    objectives = solver._objectives
+
+    def counting(Y, Z, a, W, *rest):
+        assert len(Y) == len(Z) == len(a) == len(W)  # one data slice per live problem
+        calls.append(len(W))
+        return objectives(Y, Z, a, W, *rest)
+
+    monkeypatch.setattr(solver, "_objectives", counting)
+    stacked = {g: m for g, _, m in solver._fit_groups(parts, cfgs, update_c)}
+    monkeypatch.undo()
+    n_outer = [m.trace.n_outer for m in stacked.values()]
+    assert min(n_outer) < max(n_outer)  # problems leave the group along the way
+    # one call per outer step for the whole group, each with the problems still iterating
+    assert calls == [sum(n >= t for n in n_outer) for t in range(max(n_outer) + 1)]
+    for g, (d, a) in enumerate(parts):
+        alone = fit(d, a, cfgs[g][0], update_c)
+        got = stacked[g]
+        assert got.W.tobytes() == alone.W.tobytes() and got.V.tobytes() == alone.V.tobytes()
+        assert got.C.tobytes() == alone.C.tobytes()
+        _assert_same_trace(got.trace, alone.trace)
+        _assert_same_model(got, _serial_fit(d, a, cfgs[g][0], update_c), update_c)
+
+
+@pytest.mark.parametrize("method", ["wmcm", "wfull", "wmcml1"])
+def test_replications_in_one_baseline_group_equal_each_fit_alone(method):
+    parts = _replications(q=4)
+    fit_alone = {"wmcm": fit_wmcm, "wfull": fit_wfull, "wmcml1": fit_wmcm_l1}[method]
+    # a cap that stops some squared-loss fits (a wmcml1 fit at its cap raises)
+    kw = {} if method == "wmcml1" else {"max_outer": 6}
+    cfgs = _one_each(parts, **kw)
+    assert len(solver._check_stack(parts, cfgs)[3]) == 1
+    fits = list(model_selection._ESTIMATORS[method].stack(parts, cfgs))
+    assert [(m.trace.n_outer, g) for g, _, m in fits] == sorted(
+        (m.trace.n_outer, g) for g, _, m in fits)
+    assert len({m.trace.n_outer for *_, m in fits}) > 1
+    for g, j, model in fits:
+        d, a = parts[g]
+        _assert_same_baseline(model, fit_alone(d, a, cfgs[g][0].lambda_w, cfgs[g][0]))
+
+
+def test_wfull_replications_warn_and_jitter_only_for_the_singular_one():
+    parts = _replications(count=4, q=3, singular=2)
+    cfgs = [[FitConfig(rank=1, lambda_w=lam)] for lam in (0.0, 3.0, 1.0, 40.0)]
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        fits = baselines._fit_stack("wfull", parts, cfgs)
+        assert len(rec) == 1 and "jitter" in str(rec[0].message)  # at the call, once
+        stacked = {g: m for g, _, m in fits}
+    assert len(rec) == 1
+    for g, (d, a) in enumerate(parts):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            alone = fit_wfull(d, a, cfgs[g][0].lambda_w)
+        assert len(rec) == (g == 2)
+        # B and Gamma as alone: the jitter went into replication 2's H and no other
+        _assert_same_baseline(stacked[g], alone)
+
+
+@pytest.mark.parametrize("method", model_selection.METHODS)
+def test_mixed_list_of_parts_gives_each_part_its_fit_alone(method):
+    # parts 0, 2 and 4 merge; part 1 has two configurations and part 3 another n,
+    # so each is a group of its own
+    reps = _replications(count=4, q=3)
+    parts = [reps[0], reps[1], reps[2], _replications(count=1, n=72, q=3, seed=90)[0], reps[3]]
+    cfgs = _one_each(parts)
+    cfgs[1] = [cfgs[1][0], replace(cfgs[1][0], lambda_w=9.0, phi_c=0.5)]
+    groups = solver._check_stack(parts, cfgs)[3]
+    assert groups == [[(0, 0), (2, 0), (4, 0)], [(1, 0), (1, 1)], [(3, 0)]]
+    est = model_selection._ESTIMATORS[method]
+    fits = list(est.stack(parts, cfgs))
+    # problems stop by iteration, then part, then configuration
+    assert [(m.trace.n_outer, g, j) for g, j, m in fits] == sorted(
+        (m.trace.n_outer, g, j) for g, j, m in fits)
+    assert sorted((g, j) for g, j, _ in fits) == [(g, j) for g, cs in enumerate(cfgs)
+                                                  for j in range(len(cs))]
+    for g, j, model in fits:
+        d, a = parts[g]
+        alone = est.fit(d, a, cfgs[g][j])
+        assert model.gamma.tobytes() == alone.gamma.tobytes()
+        _assert_same_trace(model.trace, alone.trace)

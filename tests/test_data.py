@@ -36,6 +36,23 @@ def test_validate_reports_nonfinite_location():
         validate_dataset(X, Y, [1, -1, 1])
 
 
+def test_nonfinite_report_names_the_first_entry_of_a_matrix():
+    # several bad entries: the report names the first in row-major order
+    X = np.ones((4, 3))
+    X[3, 0], X[2, 2], X[2, 1] = np.nan, np.inf, np.nan
+    with pytest.raises(DataError) as err:
+        validate_dataset(X, np.zeros((4, 2)), [1, -1, 1, -1])
+    assert str(err.value) == "X contains a non-finite entry at row 2, column 1"
+
+
+def test_nonfinite_report_names_the_first_entry_of_a_vector():
+    # a 1-d array reports its index as the row and column 0
+    with pytest.raises(DataError) as err:
+        validate_dataset(np.ones((4, 2)), np.zeros((4, 1)), [1, -1, 1, -1],
+                         propensity=[0.5, 0.4, np.nan, -np.inf])
+    assert str(err.value) == "propensity contains a non-finite entry at row 2, column 0"
+
+
 def test_validate_single_arm_rejected():
     with pytest.raises(DataError, match="single-arm"):
         validate_dataset(np.ones((3, 1)), np.ones((3, 1)), [1, 1, 1])

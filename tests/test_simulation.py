@@ -21,7 +21,7 @@ from multicate import (
     make_main_effect,
     run_scenario,
 )
-from multicate import model_selection, simulation, weights
+from multicate import model_selection, simulation, solver, weights
 from multicate.metrics import METRIC_ORDER, evaluate
 
 
@@ -341,6 +341,38 @@ def test_stacked_replication_rows_equal_one_at_a_time(monkeypatch, design, cv, g
     # the chunk's descents hold every replication (with CV, all their folds)
     folds = (grid.folds if grid else model_selection.GRID_FOLDS) if cv else 1
     assert max(sizes) == spec.replications * folds
+
+
+def test_chunk_without_cv_calls_the_objective_once_per_outer_step(monkeypatch):
+    # without CV a chunk's replications share (n, P, q) and have one configuration
+    # each, so a rank-using method's stack holds them as one group: each outer step
+    # calls solver._objectives once for the chunk's k replications, not k times
+    spec = ScenarioSpec(scenario=2, design="rct", seed=8,
+                        **{**_FAST, "n": 120, "replications": 3})
+    cfg, names = FitConfig(rank=1, lambda_w=3.0, phi_c=4.0), list(METHOD_ALIASES)
+    with monkeypatch.context() as m:
+        m.setattr(simulation, "_fit_chunk", lambda *args: {})  # every fit alone
+        alone = run_scenario(spec, names, cfg=cfg)
+    calls, stacks = [], []  # per call its live problems; per stack its parts and outer steps
+    objectives, fit_groups = solver._objectives, model_selection._fit_groups
+
+    def counting(Y, Z, a, W, *rest):
+        calls.append(len(W))
+        return objectives(Y, Z, a, W, *rest)
+
+    def recording(parts, *args, **kw):
+        fits = list(fit_groups(parts, *args, **kw))
+        stacks.append((len(parts), max(m.trace.n_outer for *_, m in fits) + 1))
+        return fits
+
+    monkeypatch.setattr(solver, "_objectives", counting)
+    monkeypatch.setattr(model_selection, "_fit_groups", recording)
+    stacked = run_scenario(spec, names, cfg=cfg)
+    # wmcmr4 and wmcmrrr: one stack each of the chunk's 3 replications
+    assert [k for k, _ in stacks] == [3, 3]
+    assert len(calls) == sum(steps for _, steps in stacks) and calls[0] == 3
+    assert _row_bytes(stacked) == _row_bytes(alone)
+    assert not any(r["metric"] == "error" for r in stacked)
 
 
 def _change_data_of(monkeypatch, bad_rep, change):
