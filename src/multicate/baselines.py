@@ -12,7 +12,8 @@ structure:
 In a half-half randomized trial the weights are constant, so these reduce to
 their unweighted versions. Every fit runs on the solver's one outer loop and
 stop rule (``solver._lockstep``), so a non-finite objective raises
-NumericalError, as in ``fit``. ``fit_wmcmrrr`` fits through the solver's
+NumericalError, as in ``fit``, and takes its FitTrace from that loop, W
+sweep counts included. ``fit_wmcmrrr`` fits through the solver's
 descent; ``fit_wmcm`` and ``fit_wfull`` are stacks of one in ``_fit_stack``
 and ``fit_wmcm_l1`` in ``_fit_l1_stack``, which cross-validation and the
 simulation study use to fit every penalty on every training fold or
@@ -101,8 +102,9 @@ def _fit_stack(method, parts, cfgs):
     keeps H + 1e-8 I. Before the sweep, wfull solves per group for its
     problems' B and forms their sweep targets G^T A (Y - X B), and sweeps up
     to max_inner times; wmcm's targets never change, and it sweeps once.
-    Every operation acts per problem, so each model, trace included, equals
-    the one the method fits alone, bit for bit.
+    Each model packages Gamma (and B) with ``_lockstep``'s trace, whose
+    w_sweeps are those counts. Every operation acts per problem, so each
+    model, trace included, equals the one the method fits alone, bit for bit.
     """
     parts, cfgs, cfg, groups = _check_stack(parts, cfgs)
     full = method == "wfull"
@@ -145,8 +147,7 @@ def _fit_stack(method, parts, cfgs):
     def update(st, spans):
         return _row_sweep(st, targets(st, spans), cfg.inner_tol, cfg.max_inner if full else 1)
 
-    def model(st, h, i, k, objs, sweeps, converged, n_outer):
-        trace = FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
+    def model(st, h, i, k, trace):
         return BaselineModel(gamma=st["W"][i].copy(), method=method,
                              B=st["B"][i].copy() if full else None, trace=trace)
 
@@ -185,10 +186,11 @@ def _fit_l1_stack(parts, cfgs):
     accepted, which its objective reads. A step takes per group the gradient
     at each problem's residual, then a proximal step per problem; a problem
     whose candidate fails the line search retries alone at eta / 2, and an
-    accepted one goes on with 1.5 eta. Every operation acts per problem, so
-    each model, trace included, equals the one the problem gives alone, bit
-    for bit. A problem at the cap of max_outer * max_inner iterations raises
-    NumericalError.
+    accepted one goes on with 1.5 eta. Each model packages Gamma with
+    ``_lockstep``'s trace, whose w_sweeps are all 0 (no row sweep). Every
+    operation acts per problem, so each model, trace included, equals the one
+    the problem gives alone, bit for bit. A problem at the cap of max_outer *
+    max_inner iterations raises NumericalError.
     """
     parts, cfgs, cfg, groups = _check_stack(parts, cfgs)
     cap = cfg.max_outer * cfg.max_inner
@@ -228,10 +230,9 @@ def _fit_l1_stack(parts, cfgs):
                     raise NumericalError("line search failed in absolute-loss fit")
         return np.zeros(len(st["W"]), dtype=int)
 
-    def model(st, h, i, k, objs, sweeps, converged, n_outer):
-        if not converged:
+    def model(st, h, i, k, trace):
+        if not trace.converged:
             raise NumericalError(f"absolute-loss fit did not converge in {cap} iterations")
-        trace = FitTrace(objective=np.asarray(objs), converged=converged, n_outer=n_outer)
         return BaselineModel(gamma=st["W"][i].copy(), method="wmcml1", trace=trace)
 
     return _lockstep(groups, cfgs, firsts, lambda st, h, s: st["loss"][s], update, model, cap,

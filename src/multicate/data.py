@@ -78,21 +78,31 @@ class FitConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
 
 
+# the scalar types of a real number: concrete classes, which isinstance checks
+# several times faster than the numbers.Real ABC
+_REAL = (int, float, np.integer, np.floating, np.bool_)
+
+
 def _check_settings(**settings) -> None:
     """The one rule for settings, by name: a tolerance (*_tol) is finite and
     positive, a penalty or threshold finite and nonnegative, a seed a
-    nonnegative integer (of any size, as NumPy's generators take it), and any
-    other setting (a rank, a cap, a size, a fold count) a positive integer.
-    Raises DataError naming the first setting that breaks it."""
+    nonnegative integer (of any size, as NumPy's generators take it), a
+    design level (g, tau_pct, b, z) a real number, and any other setting (a
+    rank, a cap, a size, a fold count) a positive integer. Each but the seed
+    is first a real number: a Python or NumPy scalar or a 0-d array, not
+    text or None. Raises DataError naming the first setting that breaks it."""
     for name, v in settings.items():
+        real = isinstance(v, _REAL) or np.ndim(v) == 0 and np.asarray(v).dtype.kind in "biuf"
         if name.endswith("_tol"):
-            ok, rule = np.isfinite(v) and v > 0, "finite and positive"
+            ok, rule = real and np.isfinite(v) and v > 0, "finite and positive"
         elif name in ("lambda_w", "phi_c", "threshold"):
-            ok, rule = np.isfinite(v) and v >= 0, "finite and nonnegative"
+            ok, rule = real and np.isfinite(v) and v >= 0, "finite and nonnegative"
         elif name == "seed":
             ok, rule = isinstance(v, numbers.Integral) and v >= 0, "a nonnegative integer"
+        elif name in ("g", "tau_pct", "b", "z"):
+            ok, rule = real, "a real number"
         else:
-            ok, rule = np.isfinite(v) and int(v) == v and v >= 1, "a positive integer"
+            ok, rule = real and np.isfinite(v) and int(v) == v and v >= 1, "a positive integer"
         if not ok:
             raise DataError(f"{name} must be {rule}, got {v}")
 

@@ -75,15 +75,15 @@ class CvGrid:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        object.__setattr__(self, "phis", tuple(float(v) for v in self.phis))
-        ranks = tuple(self.ranks)
-        if not self.lambdas or not self.phis or not ranks:
+        lambdas, phis, ranks = tuple(self.lambdas), tuple(self.phis), tuple(self.ranks)
+        if not lambdas or not phis or not ranks:
             raise DataError("grid axes must be non-empty")
-        for name, values in (("lambda_w", self.lambdas), ("phi_c", self.phis), ("rank", ranks)):
-            for v in values:
+        for name, values in (("lambda_w", lambdas), ("phi_c", phis), ("rank", ranks)):
+            for v in values:  # before the casts below, which take text
                 _check_settings(**{name: v})
-        object.__setattr__(self, "ranks", tuple(int(v) for v in ranks))
+        object.__setattr__(self, "lambdas", tuple(map(float, lambdas)))
+        object.__setattr__(self, "phis", tuple(map(float, phis)))
+        object.__setattr__(self, "ranks", tuple(map(int, ranks)))
         _check_settings(folds=self.folds, seed=self.seed)
         if self.folds < 2:
             raise DataError("need at least two folds")
@@ -98,8 +98,7 @@ class CvResult:
     mean_loss has shape (len(lambdas), len(phis), len(ranks));
     per_fold_loss appends a fold axis. n_outer, converged and w_capped,
     shaped like per_fold_loss, give each fit's outer iteration count, whether
-    it converged before the max_outer cap, and its FitTrace.w_capped (0 for
-    the baselines).
+    it converged before the max_outer cap, and its FitTrace.w_capped.
     """
 
     grid: CvGrid

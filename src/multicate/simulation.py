@@ -81,7 +81,8 @@ class ScenarioSpec:
         if self.design not in ("rct", "observational"):
             raise DataError(f"design must be 'rct' or 'observational', got {self.design!r}")
         sizes = ("n", "n_test", "q", "p", "replications", "seed")
-        _check_settings(**{name: getattr(self, name) for name in sizes})
+        levels = ("g", "tau_pct", "b", "z")  # real numbers, before _STANDARD compares them
+        _check_settings(**{name: getattr(self, name) for name in sizes + levels})
         for name in sizes:  # 60.0 passes the check
             object.__setattr__(self, name, int(getattr(self, name)))
         for fname, values in () if self.allow_nonstandard else _STANDARD.items():

@@ -20,9 +20,10 @@ carry a leading axis too: one shared slice when the group is one dataset
 fit at several configurations (in cross-validation, one group per training
 fold), or one slice per problem when datasets of one shape are fit at one
 configuration each (a simulation chunk's replications without CV), so that
-each outer step makes one call per group, not one per dataset. Its users
-give only the objective and the outer step, written once for both kinds of
-group: ``_fit_groups`` the C step, a W row sweep
+each outer step makes one call per group, not one per dataset. It builds
+every fit's ``FitTrace``; its users give only the objective, the outer step,
+written once for both kinds of group, and the model each packages around
+that trace: ``_fit_groups`` the C step, a W row sweep
 and the V step (``fit_batch`` is one group and ``fit`` a batch of one),
 ``baselines._fit_stack`` the wmcm and wfull steps around a row sweep, and
 ``baselines._fit_l1_stack`` wmcml1's proximal gradient step. The W row
@@ -34,7 +35,7 @@ alone (``_ALONE_MAX``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, compress
 
 import numpy as np
@@ -109,13 +110,11 @@ def _sums(x):
     return x.reshape(len(x), -1).sum(axis=1)
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # t / 0 at a zero row: see fmax
 def _shrink_rows(R, thresholds):
-    # row-wise group soft threshold of R (..., n, q) with thresholds (..., n)
-    norms = _row_norms(R)
-    scale = np.zeros_like(norms)
-    pos = norms > 0
-    scale[pos] = np.maximum(0.0, 1.0 - thresholds[pos] / norms[pos])
-    return scale[..., None] * R
+    # row-wise group soft threshold of R (..., n, q) with thresholds (..., n); at a zero
+    # row 1 - t/0 is -inf, or NaN at t = 0, and fmax makes either scale 0.0
+    return np.fmax(1.0 - thresholds / _row_norms(R), 0.0)[..., None] * R
 
 
 # =============================================================================
@@ -418,13 +417,18 @@ def objective(model: FactorModel, d: Dataset, a, cfg: FitConfig) -> float:
 
 @dataclass(frozen=True)
 class FitTrace:
-    """Per-iteration record of a solver run.
+    """Per-iteration record of a solver run, which ``_lockstep`` builds for
+    every fit, the baselines' too.
 
     objective[0] is the value at initialization; objective[t] after outer
-    sweep t. The sequence is non-increasing. c_sweeps[t] is 1 when the exact
-    C step ran (0 with C frozen); w_sweeps[t] counts the W row sweeps, and
-    w_capped the outer iterations whose W block ran all max_inner sweeps
-    (its inner_tol test never passed). converged: ``_lockstep``'s decrease test stopped it.
+    sweep t. The sequence is non-increasing. w_sweeps[t - 1] counts the W
+    row sweeps of outer sweep t: up to max_inner for ``fit``, wmcmrrr and
+    wfull, 1 for wmcm (one sweep per step) and 0 for wmcml1 (no row sweep).
+    w_capped counts the outer sweeps whose W block ran all max_inner sweeps
+    (its inner_tol test never passed; every wmcm step at max_inner = 1).
+    c_sweeps[t - 1] is 1 when the exact C step ran, 0 with C frozen; the
+    baselines, which have no C, leave it empty. converged: ``_lockstep``'s
+    decrease test stopped it.
     """
 
     objective: np.ndarray
@@ -502,9 +506,12 @@ def _lockstep(groups, cfgs, firsts, objective, update, model, cap, per_group=())
     objective raises NumericalError. A step drops the problems that stopped
     from st and (``_take``) from each list of per-group data in per_group;
     then update(st, spans), spans the groups' (h, s), steps the rest once
-    and returns each one's W sweep count. Yields (g, j, model(st, h, i, k,
-    objs, sweeps, converged, n_outer)) as problem (g, j) stops, at place i of
-    the live stack and k of its group h, those of one iteration by (g, j).
+    and returns each one's W sweep count. As problem (g, j) stops, at place
+    i of the live stack and k of its group h, its FitTrace is built here,
+    from its objectives, its W sweep counts (w_capped those at max_inner),
+    whether the decrease test stopped it and its outer iteration count, and
+    (g, j, model(st, h, i, k, trace)) is yielded, those of one iteration by
+    (g, j).
     Every operation acts per problem, so each problem's iterates and stop
     are those it has alone.
     """
@@ -542,8 +549,10 @@ def _lockstep(groups, cfgs, firsts, objective, update, model, cap, per_group=())
             sweeps[p].append(w)
         for (g, j, h), i, p in sorted((where[p], i, p) for i, (p, k) in enumerate(zip(live, keep))
                                       if not k or n_outer == cap):
-            yield g, j, model(st, h, i, i - sum(counts[:h]), objs[p], sweeps[p], not keep[i],
-                              n_outer)
+            trace = FitTrace(objective=np.asarray(objs[p]), w_sweeps=sweeps[p][1:],
+                             converged=not keep[i], n_outer=n_outer,
+                             w_capped=sweeps[p].count(cfg.max_inner))
+            yield g, j, model(st, h, i, i - sum(counts[:h]), trace)
         if n_outer == cap or not any(keep):
             return
         if not all(keep):
@@ -578,7 +587,8 @@ def _fit_groups(parts, cfgs, update_c: bool = True):
     one stacked solve and SVD, and its objectives keep its residual D. An
     outer step, in block order: per group, the C step from D (skipped with C
     frozen at zero, update_c False) and the sweep targets G^T F V and G^T F;
-    one W sweep of the stack (``_sweep_rows``); one V step. Every model,
+    one W sweep of the stack (``_sweep_rows``); one V step. Each model adds
+    its C step counts (c_sweeps) to ``_lockstep``'s trace. Every model,
     trace included, equals the one ``fit`` returns for its data and
     configuration, bit for bit.
     """
@@ -612,10 +622,8 @@ def _fit_groups(parts, cfgs, update_c: bool = True):
         st["V"] = _v_block(st["W"].mT @ np.concatenate(GF), st["V"])
         return sweeps
 
-    def model(st, h, i, k, objs, sweeps, converged, n_outer):
-        trace = FitTrace(objective=np.asarray(objs), w_sweeps=sweeps[1:],
-                         c_sweeps=[int(update_c)] * n_outer, converged=converged,
-                         n_outer=n_outer, w_capped=sweeps.count(cfg.max_inner))
+    def model(st, h, i, k, trace):
+        trace = replace(trace, c_sweeps=[int(update_c)] * trace.n_outer)
         return FactorModel(W=st["W"][i], V=st["V"][i], C=C[h][k], rank=cfg.rank, trace=trace)
 
     return _lockstep(groups, cfgs, firsts, objective, update, model, cfg.max_outer, (C, D, data))

@@ -221,8 +221,54 @@ def test_non_finite_objective_raises_at_outer_iteration_0(method):
 
 @pytest.mark.parametrize("fit_baseline", [fit_wmcm, fit_wfull, fit_wmcm_l1])
 def test_baseline_traces_count_outer_iterations_only(fit_baseline):
+    # the W sweeps of each outer iteration: one per wmcm step, up to max_inner
+    # per wfull block, none in wmcml1's proximal steps; no baseline has a C step
     d, _ = make_dataset(60, 3, 2, seed=12)
     trace = fit_baseline(d, np.ones(60), 0.5).trace
-    assert trace.w_sweeps == trace.c_sweeps == []
-    assert trace.w_capped == 0
+    cap = FitConfig(rank=1).max_inner
     assert trace.n_outer == len(trace.objective) - 1 >= 1
+    assert len(trace.w_sweeps) == trace.n_outer and trace.c_sweeps == []
+    if fit_baseline is fit_wfull:
+        assert all(1 <= s <= cap for s in trace.w_sweeps)
+    else:
+        assert trace.w_sweeps == [int(fit_baseline is fit_wmcm)] * trace.n_outer
+    assert trace.w_capped == trace.w_sweeps.count(cap)
+
+
+# wfull at a W cap that some of its blocks reach and others do not
+CAPPED = FitConfig(rank=1, max_inner=8)
+
+
+def _assert_same_trace(t1, t2):
+    # field by field: BaselineModel equality leaves its trace out
+    assert t1.objective.tobytes() == t2.objective.tobytes()
+    assert (t1.w_sweeps, t1.w_capped, t1.c_sweeps, t1.converged, t1.n_outer) == \
+        (t2.w_sweeps, t2.w_capped, t2.c_sweeps, t2.converged, t2.n_outer)
+
+
+def test_wfull_trace_records_the_w_sweeps_it_runs(monkeypatch):
+    d, _ = make_dataset(80, 5, 3, seed=3)
+    calls, sweep = [], solver._sweep_rows
+
+    def recording(*args):
+        counts = sweep(*args)
+        calls.append(counts.tolist())
+        return counts
+
+    monkeypatch.setattr(solver, "_sweep_rows", recording)
+    trace = fit_wfull(d, np.ones(80), 0.5, CAPPED).trace
+    assert trace.w_sweeps == [c for (c,) in calls]
+    assert 0 < trace.w_capped == trace.w_sweeps.count(CAPPED.max_inner) < trace.n_outer
+
+
+def test_wfull_stack_gives_each_part_the_trace_it_gets_alone():
+    # a part with two penalties (a shared slice) and two parts with one each
+    # (merged into one group): each problem's record is its own
+    parts = [(make_dataset(80, 5, 3, seed=s)[0], np.random.default_rng(s).uniform(0.6, 1.6, 80))
+             for s in (3, 4, 5)]
+    cfgs = [[replace(CAPPED, lambda_w=lam) for lam in (0.5, 5.0)]] + \
+        [[replace(CAPPED, lambda_w=2.0)]] * 2
+    traces = {(g, j): model.trace for g, j, model in baselines._fit_stack("wfull", parts, cfgs)}
+    assert len(traces) == 4 and any(t.w_capped for t in traces.values())
+    for (g, j), trace in traces.items():
+        _assert_same_trace(trace, fit_wfull(*parts[g], cfgs[g][j].lambda_w, cfgs[g][j]).trace)

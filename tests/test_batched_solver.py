@@ -1030,7 +1030,7 @@ def test_cross_validate_reports_each_fit_convergence(method, max_outer):
 
 def test_cross_validate_reports_capped_w_blocks():
     # a small W cap stops some blocks of the rank-using fits and not others;
-    # the baselines record no W sweeps, so they report 0
+    # wmcm sweeps once per step, so it reports 0
     d = _contaminated(n=80, seed=21)
     grid = CvGrid(lambdas=(1.0, 20.0), phis=(0.5, 20.0), ranks=(1, 2), folds=3, seed=4)
     cfg = FitConfig(rank=2, max_inner=4)
@@ -1048,6 +1048,22 @@ def test_cross_validate_reports_capped_w_blocks():
             trace = model_selection._ESTIMATORS[method].fit(d_tr, a_tr, point).trace
             assert result.w_capped[i, j, k, f] == trace.w_capped
         assert result.w_capped.any() == (method != "wmcm")
+
+
+def test_cross_validate_reports_capped_wfull_blocks():
+    # wfull's W blocks reach a cap of 12 sweeps in some fits and not in others
+    d = _contaminated(n=80, seed=21)
+    grid = CvGrid(lambdas=(1.0, 20.0), phis=(0.5,), ranks=(1,), folds=3, seed=4)
+    cfg = FitConfig(rank=1, max_inner=12)
+    result = cross_validate(d, grid, "wfull", cfg=cfg)
+    assignment = kfold_split(d.T, grid.folds, grid.seed)
+    for i, j, k, f in np.ndindex(result.w_capped.shape):
+        held = assignment == f
+        d_tr, d_he = model_selection._subset(d, ~held), model_selection._subset(d, held)
+        a_tr, _ = model_selection._fold_weights(d_tr, d_he, "rct")
+        trace = fit_wfull(d_tr, a_tr, grid.lambdas[i], cfg).trace
+        assert result.w_capped[i, j, k, f] == trace.w_capped
+    assert result.w_capped.any() and not result.w_capped.all()
 
 
 # =============================================================================

@@ -628,6 +628,18 @@ def test_cli_warns_about_capped_w_blocks(tmp_path, capsys, command, capped):
     assert err == expected
 
 
+def test_cli_cv_wfull_reports_capped_w_blocks(capsys):
+    # wfull's W blocks at three sweeps each stop at the cap
+    assert run_cli(["cv", "--covariates", COV, "--outcomes", OUT, "--treatment-column", "arm",
+                    "--coding", "zero_one", "--standardize", "--method", "wfull",
+                    "--lambdas", "1,50", "--phis", "0", "--ranks", "1", "--folds", "2",
+                    "--max-inner", "3"]) == 0
+    out, err = capsys.readouterr()
+    n = int(re.fullmatch(r"cv: method=wfull .* w_capped=(\d+)\n", out)[1])
+    assert n > 0
+    assert err == f"warning: {n} W blocks stopped at max_inner=3 before inner_tol was met\n"
+
+
 def test_cli_cv_fit_and_surface(tmp_path, capsys):
     cv_out = str(tmp_path / "cv.csv")
     model_out = str(tmp_path / "best.json")
@@ -717,6 +729,15 @@ def test_cli_simulate_config_errors(tmp_path, capsys):
     assert run_cli(["simulate", good, "--methods", "ols",
                     "--out", str(tmp_path / "r.csv")]) == 1
     assert "unknown method 'ols'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("p", "10"), ("replications", "3"), ("g", "0")])
+def test_cli_simulate_setting_that_is_not_a_number(tmp_path, capsys, key, value):
+    # a data error naming the setting, not a traceback
+    config = _write(tmp_path / "s.json", json.dumps({"scenario": 1, key: value}))
+    assert run_cli(["simulate", config, "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: data: {key} must be ") and err.count("\n") == 1
 
 
 def test_scenario_config_with_byte_order_mark(tmp_path):

@@ -66,15 +66,15 @@ SETTINGS_CALLS = {
 
 # per setting: the rule its message states and values that break it
 RULES = {
-    "rank": ("a positive integer", (0, 2.5, np.nan)),
-    "max_outer": ("a positive integer", (0, 2.5, np.nan)),
-    "max_inner": ("a positive integer", (0, 2.5, np.nan)),
-    "outer_tol": ("finite and positive", (0.0, -1.0, np.inf)),
-    "inner_tol": ("finite and positive", (0.0, -1.0, np.inf)),
-    "lambda_w": ("finite and nonnegative", (-1.0, np.nan, np.inf)),
-    "phi_c": ("finite and nonnegative", (-1.0, np.nan, np.inf)),
-    "folds": ("a positive integer", (0, 2.5, np.nan)),
-    "seed": ("a nonnegative integer", (-1, 2.5, np.nan)),
+    "rank": ("a positive integer", (0, 2.5, np.nan, "1", None)),
+    "max_outer": ("a positive integer", (0, 2.5, np.nan, "1", None)),
+    "max_inner": ("a positive integer", (0, 2.5, np.nan, "1", None)),
+    "outer_tol": ("finite and positive", (0.0, -1.0, np.inf, "1", None)),
+    "inner_tol": ("finite and positive", (0.0, -1.0, np.inf, "1", None)),
+    "lambda_w": ("finite and nonnegative", (-1.0, np.nan, np.inf, "1", None)),
+    "phi_c": ("finite and nonnegative", (-1.0, np.nan, np.inf, "1", None)),
+    "folds": ("a positive integer", (0, 2.5, np.nan, "1", None)),
+    "seed": ("a nonnegative integer", (-1, 2.5, np.nan, "1", None)),
 }
 CASES = {f"{entry}-{name}": (entry, name)
          for entry, (_, names) in SETTINGS_CALLS.items() for name in names}
@@ -114,6 +114,15 @@ def test_fold_count_and_seed_edges():
     assert grid.folds == 3 and isinstance(grid.folds, int)
     assert np.array_equal(kfold_split(d.T, grid.folds, grid.seed), kfold_split(d.T, 3, 2**70))
     assert ScenarioSpec(scenario=1, seed=np.int64(7)).seed == 7
+
+
+@pytest.mark.parametrize("allow", [False, True])
+def test_design_levels_are_real_numbers(allow):
+    # before the standard design compares them, with or without that check
+    for name in ("g", "tau_pct", "b", "z"):
+        for value in ("0", None):
+            with pytest.raises(DataError, match=f"^{name} must be a real number, got {value}$"):
+                ScenarioSpec(scenario=1, allow_nonstandard=allow, **{name: value})
 
 
 def test_integral_float_settings_are_stored_as_ints():
